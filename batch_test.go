@@ -13,29 +13,50 @@ import (
 // sorted, deduplicated keys one at a time — plus the ordered-read
 // invariants (ascending, duplicate-free, linearizable under churn).
 
-// TestCapabilityFlagsMatchSurfaces pins the registry's Batch/Scan/
-// BulkLoad flags to reality: a flag is set iff New's sets implement
-// the corresponding interface natively. A drifted flag would silently
-// route benchmark cells through the wrong code path.
+// nativeSurfaces reports which of Batcher, Ranger and Loader s
+// implements natively.
+func nativeSurfaces(s Set) [3]bool {
+	_, b := s.(Batcher)
+	_, r := s.(Ranger)
+	_, l := s.(Loader)
+	return [3]bool{b, r, l}
+}
+
+// TestCapabilityFlagsMatchSurfaces pins that capabilities, read off a
+// built set by type assertion now that the registry carries no flags,
+// compose as the modes promise: for every name Lookup accepts, the
+// arena modes keep exactly the plain algorithm's native batch, scan
+// and bulk-load surfaces, and the sharded façade serves all three
+// natively (splitting per shard, falling back per key inside).
 func TestCapabilityFlagsMatchSurfaces(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
-		s := im.New()
-		if _, ok := s.(Batcher); ok != im.Batch {
-			t.Errorf("%s: implements Batcher=%v but registry says Batch=%v", im.Name, ok, im.Batch)
-		}
-		if _, ok := s.(Ranger); ok != im.Scan {
-			t.Errorf("%s: implements Ranger=%v but registry says Scan=%v", im.Name, ok, im.Scan)
-		}
-		if _, ok := s.(Loader); ok != im.BulkLoad {
-			t.Errorf("%s: implements Loader=%v but registry says BulkLoad=%v", im.Name, ok, im.BulkLoad)
-		}
-	})
+	for _, name := range acceptedNames() {
+		t.Run(name, func(t *testing.T) {
+			im, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain := nativeSurfaces(im.New())
+			for _, o := range im.modes() {
+				s, err := im.Build(o)
+				if err != nil {
+					t.Fatalf("Build(%+v): %v", o, err)
+				}
+				want := plain
+				if o.Shards > 0 {
+					want = [3]bool{true, true, true}
+				}
+				if got := nativeSurfaces(s); got != want {
+					t.Errorf("%s: Batcher/Ranger/Loader = %v, want %v", label(im.Name, o), got, want)
+				}
+			}
+		})
+	}
 }
 
 // TestBatchBasicSemantics checks counts and membership for every
 // implementation through the As* adapters (native and fallback alike).
 func TestBatchBasicSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, 0, 10, func(t *testing.T, im Impl) {
 		s := im.New()
 		b := AsBatcher(s)
 		// Unsorted with duplicates: {5, 1, 9, 3} effective.
@@ -71,7 +92,7 @@ func TestBatchBasicSemantics(t *testing.T) {
 // TestRangeScanSemantics checks [lo, hi) windowing, ascending order
 // and Ascend's early stop for every implementation.
 func TestRangeScanSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, 0, 100, func(t *testing.T, im Impl) {
 		s := im.New()
 		for k := int64(0); k < 100; k += 2 {
 			s.Insert(k)
@@ -114,7 +135,7 @@ func TestRangeScanSemantics(t *testing.T) {
 // TestLoadSemantics checks bulk population: O(k) on an empty set, a
 // correct merge into a non-empty one, and agreement with Snapshot.
 func TestLoadSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, 0, 10, func(t *testing.T, im Impl) {
 		s := im.New()
 		l := AsLoader(s)
 		if got := l.Load([]int64{7, 3, 9, 3, 1}); got != 4 {
@@ -155,7 +176,7 @@ func FuzzBatchVsOracle(f *testing.F) {
 		seed = append(seed, 0, i) // op boundary noise
 	}
 	f.Add(seed)
-	impls := Implementations()
+	impls := testModes(0, 32)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			t.Skip("long programs add time, not coverage")
@@ -252,12 +273,12 @@ func FuzzBatchVsOracle(f *testing.F) {
 // stable evens of its window — an even missing or duplicated would be
 // a scan that saw a state no linearization of the history allows.
 func TestRangeScanLinearizable(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
-		if !im.Scan && testing.Short() {
-			t.Skip("fallback Ranger is Snapshot-based; covered by the native impls")
-		}
+	forEachConcurrentMode(t, 0, 256, func(t *testing.T, im Impl) {
 		const keys = 256
 		s := im.New()
+		if _, native := s.(Ranger); !native && testing.Short() {
+			t.Skip("fallback Ranger is Snapshot-based; covered by the native impls")
+		}
 		for k := int64(0); k < keys; k += 2 {
 			s.Insert(k)
 		}
@@ -316,11 +337,11 @@ func TestRangeScanLinearizable(t *testing.T) {
 // strict ascent, no sentinel leakage — and that every surviving key
 // was inserted at some point.
 func TestBatchConcurrentChurn(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
-		if !im.Batch {
+	forEachConcurrentMode(t, 0, 192, func(t *testing.T, im Impl) {
+		s := im.New()
+		if _, native := s.(Batcher); !native {
 			t.Skip("native batch surfaces only; fallback is the per-key ops already under test")
 		}
-		s := im.New()
 		b := AsBatcher(s)
 		r := AsRanger(s)
 		var stop atomic.Bool
@@ -381,7 +402,10 @@ func TestShardSeamBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := im.NewSharded(shards, 0, keyRange)
+			s, err := im.Build(Options{Shards: shards, Lo: 0, Hi: keyRange})
+			if err != nil {
+				t.Fatal(err)
+			}
 			b := AsBatcher(s)
 			r := AsRanger(s)
 			// One batch with three keys around every seam: last key of
@@ -468,10 +492,10 @@ func TestFallbackAdapterOnUnportedImpl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Batch || im.Scan || im.BulkLoad {
+	s := im.New()
+	if nativeSurfaces(s) != [3]bool{} {
 		t.Fatal("hoh grew native surfaces; retarget this test at a fallback impl")
 	}
-	s := im.New()
 	if got := AsBatcher(s).InsertAll([]int64{3, 1, 2, 1}); got != 3 {
 		t.Fatalf("fallback InsertAll = %d, want 3", got)
 	}

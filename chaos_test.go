@@ -12,7 +12,7 @@ import (
 )
 
 // TestChaosConformance is the chaos acceptance gate: every thread-safe
-// registry entry, run under each shipped chaos scenario with the
+// algorithm in every mode, run under each shipped chaos scenario with the
 // linearizability checker on. Injected failures may only slow an
 // operation down — forcing the restart, helping and escalation paths
 // the paper's figures argue about — never change what it returns, so
@@ -22,7 +22,7 @@ func TestChaosConformance(t *testing.T) {
 	for _, sc := range failpoint.Shipped(99) {
 		sc := sc
 		t.Run(sc.String(), func(t *testing.T) {
-			forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+			forEachConcurrentMode(t, 0, 12, func(t *testing.T, im Impl) {
 				runChaosTrial(t, im, sc)
 			})
 		})

@@ -200,7 +200,8 @@ func candidates(names ...string) []harness.Candidate {
 		if err != nil {
 			panic(err)
 		}
-		out = append(out, harness.Candidate{Name: im.Name, New: func() harness.Set { return im.New() }})
+		o := im.Preset()
+		out = append(out, harness.Candidate{Name: im.Name, New: factory(im, o), Shards: o.Shards})
 	}
 	return out
 }
@@ -275,9 +276,10 @@ func figure4(p protocol) {
 }
 
 // figureSurvey goes beyond the paper's trio: every registered
-// thread-safe implementation — including the §5 related-work
-// algorithms (Fomitchev-Ruppert, Optimistic) and the ablation variants
-// — on the paper's standard 20%-update workload.
+// thread-safe algorithm — including the §5 related-work algorithms
+// (Fomitchev-Ruppert, Optimistic) and the ablation variants — on the
+// paper's standard 20%-update workload. Sharding and arenas are priced
+// by the index and sharded figures.
 func figureSurvey(p protocol) {
 	p.header("=== Survey: all implementations, 20% updates, key range 200 ===")
 	var names []string
@@ -351,13 +353,24 @@ func shardedCandidate(name string, shards int, keyRange int64) harness.Candidate
 	if err != nil {
 		panic(err)
 	}
-	if im.NewSharded == nil {
-		panic(fmt.Sprintf("figures: %s has no sharded form", im.Name))
-	}
+	o := im.Preset()
+	o.Shards, o.Lo, o.Hi = shards, 0, keyRange
 	return harness.Candidate{
 		Name:   fmt.Sprintf("%s-s%d", im.Name, shards),
-		New:    func() harness.Set { return im.NewSharded(shards, 0, keyRange) },
+		New:    factory(im, o),
 		Shards: shards,
+	}
+}
+
+// factory returns a constructor for im in the modes o selects,
+// panicking if the algorithm cannot compose them.
+func factory(im listset.Impl, o listset.Options) func() harness.Set {
+	return func() harness.Set {
+		s, err := im.Build(o)
+		if err != nil {
+			panic(err)
+		}
+		return s
 	}
 }
 

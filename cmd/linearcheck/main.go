@@ -55,8 +55,16 @@ func main() {
 		fmt.Printf("%-12s ", im.Name)
 		bad := 0
 		var totalOps int
+		// A composed name's partition is fitted to the checked keys.
+		o := im.Preset()
+		o.Lo, o.Hi = 0, *keys
 		for trial := 0; trial < *trials; trial++ {
-			h := record(im, *threads, *ops, *keys, *seed+int64(trial)*1000)
+			set, err := im.Build(o)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			h := record(set, *threads, *ops, *keys, *seed+int64(trial)*1000)
 			totalOps += len(h.Ops)
 			if err := lincheck.Check(h, nil); err != nil {
 				bad++
@@ -81,8 +89,7 @@ func main() {
 	}
 }
 
-func record(im listset.Impl, threads, opsPerThread int, keys, seed int64) lincheck.History {
-	set := im.New()
+func record(set listset.Set, threads, opsPerThread int, keys, seed int64) lincheck.History {
 	rec := lincheck.NewRecorder()
 	sessions := make([]*lincheck.Session, threads)
 	for i := range sessions {

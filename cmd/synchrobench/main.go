@@ -48,8 +48,8 @@
 //	               speedup over -batch 1 is the amortization itself
 //	-scan P        make P% of operations range scans [lo, lo+width)
 //	               (taken out of the contains share; needs a native
-//	               scan surface — vbl, lazy, harris, the skip lists and
-//	               sharded forms)
+//	               scan surface — vbl, lazy, harris, the skip lists, or
+//	               any algorithm with -shards)
 //	-scan-width W  key width of each scan (default 100)
 //
 // Key distribution: -dist uniform (default), -dist zipf -theta T
@@ -74,9 +74,10 @@
 //	                 across the range each phase)
 //	-phase-dur       dwell time per phase (default 150ms)
 //
-// Sharding: -shards N (or -impl vbl-sharded) routes keys through the
-// order-preserving range partitioner of internal/shard, so each of N
-// independent lists owns range/N keys and traversals walk O(n/N) nodes.
+// Sharding: -shards N routes keys through the order-preserving range
+// partitioner of internal/shard, so each of N independent lists owns
+// range/N keys and traversals walk O(n/N) nodes. It composes with every
+// algorithm; a composed name such as -impl vbl-sharded presets 16.
 //
 // Memory (see internal/mem):
 //
@@ -120,7 +121,7 @@ func main() {
 	var (
 		implName    = flag.String("impl", "vbl", "implementation to benchmark (see -list)")
 		threads     = flag.Int("threads", 4, "number of worker goroutines")
-		shards      = flag.Int("shards", 0, "split the key range across N independent lists (0 = unsharded; *-sharded impls default to 16)")
+		shards      = flag.Int("shards", 0, "split the key range across N independent lists (0 = the impl name's preset: 16 for vbl-sharded and the like, else unsharded)")
 		updateRatio = flag.Int("update-ratio", 20, "percent of update operations (x/2% inserts, x/2% removes)")
 		keyRange    = flag.Int64("range", 2048, "key range; steady-state set size is about range/2")
 		duration    = flag.Duration("duration", 1*time.Second, "measured duration per run")
@@ -136,7 +137,7 @@ func main() {
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the measured runs to this file")
 		mutexprof   = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
 		blockprof   = flag.String("blockprofile", "", "write a blocking profile to this file")
-		arena       = flag.Bool("arena", false, "arena-backed node lifetimes: slab allocation + epoch-based recycling (vbl/lazy only)")
+		arena       = flag.Bool("arena", false, "arena-backed node lifetimes: slab allocation + epoch-based recycling (vbl, lazy, vbskip)")
 		gcpercent   = flag.Int("gcpercent", 0, "debug.SetGCPercent for the whole process; -1 disables the GC, 0 keeps the default")
 		memprofile  = flag.String("memprofile", "", "write a heap profile (after a forced GC) to this file when the runs finish")
 		traceFile   = flag.String("trace", "", "record measured intervals and write the capture here (.json = Chrome trace-event format, else compact binary; implies -probes)")
@@ -161,13 +162,19 @@ func main() {
 	flag.Parse()
 
 	if *list {
+		var arenas []string
 		for _, im := range listset.Implementations() {
 			safe := "concurrent"
 			if !im.ThreadSafe {
 				safe = "SINGLE-THREADED"
 			}
-			fmt.Printf("  %-12s %-15s %s\n", im.Name, safe, im.Desc)
+			fmt.Printf("  %-17s %-15s %s\n", im.Name, safe, im.Desc)
+			if im.NewArena != nil {
+				arenas = append(arenas, im.Name)
+			}
 		}
+		fmt.Printf("modes: -shards N composes with every algorithm, -arena with %s; -impl <algorithm>-sharded (16 shards) and <algorithm>-arena name the same modes\n",
+			strings.Join(arenas, ", "))
 		return
 	}
 
@@ -181,20 +188,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Shard resolution: an explicit -shards N wins; the *-sharded
-	// registry entries default to DefaultShards when the flag is absent,
-	// so `-impl vbl-sharded` alone gets a partition fitted to -range
-	// rather than the constructors' generic focus range.
-	nShards := *shards
-	if nShards < 0 {
-		fmt.Fprintf(os.Stderr, "synchrobench: -shards %d must be non-negative\n", nShards)
-		os.Exit(2)
+	// Mode resolution: the name's preset modes (vbl-sharded presets
+	// 16 shards, vbl-arena an arena) plus -shards/-arena. A sharded
+	// partition always splits exactly the workload's key range, so
+	// every shard owns range/S keys and traversals shrink O(n/S).
+	opts := im.Preset()
+	if *shards != 0 {
+		opts.Shards = *shards
 	}
-	if nShards == 0 && strings.HasSuffix(im.Name, "-sharded") {
-		nShards = listset.DefaultShards
-	}
-	if nShards > 0 && im.NewSharded == nil {
-		fmt.Fprintf(os.Stderr, "synchrobench: %s has no sharded form; drop -shards or pick vbl, lazy, harris or a skip list\n", im.Name)
+	opts.Arena = opts.Arena || *arena
+	opts.Lo, opts.Hi = 0, *keyRange
+	probe, err := im.Build(opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "synchrobench:", err)
 		os.Exit(2)
 	}
 
@@ -212,33 +218,13 @@ func main() {
 		*probesOn = true
 	}
 
-	// Arena resolution: -arena and the *-arena registry entries mean the
-	// same thing; either way the report carries arena=true.
-	useArena := *arena || im.NewArena != nil && strings.HasSuffix(im.Name, "-arena")
-	if useArena && im.NewArena == nil {
-		fmt.Fprintf(os.Stderr, "synchrobench: %s has no arena form (node reuse is an ABA hazard for the lock-free lists); drop -arena or pick vbl, lazy or vbskip\n", im.Name)
-		os.Exit(2)
-	}
-	if useArena && nShards > 0 && im.NewShardedArena == nil {
-		fmt.Fprintf(os.Stderr, "synchrobench: %s has no sharded arena form; drop -arena or -shards\n", im.Name)
-		os.Exit(2)
-	}
 	if *gcpercent != 0 {
 		debug.SetGCPercent(*gcpercent)
 	}
 
-	newSet := func() harness.Set { return im.New() }
-	switch {
-	case nShards > 0 && useArena:
-		n, hi := nShards, *keyRange
-		newSet = func() harness.Set { return im.NewShardedArena(n, 0, hi) }
-	case nShards > 0:
-		// The partition splits exactly the workload's key range, so
-		// every shard owns range/S keys and traversals shrink O(n/S).
-		n, hi := nShards, *keyRange
-		newSet = func() harness.Set { return im.NewSharded(n, 0, hi) }
-	case useArena:
-		newSet = func() harness.Set { return im.NewArena() }
+	newSet := func() harness.Set {
+		s, _ := im.Build(opts) // validated above
+		return s
 	}
 	wl := workload.Config{
 		UpdatePercent: *updateRatio,
@@ -256,18 +242,18 @@ func main() {
 	default:
 		wl.Dist = *dist // workload.Validate rejects it with the full list
 	}
-	if *scanPct > 0 && !im.Scan {
-		fmt.Fprintf(os.Stderr, "synchrobench: %s has no native range scan; drop -scan or pick vbl, lazy, harris, a skip list or a sharded form\n", im.Name)
+	if _, ok := probe.(listset.Ranger); *scanPct > 0 && !ok {
+		fmt.Fprintf(os.Stderr, "synchrobench: %s has no native range scan; drop -scan, add -shards, or pick vbl, lazy, harris or a skip list\n", im.Name)
 		os.Exit(2)
 	}
-	if *batchSize > 1 && !im.Batch {
+	if _, ok := probe.(listset.Batcher); *batchSize > 1 && !ok {
 		fmt.Fprintf(os.Stderr, "synchrobench: note: %s has no native batch surface; -batch %d runs the per-key fallback\n", im.Name, *batchSize)
 	}
 	cfg := harness.Config{
 		Name:               im.Name,
 		New:                newSet,
-		Shards:             nShards,
-		Arena:              useArena,
+		Shards:             opts.Shards,
+		Arena:              opts.Arena,
 		Threads:            *threads,
 		Workload:           wl,
 		BatchSize:          *batchSize,
@@ -285,7 +271,7 @@ func main() {
 		// surface itself.
 		cfg.Adapt = &adapt.Config{
 			Interval:  *adaptEvery,
-			Rebalance: nShards > 0,
+			Rebalance: opts.Shards > 0,
 		}
 	}
 	if *phasePreset != "" {

@@ -5,25 +5,52 @@ import (
 	"testing"
 )
 
-// forEachImpl runs f as a subtest for every registered implementation.
-func forEachImpl(t *testing.T, f func(t *testing.T, im Impl)) {
+// testModes expands the registry into the test matrix: every algorithm
+// in every mode it composes with (plain, arena, sharded, sharded+arena).
+// Sharded modes split the test's key range [lo, hi) four ways, so its
+// operations cross shard seams. Each entry's Name is the mode's label
+// ("vbl-sharded") and its New builds the mode.
+func testModes(lo, hi int64) []Impl { return modesOf(Implementations(), lo, hi) }
+
+// modesOf is testModes over the given algorithms.
+func modesOf(algos []Impl, lo, hi int64) []Impl {
+	var out []Impl
+	for _, algo := range algos {
+		for _, o := range algo.modes() {
+			if o.Shards > 0 {
+				o.Shards, o.Lo, o.Hi = 4, lo, hi
+			}
+			m := algo
+			m.Name, m.preset = label(algo.Name, o), o
+			m.New = func() Set {
+				s, err := algo.Build(o)
+				if err != nil {
+					panic(err)
+				}
+				return s
+			}
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// forEachMode runs f as a subtest for every entry of testModes(lo, hi).
+func forEachMode(t *testing.T, lo, hi int64, f func(t *testing.T, im Impl)) {
 	t.Helper()
-	for _, im := range Implementations() {
-		im := im
+	for _, im := range testModes(lo, hi) {
 		t.Run(im.Name, func(t *testing.T) { f(t, im) })
 	}
 }
 
-// forEachConcurrentImpl is forEachImpl restricted to thread-safe
-// implementations.
-func forEachConcurrentImpl(t *testing.T, f func(t *testing.T, im Impl)) {
+// forEachConcurrentMode is forEachMode restricted to thread-safe
+// algorithms.
+func forEachConcurrentMode(t *testing.T, lo, hi int64, f func(t *testing.T, im Impl)) {
 	t.Helper()
-	for _, im := range Implementations() {
-		if !im.ThreadSafe {
-			continue
+	for _, im := range testModes(lo, hi) {
+		if im.ThreadSafe {
+			t.Run(im.Name, func(t *testing.T) { f(t, im) })
 		}
-		im := im
-		t.Run(im.Name, func(t *testing.T) { f(t, im) })
 	}
 }
 
@@ -55,7 +82,7 @@ func TestRegistryLookup(t *testing.T) {
 }
 
 func TestRegistryConstructorsIndependent(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, 0, 8, func(t *testing.T, im Impl) {
 		a, b := im.New(), im.New()
 		a.Insert(7)
 		if b.Contains(7) {
@@ -65,7 +92,7 @@ func TestRegistryConstructorsIndependent(t *testing.T) {
 }
 
 func TestEmptySet(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, 0, 8, func(t *testing.T, im Impl) {
 		s := im.New()
 		if s.Len() != 0 {
 			t.Fatalf("Len() of empty set = %d", s.Len())
@@ -83,7 +110,7 @@ func TestEmptySet(t *testing.T) {
 }
 
 func TestBasicSemantics(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, 3, 8, func(t *testing.T, im Impl) {
 		s := im.New()
 		if !s.Insert(5) {
 			t.Fatal("Insert(5) on empty set = false")
@@ -134,7 +161,7 @@ func TestBasicSemantics(t *testing.T) {
 }
 
 func TestNegativeKeysAndExtremes(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, -2, 2, func(t *testing.T, im Impl) {
 		s := im.New()
 		vals := []int64{MinKey, -12345, -1, 0, 1, 12345, MaxKey}
 		for _, v := range vals {
@@ -167,110 +194,81 @@ func TestNegativeKeysAndExtremes(t *testing.T) {
 	})
 }
 
+// randomOracle applies steps random operations on keys drawn by key to
+// s single-threaded, checking every result against a map, then checks
+// Len and that Snapshot is the oracle's contents in ascending order.
+func randomOracle(t *testing.T, s Set, seed int64, steps int, key func(*rand.Rand) int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	oracle := map[int64]bool{}
+	for i := 0; i < steps; i++ {
+		v := key(rng)
+		switch rng.Intn(3) {
+		case 0:
+			want := !oracle[v]
+			if got := s.Insert(v); got != want {
+				t.Fatalf("step %d: Insert(%d) = %v, want %v", i, v, got, want)
+			}
+			oracle[v] = true
+		case 1:
+			want := oracle[v]
+			if got := s.Remove(v); got != want {
+				t.Fatalf("step %d: Remove(%d) = %v, want %v", i, v, got, want)
+			}
+			delete(oracle, v)
+		case 2:
+			if got := s.Contains(v); got != oracle[v] {
+				t.Fatalf("step %d: Contains(%d) = %v, want %v", i, v, got, oracle[v])
+			}
+		}
+	}
+	if s.Len() != len(oracle) {
+		t.Fatalf("final Len = %d, want %d", s.Len(), len(oracle))
+	}
+	snap := s.Snapshot()
+	if len(snap) != len(oracle) {
+		t.Fatalf("final Snapshot has %d elements, want %d", len(snap), len(oracle))
+	}
+	for i, v := range snap {
+		if !oracle[v] {
+			t.Fatalf("Snapshot contains %d which the oracle lacks", v)
+		}
+		if i > 0 && snap[i-1] >= v {
+			t.Fatalf("Snapshot not strictly ascending: %v", snap)
+		}
+	}
+}
+
 // TestMapOracle drives each implementation single-threaded against a map
 // with a long random operation sequence.
 func TestMapOracle(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
-		rng := rand.New(rand.NewSource(42))
-		s := im.New()
-		oracle := map[int64]bool{}
-		for i := 0; i < 30000; i++ {
-			v := int64(rng.Intn(128)) - 64
-			switch rng.Intn(3) {
-			case 0:
-				want := !oracle[v]
-				if got := s.Insert(v); got != want {
-					t.Fatalf("step %d: Insert(%d) = %v, want %v", i, v, got, want)
-				}
-				oracle[v] = true
-			case 1:
-				want := oracle[v]
-				if got := s.Remove(v); got != want {
-					t.Fatalf("step %d: Remove(%d) = %v, want %v", i, v, got, want)
-				}
-				delete(oracle, v)
-			case 2:
-				if got := s.Contains(v); got != oracle[v] {
-					t.Fatalf("step %d: Contains(%d) = %v, want %v", i, v, got, oracle[v])
-				}
-			}
-		}
-		if s.Len() != len(oracle) {
-			t.Fatalf("final Len = %d, want %d", s.Len(), len(oracle))
-		}
-		snap := s.Snapshot()
-		if len(snap) != len(oracle) {
-			t.Fatalf("final Snapshot has %d elements, want %d", len(snap), len(oracle))
-		}
-		for _, v := range snap {
-			if !oracle[v] {
-				t.Fatalf("Snapshot contains %d which the oracle lacks", v)
-			}
-		}
+	forEachMode(t, -64, 64, func(t *testing.T, im Impl) {
+		randomOracle(t, im.New(), 42, 30000, func(rng *rand.Rand) int64 { return int64(rng.Intn(128)) - 64 })
 	})
 }
 
-// TestShardedBoundaryOracle drives every implementation's sharded form
-// with a tight partition (4 shards over [0, 32), boundaries at 8, 16,
-// 24) against a map oracle, biasing keys to land on and around the
+// TestShardedBoundaryOracle drives every mode against a map oracle,
+// with sharded modes on a tight partition (4 shards over [0, 32),
+// boundaries at 8, 16, 24), biasing keys to land on and around the
 // shard boundaries and outside the focus range, so routing errors at
 // the seams — a key owned by two shards, or by none — surface as
-// semantic failures.
+// semantic failures. The unsharded modes run the same program as a
+// control.
 func TestShardedBoundaryOracle(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
-		if im.NewSharded == nil {
-			t.Skip("no sharded form")
-		}
-		s := im.NewSharded(4, 0, 32)
-		rng := rand.New(rand.NewSource(7))
-		// Candidate keys cluster on the boundaries ±1, the focus edges,
-		// and a few keys beyond them (clamped to the edge shards).
-		candidates := []int64{
-			-40, -1, 0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 30, 31, 32, 33, 90,
-		}
-		oracle := map[int64]bool{}
-		for i := 0; i < 20000; i++ {
-			v := candidates[rng.Intn(len(candidates))]
-			switch rng.Intn(3) {
-			case 0:
-				want := !oracle[v]
-				if got := s.Insert(v); got != want {
-					t.Fatalf("step %d: Insert(%d) = %v, want %v", i, v, got, want)
-				}
-				oracle[v] = true
-			case 1:
-				want := oracle[v]
-				if got := s.Remove(v); got != want {
-					t.Fatalf("step %d: Remove(%d) = %v, want %v", i, v, got, want)
-				}
-				delete(oracle, v)
-			case 2:
-				if got := s.Contains(v); got != oracle[v] {
-					t.Fatalf("step %d: Contains(%d) = %v, want %v", i, v, got, oracle[v])
-				}
-			}
-		}
-		if s.Len() != len(oracle) {
-			t.Fatalf("final Len = %d, want %d", s.Len(), len(oracle))
-		}
-		snap := s.Snapshot()
-		for i := 1; i < len(snap); i++ {
-			if snap[i-1] >= snap[i] {
-				t.Fatalf("Snapshot not strictly ascending across shard seams: %v", snap)
-			}
-		}
-		for _, v := range snap {
-			if !oracle[v] {
-				t.Fatalf("Snapshot contains %d which the oracle lacks", v)
-			}
-		}
+	// Candidate keys cluster on the boundaries ±1, the focus edges,
+	// and a few keys beyond them (clamped to the edge shards).
+	candidates := []int64{
+		-40, -1, 0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 30, 31, 32, 33, 90,
+	}
+	forEachMode(t, 0, 32, func(t *testing.T, im Impl) {
+		randomOracle(t, im.New(), 7, 20000, func(rng *rand.Rand) int64 { return candidates[rng.Intn(len(candidates))] })
 	})
 }
 
 // TestGrowShrinkCycles fills and drains the set repeatedly, a pattern
 // that exercises unlink-behind-traversal paths.
 func TestGrowShrinkCycles(t *testing.T) {
-	forEachImpl(t, func(t *testing.T, im Impl) {
+	forEachMode(t, 0, 300, func(t *testing.T, im Impl) {
 		s := im.New()
 		const n = 300
 		for cycle := 0; cycle < 4; cycle++ {

@@ -54,15 +54,19 @@ func ExampleNewVBL_concurrent() {
 }
 
 func ExampleLookup() {
-	im, err := listset.Lookup("harris")
+	// A composed name resolves to its algorithm plus preset modes.
+	im, err := listset.Lookup("harris-sharded")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(im.Name, im.LockFree)
-	s := im.New()
+	fmt.Println(im.Name, im.LockFree, im.Preset().Shards)
+	s, err := im.Build(im.Preset())
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(s.Insert(1))
 	// Output:
-	// harris true
+	// harris-sharded true 16
 	// true
 }
 
@@ -76,7 +80,6 @@ func ExampleImplementations() {
 	// harris
 	// harris-amr
 	// fomitchev
-	// harris-sharded
 }
 
 func ExampleNewVBLShardedRange() {

@@ -40,7 +40,7 @@ func cell(impl string, threads int, wl workload.Config) float64 {
 	}
 	res, err := harness.Run(harness.Config{
 		Name:     im.Name,
-		New:      func() harness.Set { return im.New() },
+		New:      func() harness.Set { s, _ := im.Build(im.Preset()); return s },
 		Threads:  threads,
 		Workload: wl,
 		Duration: 150 * time.Millisecond,

@@ -3,8 +3,6 @@ package listset
 import (
 	"testing"
 
-	"listset/internal/core"
-	"listset/internal/lazy"
 	"listset/internal/mem"
 )
 
@@ -41,184 +39,112 @@ func seedCorpus(f *testing.F) {
 	f.Add(sweep)
 }
 
-// FuzzSequentialVsOracle runs the program on every implementation and
-// requires the result stream to match the map oracle exactly.
-func FuzzSequentialVsOracle(f *testing.F) {
-	seedCorpus(f)
-	impls := Implementations()
-	f.Fuzz(func(t *testing.T, prog []byte) {
-		if len(prog) > 4096 {
-			t.Skip()
-		}
-		for _, im := range impls {
-			s := im.New()
-			oracle := map[int64]bool{}
-			for i := 0; i+1 < len(prog); i += 2 {
-				kind, k := decodeOp(prog[i], prog[i+1])
-				switch kind {
-				case 0:
-					want := !oracle[k]
-					if got := s.Insert(k); got != want {
-						t.Fatalf("%s: step %d Insert(%d) = %v, want %v", im.Name, i/2, k, got, want)
-					}
-					oracle[k] = true
-				case 1:
-					want := oracle[k]
-					if got := s.Remove(k); got != want {
-						t.Fatalf("%s: step %d Remove(%d) = %v, want %v", im.Name, i/2, k, got, want)
-					}
-					delete(oracle, k)
-				default:
-					if got := s.Contains(k); got != oracle[k] {
-						t.Fatalf("%s: step %d Contains(%d) = %v, want %v", im.Name, i/2, k, got, oracle[k])
-					}
+// runOracle runs the program on s rounds times over and requires the
+// result stream to match a map oracle exactly, with an ascending final
+// snapshot of the oracle's contents.
+func runOracle(t *testing.T, name string, s Set, prog []byte, rounds int) {
+	t.Helper()
+	oracle := map[int64]bool{}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i+1 < len(prog); i += 2 {
+			kind, k := decodeOp(prog[i], prog[i+1])
+			switch kind {
+			case 0:
+				want := !oracle[k]
+				if got := s.Insert(k); got != want {
+					t.Fatalf("%s: round %d step %d Insert(%d) = %v, want %v", name, round, i/2, k, got, want)
 				}
-			}
-			if s.Len() != len(oracle) {
-				t.Fatalf("%s: final Len = %d, want %d", im.Name, s.Len(), len(oracle))
-			}
-			snap := s.Snapshot()
-			if len(snap) != len(oracle) {
-				t.Fatalf("%s: final Snapshot size %d, want %d", im.Name, len(snap), len(oracle))
-			}
-			for i, v := range snap {
-				if !oracle[v] {
-					t.Fatalf("%s: Snapshot holds %d which the oracle lacks", im.Name, v)
+				oracle[k] = true
+			case 1:
+				want := oracle[k]
+				if got := s.Remove(k); got != want {
+					t.Fatalf("%s: round %d step %d Remove(%d) = %v, want %v", name, round, i/2, k, got, want)
 				}
-				if i > 0 && snap[i-1] >= v {
-					t.Fatalf("%s: Snapshot not strictly ascending: %v", im.Name, snap)
+				delete(oracle, k)
+			default:
+				if got := s.Contains(k); got != oracle[k] {
+					t.Fatalf("%s: round %d step %d Contains(%d) = %v, want %v", name, round, i/2, k, got, oracle[k])
 				}
 			}
 		}
-	})
+	}
+	if s.Len() != len(oracle) {
+		t.Fatalf("%s: final Len = %d, want %d", name, s.Len(), len(oracle))
+	}
+	snap := s.Snapshot()
+	if len(snap) != len(oracle) {
+		t.Fatalf("%s: final Snapshot size %d, want %d", name, len(snap), len(oracle))
+	}
+	for i, v := range snap {
+		if !oracle[v] {
+			t.Fatalf("%s: Snapshot holds %d which the oracle lacks", name, v)
+		}
+		if i > 0 && snap[i-1] >= v {
+			t.Fatalf("%s: Snapshot not strictly ascending: %v", name, snap)
+		}
+	}
 }
 
-// FuzzShardedVsOracle runs the program on every implementation's
-// sharded form with the partition squeezed onto the fuzz key domain
-// (4 shards over [0, 32), boundaries 8/16/24), so fuzzed op sequences
-// constantly cross shard seams; results must match the map oracle
-// exactly and the snapshot must stay ascending across shards.
-func FuzzShardedVsOracle(f *testing.F) {
+// fuzzModesVsOracle runs each fuzzed program on the test matrix's
+// sharded or unsharded modes over the fuzz key domain [0, 32), and
+// requires every result stream to match the map oracle exactly.
+func fuzzModesVsOracle(f *testing.F, sharded bool) {
 	seedCorpus(f)
-	var shardable []Impl
-	for _, im := range Implementations() {
-		if im.NewSharded != nil {
-			shardable = append(shardable, im)
+	var impls []Impl
+	for _, im := range testModes(0, 32) {
+		if (im.preset.Shards > 0) == sharded {
+			impls = append(impls, im)
 		}
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			t.Skip()
 		}
-		for _, im := range shardable {
-			s := im.NewSharded(4, 0, 32)
-			oracle := map[int64]bool{}
-			for i := 0; i+1 < len(prog); i += 2 {
-				kind, k := decodeOp(prog[i], prog[i+1])
-				switch kind {
-				case 0:
-					want := !oracle[k]
-					if got := s.Insert(k); got != want {
-						t.Fatalf("%s/4x8: step %d Insert(%d) = %v, want %v", im.Name, i/2, k, got, want)
-					}
-					oracle[k] = true
-				case 1:
-					want := oracle[k]
-					if got := s.Remove(k); got != want {
-						t.Fatalf("%s/4x8: step %d Remove(%d) = %v, want %v", im.Name, i/2, k, got, want)
-					}
-					delete(oracle, k)
-				default:
-					if got := s.Contains(k); got != oracle[k] {
-						t.Fatalf("%s/4x8: step %d Contains(%d) = %v, want %v", im.Name, i/2, k, got, oracle[k])
-					}
-				}
-			}
-			if s.Len() != len(oracle) {
-				t.Fatalf("%s/4x8: final Len = %d, want %d", im.Name, s.Len(), len(oracle))
-			}
-			snap := s.Snapshot()
-			if len(snap) != len(oracle) {
-				t.Fatalf("%s/4x8: final Snapshot size %d, want %d", im.Name, len(snap), len(oracle))
-			}
-			for i, v := range snap {
-				if !oracle[v] {
-					t.Fatalf("%s/4x8: Snapshot holds %d which the oracle lacks", im.Name, v)
-				}
-				if i > 0 && snap[i-1] >= v {
-					t.Fatalf("%s/4x8: Snapshot not strictly ascending: %v", im.Name, snap)
-				}
-			}
+		for _, im := range impls {
+			runOracle(t, im.Name, im.New(), prog, 1)
 		}
 	})
 }
 
-// FuzzArenaVsOracle runs the program on the arena-backed VBL and Lazy
-// lists with the op stream repeated enough times that retired nodes
-// cross their two-epoch grace period and recycle mid-program — the
-// result stream must keep matching the map oracle through reuse, and
-// the arena's conservation invariant (Recycled <= Retired) must hold
-// at the end.
+// FuzzSequentialVsOracle runs the program on every unsharded mode.
+func FuzzSequentialVsOracle(f *testing.F) { fuzzModesVsOracle(f, false) }
+
+// FuzzShardedVsOracle runs the program on every sharded mode, with the
+// partition squeezed onto the fuzz key domain (4 shards over [0, 32),
+// boundaries 8/16/24), so fuzzed op sequences constantly cross shard
+// seams and the snapshot must stay ascending across shards.
+func FuzzShardedVsOracle(f *testing.F) { fuzzModesVsOracle(f, true) }
+
+// FuzzArenaVsOracle runs the program on every algorithm's arena mode
+// with the op stream repeated enough times that retired nodes cross
+// their two-epoch grace period and recycle mid-program — the result
+// stream must keep matching the map oracle through reuse, and the
+// arena's conservation invariant (Recycled <= Retired) must hold at
+// the end.
 func FuzzArenaVsOracle(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1024 {
 			t.Skip()
 		}
-		for _, im := range []struct {
-			name string
-			s    interface {
-				Set
-				ArenaStats() (mem.Stats, bool)
+		for _, im := range Implementations() {
+			if im.NewArena == nil {
+				continue
 			}
-		}{
-			{"vbl-arena", core.NewArena()},
-			{"lazy-arena", lazy.NewArena()},
-		} {
-			oracle := map[int64]bool{}
+			s := im.NewArena()
 			// Repeat the program: the first pass seeds retirements, the
 			// later passes run against recycled nodes.
-			for round := 0; round < 6; round++ {
-				for i := 0; i+1 < len(prog); i += 2 {
-					kind, k := decodeOp(prog[i], prog[i+1])
-					switch kind {
-					case 0:
-						want := !oracle[k]
-						if got := im.s.Insert(k); got != want {
-							t.Fatalf("%s: round %d step %d Insert(%d) = %v, want %v", im.name, round, i/2, k, got, want)
-						}
-						oracle[k] = true
-					case 1:
-						want := oracle[k]
-						if got := im.s.Remove(k); got != want {
-							t.Fatalf("%s: round %d step %d Remove(%d) = %v, want %v", im.name, round, i/2, k, got, want)
-						}
-						delete(oracle, k)
-					default:
-						if got := im.s.Contains(k); got != oracle[k] {
-							t.Fatalf("%s: round %d step %d Contains(%d) = %v, want %v", im.name, round, i/2, k, got, oracle[k])
-						}
-					}
-				}
-			}
-			if im.s.Len() != len(oracle) {
-				t.Fatalf("%s: final Len = %d, want %d", im.name, im.s.Len(), len(oracle))
-			}
-			snap := im.s.Snapshot()
-			for i, v := range snap {
-				if !oracle[v] {
-					t.Fatalf("%s: Snapshot holds %d which the oracle lacks", im.name, v)
-				}
-				if i > 0 && snap[i-1] >= v {
-					t.Fatalf("%s: Snapshot not strictly ascending: %v", im.name, snap)
-				}
-			}
-			st, ok := im.s.ArenaStats()
+			runOracle(t, im.Name+"-arena", s, prog, 6)
+			a, ok := s.(interface{ ArenaStats() (mem.Stats, bool) })
 			if !ok {
-				t.Fatalf("%s: ArenaStats reports no arena", im.name)
+				t.Fatalf("%s-arena: no ArenaStats", im.Name)
+			}
+			st, ok := a.ArenaStats()
+			if !ok {
+				t.Fatalf("%s-arena: ArenaStats reports no arena", im.Name)
 			}
 			if st.Recycled > st.Retired {
-				t.Fatalf("%s: Recycled %d > Retired %d", im.name, st.Recycled, st.Retired)
+				t.Fatalf("%s-arena: Recycled %d > Retired %d", im.Name, st.Recycled, st.Retired)
 			}
 		}
 	})
@@ -226,10 +152,10 @@ func FuzzArenaVsOracle(f *testing.F) {
 
 // FuzzImplementationsAgree splits the program into two goroutine-bound
 // halves operating on DISJOINT key halves concurrently, then checks all
-// implementations converge to the same final contents.
+// modes converge to the same final contents.
 func FuzzImplementationsAgree(f *testing.F) {
 	seedCorpus(f)
-	impls := Implementations()
+	impls := testModes(0, 32)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 2048 {
 			t.Skip()

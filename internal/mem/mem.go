@@ -368,7 +368,9 @@ func (w *worker[T]) recycleBucket(b *limbo[T]) {
 	}
 	w.statRecycled.Add(uint64(n))
 	if p := w.arena.probes; obs.On(p) {
-		p.Inc(obs.EvNodeRecycle, w.id)
+		for range n {
+			p.Inc(obs.EvNodeRecycle, w.id)
+		}
 	}
 }
 

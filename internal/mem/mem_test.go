@@ -204,6 +204,30 @@ func TestProbesAndFailpoint(t *testing.T) {
 	}
 }
 
+// TestRecycleProbeCountsNodes retires several nodes per pin, so limbo
+// buckets hold many nodes each, and requires the node_recycle probe to
+// count recycled nodes, not buckets: at quiescence it equals
+// Stats().Recycled.
+func TestRecycleProbeCountsNodes(t *testing.T) {
+	a := New[tnode](Options{AdvanceEvery: 1})
+	p := obs.NewProbes()
+	a.SetProbes(p)
+	for i := 0; i < 50; i++ {
+		g := a.Pin()
+		for j := 0; j < 8; j++ {
+			g.Retire(g.Get())
+		}
+		g.Unpin()
+	}
+	st := a.Stats()
+	if st.Recycled < 8 {
+		t.Fatalf("only %d nodes recycled; the test needs whole buckets", st.Recycled)
+	}
+	if got := p.Snapshot()[obs.EvNodeRecycle]; got != st.Recycled {
+		t.Fatalf("node_recycle probe = %d, Stats().Recycled = %d", got, st.Recycled)
+	}
+}
+
 func TestStatsConservation(t *testing.T) {
 	a := New[tnode](Options{SlabSize: 16, AdvanceEvery: 2})
 	for i := 0; i < 500; i++ {

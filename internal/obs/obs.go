@@ -83,8 +83,9 @@ const (
 	// slab or recycled from a free list when an arena is attached, from
 	// the Go heap otherwise (internal/mem).
 	EvNodeAlloc
-	// EvNodeRecycle counts retired nodes whose grace period expired and
-	// that moved from a limbo bucket back onto a free list for reuse.
+	// EvNodeRecycle counts retired nodes (one per node, not per limbo
+	// bucket) whose grace period expired and that moved from a limbo
+	// bucket back onto a free list for reuse.
 	EvNodeRecycle
 	// EvLimboRetire counts physically-unlinked nodes retired to a
 	// per-worker limbo list to wait out the two-epoch grace period.

@@ -66,8 +66,8 @@ type Set interface {
 }
 
 const (
-	// DefaultShards is the shard count used by the convenience
-	// constructors in the root package.
+	// DefaultShards is the shard count the root package's composed
+	// names (vbl-sharded and the like) preset.
 	DefaultShards = 16
 	// DefaultFocus is the default focus range [0, DefaultFocus): the
 	// slice of the key space split evenly across shards when the

@@ -99,6 +99,10 @@ func (s *VB) InsertAll(keys []int64) int {
 				fp.Do(failpoint.SiteSkipTraverse, v)
 			}
 			preds, succs := s.findFrom(g, v, &fingers)
+			if succs[0].val == v && succs[0].deleted.Load() {
+				s.restartBatch(&esc, v) // marked, not yet unlinked: see Insert
+				continue
+			}
 			if succs[0].val == v {
 				if n != nil && g.Active() {
 					g.FreeClass(n, towerClass(h)) // never published

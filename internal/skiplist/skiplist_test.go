@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 type set interface {
@@ -280,9 +281,11 @@ func TestVBLevelInvariants(t *testing.T) {
 	wg.Wait()
 	// The index is best-effort: a concurrent-miss in sweep can leave a
 	// deleted tower linked at an upper level, to be collected by later
-	// traversals. Run the quiescent cleanup that any traversal performs.
+	// traversals. Run the quiescent cleanup that any traversal performs;
+	// find(k) unlinks only towers it passes (val < k), so the keys run
+	// one past the largest.
 	for pass := 0; pass < 2; pass++ {
-		for k := int64(0); k < 32; k++ {
+		for k := int64(0); k <= 32; k++ {
 			s.find(s.arena.Pin(), k)
 		}
 	}
@@ -307,5 +310,42 @@ func TestVBLevelInvariants(t *testing.T) {
 			}
 			last = curr.val
 		}
+	}
+}
+
+// TestVBInsertWaitsOutMarkedTower freezes a remover between its mark
+// and its level-0 unlink store (both locks held, as in Remove). v is
+// already absent — Contains reports so — so neither Insert nor
+// InsertAll may report it present off the still-linked marked tower:
+// each must wait for the unlink and then insert.
+func TestVBInsertWaitsOutMarkedTower(t *testing.T) {
+	for name, insert := range map[string]func(s *VB) bool{
+		"Insert":    func(s *VB) bool { return s.Insert(5) },
+		"InsertAll": func(s *VB) bool { return s.InsertAll([]int64{5}) == 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := NewVB()
+			s.Insert(5)
+			pred, x := s.head, s.head.next[0].Load()
+			pred.lock.Lock()
+			x.lock.Lock()
+			x.deleted.Store(true)
+			if s.Contains(5) {
+				t.Fatal("Contains(5) = true on a marked tower")
+			}
+			done := make(chan bool)
+			go func() { done <- insert(s) }()
+			select {
+			case got := <-done:
+				t.Fatalf("%s(5) returned %v before the marked tower was unlinked", name, got)
+			case <-time.After(20 * time.Millisecond):
+			}
+			pred.next[0].Store(x.next[0].Load())
+			x.lock.Unlock()
+			pred.lock.Unlock()
+			if !<-done {
+				t.Fatalf("%s(5) = false after 5 was removed", name)
+			}
+		})
 	}
 }

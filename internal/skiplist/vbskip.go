@@ -488,6 +488,13 @@ func (s *VB) Insert(v int64) bool {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
 		preds, succs = s.find(g, v)
+		if succs[0].val == v && succs[0].deleted.Load() {
+			// v's tower is marked but its remover has not yet stored the
+			// level-0 unlink: v is already absent (Contains says so), so
+			// reporting it present would not linearize. Re-find.
+			s.restart(&esc, v)
+			continue
+		}
 		if succs[0].val == v {
 			if n != nil && g.Active() {
 				g.FreeClass(n, towerClass(h)) // never published: no grace period needed

@@ -12,7 +12,7 @@ import (
 // thread-safe implementation and verifies them with the Wing-Gong
 // checker — the executable counterpart of the paper's Theorem 1.
 func TestLinearizability(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 12, func(t *testing.T, im Impl) {
 		for trial := 0; trial < 3; trial++ {
 			runLinearizabilityTrial(t, im, int64(trial))
 		}
@@ -61,23 +61,19 @@ func runLinearizabilityTrial(t *testing.T, im Impl, trial int64) {
 	}
 }
 
-// TestLinearizabilitySharded records concurrent executions against
-// sharded façades whose partition is squeezed into the trial's 12-key
+// TestLinearizabilitySharded adds three more trials, with seeds of
+// their own, for every concurrent algorithm's sharded and
+// sharded+arena modes on a partition squeezed into the trial's 12-key
 // range (4 shards over [0, 12), spans of 4), so operations race on
-// both sides of every shard seam. The registry's *-sharded entries are
-// already checked by TestLinearizability, but with their wide default
-// focus range all 12 keys fall in one shard; this pins the composition
-// argument (DESIGN.md §8) where it actually bites.
+// both sides of every shard seam — where the composition argument
+// (DESIGN.md §8) actually bites.
 func TestLinearizabilitySharded(t *testing.T) {
-	shardedImpls := []Impl{
-		{Name: "vbl-sharded-tight", New: func() Set { return NewVBLShardedRange(4, 0, 12) }},
-		{Name: "lazy-sharded-tight", New: func() Set { return NewLazyShardedRange(4, 0, 12) }},
-		{Name: "harris-sharded-tight", New: func() Set { return NewHarrisShardedRange(4, 0, 12) }},
-	}
-	for _, im := range shardedImpls {
-		im := im
-		t.Run(im.Name, func(t *testing.T) {
-			for trial := 0; trial < 3; trial++ {
+	for _, im := range testModes(0, 12) {
+		if !im.ThreadSafe || im.preset.Shards == 0 {
+			continue
+		}
+		t.Run(im.Name+"-tight", func(t *testing.T) {
+			for trial := 3; trial < 6; trial++ {
 				runLinearizabilityTrial(t, im, int64(trial))
 			}
 		})
@@ -88,7 +84,7 @@ func TestLinearizabilitySharded(t *testing.T) {
 // every operation contends — the regime in which validation bugs (lost
 // updates, phantom members) would surface.
 func TestLinearizabilityHighContention(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 3, func(t *testing.T, im Impl) {
 		s := im.New()
 		rec := lincheck.NewRecorder()
 		const goroutines = 8
@@ -125,7 +121,7 @@ func TestLinearizabilityHighContention(t *testing.T) {
 // TestLinearizabilityUpdateOnly removes the read smokescreen: inserts
 // and removes only, over two keys, where every anomaly is structural.
 func TestLinearizabilityUpdateOnly(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 2, func(t *testing.T, im Impl) {
 		s := im.New()
 		rec := lincheck.NewRecorder()
 		const goroutines = 8

@@ -165,81 +165,29 @@ func NewHOH() Set { return hoh.New() }
 // the semantic reference and single-thread baseline.
 func NewSequential() Set { return seqlist.New() }
 
-// DefaultShards is the shard count the convenience sharded
-// constructors use, re-exported from internal/shard for tools.
+// DefaultShards is the shard count the composed registry names
+// ("vbl-sharded" and the like) preset, re-exported from internal/shard
+// for tools.
 const DefaultShards = shard.DefaultShards
 
-// NewVBLSharded returns shards independent VBL lists behind the
+// NewVBLShardedRange returns shards independent VBL lists behind the
 // order-preserving range partitioner of internal/shard: each key is
 // owned by exactly one shard, so traversals walk O(n/S) nodes and
 // contended try-locks spread across S separate head regions, while the
 // Set contract is preserved end to end (Snapshot stays ascending, Len
 // sums, per-shard contention events aggregate into one probe set).
 // The shard count is rounded up to a power of two; the partition
-// splits the default focus range [0, 65536) evenly, with out-of-range
-// keys clamping to the edge shards. Workloads over a different key
-// range should use NewVBLShardedRange so the partition fits their
-// keys.
-func NewVBLSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return core.New() })
-}
-
-// NewVBLShardedRange is NewVBLSharded with the focus range [lo, hi)
-// the partitioner splits evenly across shards. Keys outside [lo, hi)
-// remain valid; they route to the first or last shard.
+// splits the focus range [lo, hi) evenly. Keys outside [lo, hi)
+// remain valid; they route to the first or last shard. Any registered
+// algorithm composes the same way through Impl.Build.
 func NewVBLShardedRange(shards int, lo, hi int64) Set {
 	return shard.NewRange(shards, lo, hi, func() shard.Set { return core.New() })
 }
 
-// NewVBLShardedArenaRange is NewVBLShardedRange with arena-backed node
-// lifetimes: each shard owns a private arena (allocation stays
-// shard-local, like the lists' own hot fields), so the façade's
-// contention isolation extends to the memory layer.
-func NewVBLShardedArenaRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return core.NewArena() })
-}
-
-// NewLazySharded returns the Lazy list behind the same sharded façade,
-// so the partitioner's effect can be priced on the paper's lock-based
-// baseline under identical routing.
-func NewLazySharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return lazy.New() })
-}
-
-// NewLazyShardedRange is NewLazySharded with an explicit focus range.
-func NewLazyShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return lazy.New() })
-}
-
-// NewLazyShardedArenaRange is NewLazyShardedRange with a private arena
-// per shard, mirroring NewVBLShardedArenaRange.
-func NewLazyShardedArenaRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return lazy.NewArena() })
-}
-
-// NewHarrisSharded returns the lock-free Harris-Michael marker list
-// behind the sharded façade. The façade adds no locks, so the
-// composition remains lock-free.
-func NewHarrisSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return harris.NewMarker() })
-}
-
-// NewHarrisShardedRange is NewHarrisSharded with an explicit focus range.
-func NewHarrisShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return harris.NewMarker() })
-}
-
-// NewVBSkipSharded returns the value-aware skip list behind the range
-// partitioner: S independent log-time indexes, each over 1/S of the
-// focus range — the composition the ROADMAP's large-range milestone
-// calls for, since both the traversal length AND the index height
-// shrink with the per-shard key count.
-func NewVBSkipSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return skiplist.NewVB() })
-}
-
-// NewVBSkipShardedRange is NewVBSkipSharded with the focus range
-// [lo, hi) the partitioner splits evenly across shards.
+// NewVBSkipShardedRange returns the value-aware skip list behind the
+// range partitioner: S independent log-time indexes, each over 1/S of
+// the focus range [lo, hi) — both the traversal length AND the index
+// height shrink with the per-shard key count.
 func NewVBSkipShardedRange(shards int, lo, hi int64) Set {
 	return shard.NewRange(shards, lo, hi, func() shard.Set { return skiplist.NewVB() })
 }
@@ -248,17 +196,4 @@ func NewVBSkipShardedRange(shards int, lo, hi int64) Set {
 // height-classed tower arena per shard.
 func NewVBSkipShardedArenaRange(shards int, lo, hi int64) Set {
 	return shard.NewRange(shards, lo, hi, func() shard.Set { return skiplist.NewVBArena() })
-}
-
-// NewLazySkipSharded returns the Lazy skip list behind the range
-// partitioner, so the sharding effect can be priced on the lock-based
-// skip baseline under identical routing.
-func NewLazySkipSharded(shards int) Set {
-	return shard.New(shards, func() shard.Set { return skiplist.NewLazy() })
-}
-
-// NewLazySkipShardedRange is NewLazySkipSharded with an explicit focus
-// range.
-func NewLazySkipShardedRange(shards int, lo, hi int64) Set {
-	return shard.NewRange(shards, lo, hi, func() shard.Set { return skiplist.NewLazy() })
 }

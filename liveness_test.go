@@ -16,7 +16,7 @@ import (
 // every worker finishes its quota. A lock-ordering bug or a lost-wakeup
 // spin would freeze the counter and fail the test within the timeout.
 func TestDeadlockFreedom(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 4, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			goroutines = 12 // oversubscribed on any host
@@ -86,7 +86,7 @@ func TestOversubscribedProgress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oversubscription soak skipped in -short mode")
 	}
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 16, func(t *testing.T, im Impl) {
 		s := im.New()
 		goroutines := 16 * runtime.GOMAXPROCS(0)
 		if goroutines > 128 {

@@ -88,9 +88,9 @@ fi
 # Ratio gates over medians and contains-p999s (one of each per report,
 # in file order; medians shrug off the odd descheduled CI run).
 awk -F': ' '
-/"median"/ { gsub(/,/, "", $2); m[nm++] = $2 }
+/"median"/ { gsub(/,/, "", $2); m[nm++] = $2 + 0 }
 /"contains"/ { incontains = 1 }
-incontains && /"p999"/ { gsub(/,/, "", $2); p[np++] = $2; incontains = 0 }
+incontains && /"p999"/ { gsub(/,/, "", $2); p[np++] = $2 + 0; incontains = 0 }
 END {
   if (nm != '"${#rows[@]}"' || np != '"${#rows[@]}"') {
     printf "bench_adapt: expected %d median and p999 entries, found %d/%d\n", '"${#rows[@]}"', nm, np > "/dev/stderr"

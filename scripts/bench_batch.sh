@@ -76,7 +76,7 @@ fi
 # Amortization gates over the median per-key throughputs (one "median"
 # per report, in file order; the median shrugs off the odd descheduled
 # run on shared CI machines).
-awk -F': ' '/"median"/ { gsub(/,/, "", $2); m[n++] = $2 }
+awk -F': ' '/"median"/ { gsub(/,/, "", $2); m[n++] = $2 + 0 }
 END {
   if (n != '"${#rows[@]}"') {
     printf "bench_batch: expected %d median entries, found %d\n", '"${#rows[@]}"', n > "/dev/stderr"

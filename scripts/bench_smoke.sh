@@ -76,7 +76,7 @@ done
 # Sharding gate: extract the median throughputs in file order (one
 # "median" per report; the median shrugs off the odd descheduled run
 # on shared CI machines) and check rows 4..6 against each other.
-awk -F': ' '/"median"/ { gsub(/,/, "", $2); m[n++] = $2 }
+awk -F': ' '/"median"/ { gsub(/,/, "", $2); m[n++] = $2 + 0 }
 END {
   if (n != '"${#rows[@]}"') {
     printf "bench_smoke: expected %d mean entries, found %d\n", '"${#rows[@]}"', n > "/dev/stderr"
@@ -99,7 +99,7 @@ END {
 # 100%-update cell, so the MemStats deltas are comparable. The arena
 # must cut allocs/op to a quarter or better (measured: ~100x).
 awk -F': ' '
-/"allocs_per_op"/ { gsub(/,/, "", $2); a[an++] = $2 }
+/"allocs_per_op"/ { gsub(/,/, "", $2); a[an++] = $2 + 0 }
 END {
   if (an != '"${#rows[@]}"') {
     printf "bench_smoke: expected %d allocs_per_op entries, found %d\n", '"${#rows[@]}"', an > "/dev/stderr"

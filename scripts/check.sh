@@ -32,6 +32,9 @@ go run ./cmd/vblvet -timing -baseline scripts/vblvet_baseline.json ./...
 step "unit tests"
 go test -count=1 ./...
 
+step "perfbench module (its own go.mod, so ./... above never compiles it)"
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 step "race gate (short stress, lock-based lists + arena reclamation)"
 go test -race -short -count=1 ./internal/core ./internal/lazy ./internal/harris ./internal/mem ./internal/trylock ./internal/obs ./internal/obs/trace ./internal/stats ./internal/failpoint ./internal/harness ./internal/batch ./internal/shard ./internal/workload ./internal/adapt ./internal/skiplist
 

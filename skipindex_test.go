@@ -138,20 +138,19 @@ func TestChaosSkipShardSeamFaults(t *testing.T) {
 	}
 }
 
-// skipImpls returns the registry rows the skip-index work added: both
-// skip lists, the arena-backed variant and the sharded forms.
+// skipImpls returns both skip lists in every mode they compose with,
+// sharded modes squeezed onto the fuzz key domain [0, 32).
 func skipImpls(t testing.TB) []Impl {
 	t.Helper()
-	names := []string{"vbskip", "vbskip-arena", "vbskip-sharded", "lazyskip", "lazyskip-sharded"}
-	var out []Impl
-	for _, name := range names {
+	var algos []Impl
+	for _, name := range []string{"vbskip", "lazyskip"} {
 		im, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("registry lost %q: %v", name, err)
 		}
-		out = append(out, im)
+		algos = append(algos, im)
 	}
-	return out
+	return modesOf(algos, 0, 32)
 }
 
 // FuzzSkipVsOracle drives the skip lists' native batch and scan

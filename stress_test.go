@@ -11,7 +11,7 @@ import (
 // Operations on disjoint keys must not interfere, so every per-goroutine
 // result is exactly predictable and the final contents are exact.
 func TestConcurrentDisjointKeys(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 512, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			goroutines   = 8
@@ -84,7 +84,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 //
 // A lost update, double insert, or double remove breaks the balance.
 func TestConcurrentBalance(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 32, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			keyRange   = 32
@@ -149,7 +149,7 @@ func TestConcurrentBalance(t *testing.T) {
 // Keys outside the churn band are permanent: readers must always find
 // them, no matter what unlinking is in flight around them.
 func TestConcurrentReadersDuringChurn(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 128, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			permanent  = 64 // keys 0,2,4,... are never touched
@@ -212,7 +212,7 @@ func TestConcurrentReadersDuringChurn(t *testing.T) {
 // TestConcurrentInsertersSameKey has every goroutine insert the same key;
 // exactly one may win each generation.
 func TestConcurrentInsertersSameKey(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 7, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			goroutines  = 8
@@ -245,7 +245,7 @@ func TestConcurrentInsertersSameKey(t *testing.T) {
 
 // TestConcurrentRemoversSameKey mirrors the above for removes.
 func TestConcurrentRemoversSameKey(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 7, func(t *testing.T, im Impl) {
 		s := im.New()
 		const (
 			goroutines  = 8
@@ -283,13 +283,11 @@ func TestConcurrentRemoversSameKey(t *testing.T) {
 // readers verify a permanent key in the middle of every shard. A
 // routing bug — boundary key owned by two shards or by none — shows up
 // as a lost permanent key, a failed owned-key reinsert, or a
-// non-ascending snapshot.
+// non-ascending snapshot. The unsharded modes run the same churn as a
+// control.
 func TestConcurrentShardBoundaryChurn(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
-		if im.NewSharded == nil {
-			t.Skip("no sharded form")
-		}
-		s := im.NewSharded(4, 0, 64)
+	forEachConcurrentMode(t, 0, 64, func(t *testing.T, im Impl) {
+		s := im.New()
 		permanent := []int64{8, 24, 40, 56} // one mid-shard key per shard
 		for _, k := range permanent {
 			s.Insert(k)
@@ -350,7 +348,7 @@ func TestConcurrentShardBoundaryChurn(t *testing.T) {
 // validation arguments are about: adjacent keys inserted and removed
 // concurrently, so unlinks race with links into the same window.
 func TestConcurrentNeighbourUpdates(t *testing.T) {
-	forEachConcurrentImpl(t, func(t *testing.T, im Impl) {
+	forEachConcurrentMode(t, 0, 4, func(t *testing.T, im Impl) {
 		s := im.New()
 		// Anchor nodes so every churn key has stable far neighbours.
 		s.Insert(-100)
