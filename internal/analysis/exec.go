@@ -190,11 +190,11 @@ const maxExecStates = 80
 
 // an execFrame is one enclosing breakable construct during execution.
 type execFrame struct {
-	isLoop     bool
-	label      string
-	breaks     []absState
-	entryHeld  map[string]bool // key@pos of locks held at loop entry
-	entryPin   map[string]bool // key@pos of pins active at loop entry
+	isLoop    bool
+	label     string
+	breaks    []absState
+	entryHeld map[string]bool // key@pos of locks held at loop entry
+	entryPin  map[string]bool // key@pos of pins active at loop entry
 }
 
 // execEngine symbolically executes one function body.

@@ -78,6 +78,7 @@ var hotNames = map[string]bool{
 	// hidden allocation in any of them multiplies by the operation
 	// rate exactly like a flat list's.
 	"newtower":        true,
+	"alloctower":      true,
 	"randomheight":    true,
 	"linkindex":       true,
 	"sweep":           true,

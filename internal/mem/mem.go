@@ -84,10 +84,10 @@ type Options struct {
 	// Classes is the number of size classes the arena partitions its
 	// free lists, slabs and limbo buckets into (default 1, max
 	// MaxClasses). Nodes of one class only ever recycle into
-	// allocations of the same class — the discipline the skip lists
-	// use to keep towers of similar height on shared slabs (cache
-	// density) and to guarantee a recycled "tower" always has at least
-	// the height the allocation asked for. Class indices are
+	// allocations of the same class — the discipline the skip list uses
+	// to guarantee a recycled tower always has at least the height the
+	// allocation asked for, without a tall tower ever waiting behind the
+	// dense height-1 class. Class indices are
 	// caller-defined; the classless Get/Retire/Free methods operate on
 	// class 0, so single-class users never see the partition.
 	Classes int
@@ -311,26 +311,16 @@ func (g Guard[T]) Unpin() {
 // Get returns a class-0 node; see GetClass.
 func (g Guard[T]) Get() *T { return g.GetClass(0) }
 
-// GetClass returns a node of size class c: from the class's free list,
-// from a limbo bucket whose grace period expired, or carved from the
-// class's current slab. The node's contents are whatever its previous
-// life left there — the caller re-initializes every field before
-// publishing it.
+// GetClass returns a node of size class c: a recycled one when
+// ReuseClass has one, otherwise one carved from the class's current
+// slab. The node's contents are whatever its previous life left there
+// — the caller re-initializes every field before publishing it.
 func (g Guard[T]) GetClass(c int) *T {
-	w := g.w
-	if len(w.free[c]) == 0 {
-		w.scavenge()
-	}
-	w.statAllocs.Add(1)
-	if p := w.arena.probes; obs.On(p) {
-		p.Inc(obs.EvNodeAlloc, w.id)
-	}
-	if n := len(w.free[c]); n > 0 {
-		p := w.free[c][n-1]
-		w.free[c][n-1] = nil
-		w.free[c] = w.free[c][:n-1]
+	if p := g.ReuseClass(c); p != nil {
 		return p
 	}
+	w := g.w
+	w.countAlloc()
 	if w.used[c] == len(w.slab[c]) {
 		w.slab[c] = make([]T, w.arena.slabSize)
 		w.used[c] = 0
@@ -339,6 +329,35 @@ func (g Guard[T]) GetClass(c int) *T {
 	p := &w.slab[c][w.used[c]]
 	w.used[c]++
 	return p
+}
+
+// ReuseClass returns a recycled node of size class c — from the class's
+// free list, or from a limbo bucket whose grace period expired — or nil
+// once both are empty. It never carves a slab, so a caller whose nodes
+// vary in size within a class can allocate fresh ones itself and still
+// recycle them here through RetireClass and FreeClass.
+func (g Guard[T]) ReuseClass(c int) *T {
+	w := g.w
+	if len(w.free[c]) == 0 {
+		w.scavenge()
+	}
+	n := len(w.free[c])
+	if n == 0 {
+		return nil
+	}
+	w.countAlloc()
+	p := w.free[c][n-1]
+	w.free[c][n-1] = nil
+	w.free[c] = w.free[c][:n-1]
+	return p
+}
+
+// countAlloc tallies one node handed out.
+func (w *worker[T]) countAlloc() {
+	w.statAllocs.Add(1)
+	if p := w.arena.probes; obs.On(p) {
+		p.Inc(obs.EvNodeAlloc, w.id)
+	}
 }
 
 // scavenge moves every limbo bucket whose grace period has expired
@@ -462,7 +481,8 @@ type Stats struct {
 	Epoch uint64
 	// Workers is the number of registered workers.
 	Workers int
-	// Allocs counts nodes handed out by Get (slab-carved + recycled).
+	// Allocs counts nodes handed out by Get and ReuseClass (slab-carved +
+	// recycled).
 	Allocs uint64
 	// Slabs counts slabs carved from the Go heap.
 	Slabs uint64

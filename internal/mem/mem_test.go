@@ -124,6 +124,30 @@ func TestFreeSkipsGracePeriod(t *testing.T) {
 	}
 }
 
+// TestReuseClassNeverCarves pins ReuseClass's contract: nil while the
+// class has nothing to recycle (no slab is carved, nothing is counted),
+// the caller's own node back once freed into that class, and other
+// classes untouched.
+func TestReuseClassNeverCarves(t *testing.T) {
+	a := New[tnode](Options{Classes: 2})
+	g := a.Pin()
+	defer g.Unpin()
+	if p := g.ReuseClass(1); p != nil {
+		t.Fatalf("ReuseClass on an empty arena = %p, want nil", p)
+	}
+	own := &tnode{}
+	g.FreeClass(own, 1)
+	if p := g.ReuseClass(0); p != nil {
+		t.Fatalf("ReuseClass(0) = %p, a node freed into class 1", p)
+	}
+	if p := g.ReuseClass(1); p != own {
+		t.Fatalf("ReuseClass(1) = %p, want the freed node %p", p, own)
+	}
+	if st := a.Stats(); st.Slabs != 0 || st.Allocs != 1 {
+		t.Errorf("Stats = %+v, want no slab and one alloc", st)
+	}
+}
+
 func TestSlabCarving(t *testing.T) {
 	a := New[tnode](Options{SlabSize: 8})
 	g := a.Pin()

@@ -50,18 +50,18 @@ func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) 
 	pred := s.head
 	for l := s.levels - 1; l >= 0; l-- {
 		pred = adoptVBFinger(pred, fingers[l], v)
-		curr := pred.next[l].Load()
+		curr := pred.at(l).Load()
 		for curr.val < v {
 			if l > 0 && curr.deleted.Load() {
 				if s.tryUnlinkLevel(g, pred, curr, l) {
-					curr = pred.next[l].Load()
+					curr = pred.at(l).Load()
 				} else {
-					curr = curr.next[l].Load() // route through, don't adopt
+					curr = curr.at(l).Load() // route through, don't adopt
 				}
 				continue
 			}
 			pred = curr
-			curr = pred.next[l].Load()
+			curr = pred.at(l).Load()
 		}
 		preds[l], succs[l] = pred, curr
 		fingers[l] = pred
@@ -115,7 +115,7 @@ func (s *VB) InsertAll(keys []int64) int {
 				n = s.newTower(g, v, h)
 			}
 			for l := 0; l < h; l++ {
-				n.next[l].Store(succs[l])
+				n.at(l).Store(succs[l])
 			}
 			injected := false
 			if fp := s.fps; failpoint.On(fp) {
@@ -128,7 +128,7 @@ func (s *VB) InsertAll(keys []int64) int {
 				continue
 			}
 			n.setLinked(0)
-			preds[0].next[0].Store(n)
+			preds[0].next0.Store(n)
 			preds[0].lock.Unlock()
 			s.linkIndex(g, n, h, preds, succs)
 			// The new tower precedes every remaining (larger) key: it is
@@ -171,7 +171,7 @@ func (s *VB) RemoveAll(keys []int64) int {
 			// verbatim: value-lock the predecessor, identity-lock the
 			// victim, mark, unlink, sweep the index.
 			curr := succs[0]
-			next := curr.next[0].Load()
+			next := curr.next0.Load()
 			injected := false
 			if fp := s.fps; failpoint.On(fp) {
 				if injected = fp.Fail(failpoint.SiteSkipLockNextAt, v); injected {
@@ -182,7 +182,7 @@ func (s *VB) RemoveAll(keys []int64) int {
 				s.restartBatch(&esc, v)
 				continue
 			}
-			curr = preds[0].next[0].Load()
+			curr = preds[0].next0.Load()
 			injected = false
 			if fp := s.fps; failpoint.On(fp) {
 				if injected = fp.Fail(failpoint.SiteSkipLockNextAt, v); injected {
@@ -198,7 +198,7 @@ func (s *VB) RemoveAll(keys []int64) int {
 				fp.Do(failpoint.SiteUnlink, v)
 			}
 			curr.deleted.Store(true)
-			preds[0].next[0].Store(next)
+			preds[0].next0.Store(next)
 			curr.clearLinked(0) // after the unlink store: linked==0 now implies unreachable
 			curr.lock.Unlock()
 			preds[0].lock.Unlock()
@@ -232,22 +232,22 @@ func (s *VB) ContainsAll(keys []int64) int {
 		pred := s.head
 		for l := s.levels - 1; l >= 1; l-- {
 			pred = adoptVBFinger(pred, fingers[l], v)
-			curr := pred.next[l].Load()
+			curr := pred.at(l).Load()
 			for curr.val < v {
 				if curr.deleted.Load() {
-					curr = curr.next[l].Load() // route through, don't adopt
+					curr = curr.at(l).Load() // route through, don't adopt
 					continue
 				}
 				pred = curr
-				curr = pred.next[l].Load()
+				curr = pred.at(l).Load()
 			}
 			fingers[l] = pred
 		}
 		pred = adoptVBFinger(pred, fingers[0], v)
-		curr := pred.next[0].Load()
+		curr := pred.next0.Load()
 		for curr.val < v {
 			pred = curr
-			curr = curr.next[0].Load()
+			curr = curr.next0.Load()
 		}
 		fingers[0] = pred
 		if curr.val == v && !curr.deleted.Load() {
@@ -276,7 +276,7 @@ func (s *VB) RangeScan(lo, hi int64) []int64 {
 		if !curr.deleted.Load() {
 			out = append(out, curr.val)
 		}
-		curr = curr.next[0].Load()
+		curr = curr.next0.Load()
 	}
 	g.Unpin()
 	return out
@@ -293,7 +293,7 @@ func (s *VB) Ascend(from int64, yield func(int64) bool) {
 		if !curr.deleted.Load() && !yield(curr.val) {
 			break
 		}
-		curr = curr.next[0].Load()
+		curr = curr.next0.Load()
 	}
 	g.Unpin()
 }
@@ -304,19 +304,19 @@ func (s *VB) Ascend(from int64, yield func(int64) bool) {
 func (s *VB) descendTo(v int64) *vbNode {
 	pred := s.head
 	for l := s.levels - 1; l >= 1; l-- {
-		curr := pred.next[l].Load()
+		curr := pred.at(l).Load()
 		for curr.val < v {
 			if curr.deleted.Load() {
-				curr = curr.next[l].Load()
+				curr = curr.at(l).Load()
 				continue
 			}
 			pred = curr
-			curr = pred.next[l].Load()
+			curr = pred.at(l).Load()
 		}
 	}
-	curr := pred.next[0].Load()
+	curr := pred.next0.Load()
 	for curr.val < v {
-		curr = curr.next[0].Load()
+		curr = curr.next0.Load()
 	}
 	return curr
 }
@@ -339,13 +339,13 @@ func (s *VB) Load(keys []int64) int {
 		h := s.randomHeight()
 		n := s.newTower(g, v, h)
 		for l := 0; l < h; l++ {
-			n.next[l].Store(succs[l])
+			n.at(l).Store(succs[l])
 		}
 		n.setLinked(0)
-		preds[0].next[0].Store(n)
+		preds[0].next0.Store(n)
 		for l := 1; l < h; l++ {
 			n.setLinked(l)
-			preds[l].next[l].Store(n)
+			preds[l].at(l).Store(n)
 		}
 		n.idxDone.Store(true)
 		for l := 0; l < h; l++ {

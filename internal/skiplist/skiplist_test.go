@@ -122,7 +122,7 @@ func TestVBIndexSweep(t *testing.T) {
 		s.Insert(v)
 	}
 	tall := 0
-	for curr := s.head.next[0].Load(); curr.val != MaxSentinel; curr = curr.next[0].Load() {
+	for curr := s.head.next0.Load(); curr.val != MaxSentinel; curr = curr.next0.Load() {
 		if curr.height > 1 {
 			tall++
 		}
@@ -137,7 +137,7 @@ func TestVBIndexSweep(t *testing.T) {
 		}
 	}
 	for l := 0; l < maxLevel; l++ {
-		if got := s.head.next[l].Load(); got != s.tail {
+		if got := s.head.at(l).Load(); got != s.tail {
 			t.Fatalf("level %d retains tower %d after all removals", l, got.val)
 		}
 	}
@@ -259,38 +259,56 @@ func TestConcurrentSmoke(t *testing.T) {
 
 // TestVBLevelInvariants checks the index structure at quiescence after
 // concurrent churn: every level sorted, no deleted tower linked at any
-// level, and every level-l tower present at level 0.
+// level, every level-l tower present at level 0, and every tower's up
+// slice exactly height-1 links long. The arena variant's churn recycles
+// towers into new lives at new heights within their class.
 func TestVBLevelInvariants(t *testing.T) {
-	s := NewVB()
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 10000; i++ {
-				k := int64(rng.Intn(32))
-				if rng.Intn(2) == 0 {
-					s.Insert(k)
-				} else {
-					s.Remove(k)
-				}
+	for name, mk := range map[string]func() *VB{"gc": NewVB, "arena": NewVBArena} {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			var wg sync.WaitGroup
+			for g := 0; g < 6; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < 10000; i++ {
+						k := int64(rng.Intn(32))
+						if rng.Intn(2) == 0 {
+							s.Insert(k)
+						} else {
+							s.Remove(k)
+						}
+					}
+				}(int64(g))
 			}
-		}(int64(g))
+			wg.Wait()
+			if st, ok := s.ArenaStats(); ok && st.Recycled == 0 {
+				t.Fatalf("arena churn recycled no towers: %+v", st)
+			}
+			checkLevels(t, s)
+		})
 	}
-	wg.Wait()
-	// The index is best-effort: a concurrent-miss in sweep can leave a
-	// deleted tower linked at an upper level, to be collected by later
-	// traversals. Run the quiescent cleanup that any traversal performs;
-	// find(k) unlinks only towers it passes (val < k), so the keys run
-	// one past the largest.
+}
+
+// checkLevels runs the quiescent cleanup and walks every level. The
+// index is best-effort: a concurrent-miss in sweep can leave a deleted
+// tower linked at an upper level, to be collected by later traversals.
+// Run the quiescent cleanup that any traversal performs; find(k)
+// unlinks only towers it passes (val < k), so the keys run one past
+// the largest.
+func checkLevels(t *testing.T, s *VB) {
+	t.Helper()
 	for pass := 0; pass < 2; pass++ {
 		for k := int64(0); k <= 32; k++ {
-			s.find(s.arena.Pin(), k)
+			g := s.arena.Pin()
+			s.find(g, k)
+			g.Unpin()
 		}
 	}
+	checkTowerShapes(t, s)
 	level0 := map[*vbNode]bool{}
-	for curr := s.head.next[0].Load(); curr != s.tail; curr = curr.next[0].Load() {
+	for curr := s.head.next0.Load(); curr != s.tail; curr = curr.next0.Load() {
 		if curr.deleted.Load() {
 			t.Fatal("deleted tower reachable at level 0 at quiescence")
 		}
@@ -298,7 +316,7 @@ func TestVBLevelInvariants(t *testing.T) {
 	}
 	for l := 1; l < maxLevel; l++ {
 		var last int64 = MinSentinel
-		for curr := s.head.next[l].Load(); curr != s.tail; curr = curr.next[l].Load() {
+		for curr := s.head.at(l).Load(); curr != s.tail; curr = curr.at(l).Load() {
 			if curr.deleted.Load() {
 				t.Fatalf("deleted tower linked at level %d at quiescence", l)
 			}
@@ -326,7 +344,7 @@ func TestVBInsertWaitsOutMarkedTower(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := NewVB()
 			s.Insert(5)
-			pred, x := s.head, s.head.next[0].Load()
+			pred, x := s.head, s.head.next0.Load()
 			pred.lock.Lock()
 			x.lock.Lock()
 			x.deleted.Store(true)
@@ -340,7 +358,7 @@ func TestVBInsertWaitsOutMarkedTower(t *testing.T) {
 				t.Fatalf("%s(5) returned %v before the marked tower was unlinked", name, got)
 			case <-time.After(20 * time.Millisecond):
 			}
-			pred.next[0].Store(x.next[0].Load())
+			pred.next0.Store(x.next0.Load())
 			x.lock.Unlock()
 			pred.lock.Unlock()
 			if !<-done {

@@ -42,7 +42,7 @@ const (
 	MaxSentinel = 1<<63 - 1
 )
 
-// maxLevel is the hard tower-height cap (the next-array size).
+// maxLevel is the hard tower-height cap (the head's and tail's height).
 // DefaultLevels is the default working height: 18 levels index ~e^18 ≈
 // 66M expected elements, the million-user key spaces the index exists
 // for; NewVBLevels tunes it per instance within [1, maxLevel].
@@ -51,10 +51,14 @@ const (
 	DefaultLevels = 18
 )
 
-// vbNode is a tower. val is immutable while the node is reachable;
-// next[l] for l < height are the per-level successor pointers; deleted
-// and lock implement the VBL protocol on level 0 (and guard this node's
-// unlinking at every level).
+// vbNode is a tower's 64-byte header. val is immutable while the node
+// is reachable, and so are up and height; next0 is the level-0
+// successor, kept inline so that everything the level-0 VBL protocol
+// reads — val, next0, deleted, lock — shares one cache line; up holds
+// the successors of levels 1..height-1 and points into the tower's own
+// allocation (see allocTower). at(l) reaches any level below height.
+// deleted and lock implement the VBL protocol on level 0 (and guard
+// this node's unlinking at every level).
 //
 // linked, idxDone and retired exist for the arena's sake: they let the
 // last unlinker prove a deleted tower unreachable (see maybeRetire).
@@ -73,13 +77,69 @@ const (
 // store, restoring retire-happens-after-unreachable.
 type vbNode struct {
 	val     int64
-	height  int
-	next    [maxLevel]atomic.Pointer[vbNode]
+	next0   atomic.Pointer[vbNode]
+	up      []atomic.Pointer[vbNode]
+	height  int32
 	deleted atomic.Bool
 	lock    trylock.SpinLock
 	linked  atomic.Uint32
 	idxDone atomic.Bool
 	retired atomic.Bool
+}
+
+// at returns the successor link of level l < height.
+func (n *vbNode) at(l int) *atomic.Pointer[vbNode] {
+	if l == 0 {
+		return &n.next0
+	}
+	return &n.up[l-1]
+}
+
+// Towers taller than one level are the header plus an embedded link
+// array that up slices, sized to their height class's tallest member
+// (towerClass): one allocation per tower, so an upper-level hop reads
+// the tower it lands on and nothing else.
+type (
+	tower3 struct {
+		vbNode
+		links [2]atomic.Pointer[vbNode]
+	}
+	tower7 struct {
+		vbNode
+		links [6]atomic.Pointer[vbNode]
+	}
+	towerMax struct {
+		vbNode
+		links [maxLevel - 1]atomic.Pointer[vbNode]
+	}
+)
+
+// allocTower materializes a fresh tower of height h holding v on the
+// heap, sized to h's height class: a bare header at height 1, 80, 112
+// or 216 bytes above it. Every tower is built here — head and tail,
+// GC-mode inserts, and arena-mode inserts whose class has nothing to
+// recycle — so a recycled tower always has its class's capacity.
+func allocTower(v int64, h int) *vbNode {
+	switch towerClass(h) {
+	case 0:
+		//lint:ignore hotalloc a height-1 tower is the bare 64-byte header: the one allocation of an insert the arena cannot serve
+		return &vbNode{val: v, height: int32(h)}
+	case 1:
+		//lint:ignore hotalloc heights 2-3: header and 2 links in one 80-byte object, the insert's only allocation
+		t := &tower3{vbNode: vbNode{val: v, height: int32(h)}}
+		t.up = t.links[:h-1]
+		return &t.vbNode
+	case 2:
+		//lint:ignore hotalloc heights 4-7: header and 6 links in one 112-byte object, the insert's only allocation
+		t := &tower7{vbNode: vbNode{val: v, height: int32(h)}}
+		t.up = t.links[:h-1]
+		return &t.vbNode
+	default:
+		//lint:ignore hotalloc heights 8 and up (1 in 128 towers, plus head and tail): header and maxLevel-1 links in one object
+		t := &towerMax{vbNode: vbNode{val: v, height: int32(h)}}
+		t.up = t.links[:h-1]
+		return &t.vbNode
+	}
 }
 
 // setLinked marks level l as published (CAS loop: Go 1.22 has no
@@ -139,14 +199,14 @@ func (n *vbNode) countValueFail(p *obs.Probes) {
 // lockNextAt is the identity-validating value-aware try-lock at level
 // l: lock-free pre-validation, acquire, revalidate under the lock.
 func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes, bo *trylock.Backoff) bool {
-	if n.deleted.Load() || n.next[l].Load() != succ {
+	if n.deleted.Load() || n.at(l).Load() != succ {
 		if obs.On(p) {
 			n.countIdentityFail(p)
 		}
 		return false
 	}
 	n.acquire(p, bo)
-	if n.deleted.Load() || n.next[l].Load() != succ {
+	if n.deleted.Load() || n.at(l).Load() != succ {
 		n.lock.Unlock()
 		if obs.On(p) {
 			n.countIdentityFail(p)
@@ -159,14 +219,14 @@ func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes, bo *trylock.Back
 // lockNextAtValue is the value-validating try-lock on level 0 — the
 // paper's central novelty, applied verbatim to the membership level.
 func (n *vbNode) lockNextAtValue(v int64, p *obs.Probes, bo *trylock.Backoff) bool {
-	if n.deleted.Load() || n.next[0].Load().val != v {
+	if n.deleted.Load() || n.next0.Load().val != v {
 		if obs.On(p) {
 			n.countValueFail(p)
 		}
 		return false
 	}
 	n.acquire(p, bo)
-	if n.deleted.Load() || n.next[0].Load().val != v {
+	if n.deleted.Load() || n.next0.Load().val != v {
 		n.lock.Unlock()
 		if obs.On(p) {
 			n.countValueFail(p)
@@ -176,8 +236,9 @@ func (n *vbNode) lockNextAtValue(v int64, p *obs.Probes, bo *trylock.Backoff) bo
 	return true
 }
 
-// numTowerClasses is the number of arena size classes towers bucket
-// into by height: 1, 2-3, 4-7, >= 8. Roughly half of all towers are
+// numTowerClasses is the number of size classes towers bucket into by
+// height: 1, 2-3, 4-7, >= 8 — allocTower's four tower sizes and the
+// arena's four recycling classes. Roughly half of all towers are
 // height 1 and recycle within their own dense class; the rare tall
 // towers never have to wait behind them.
 const numTowerClasses = 4
@@ -202,9 +263,10 @@ type VB struct {
 	probes *obs.Probes
 	// fps, when non-nil, arms the chaos failpoints (internal/failpoint).
 	fps *failpoint.Set
-	// arena, when non-nil, supplies towers from height-classed slabs and
-	// recycles unlinked towers after the epoch-based grace period
-	// (internal/mem). Nil delegates lifetimes to the GC.
+	// arena, when non-nil, recycles unlinked towers into new inserts of
+	// their height class after the epoch-based grace period
+	// (internal/mem); towers it has none for come from allocTower. Nil
+	// delegates lifetimes to the GC.
 	arena *mem.Arena[vbNode]
 
 	// budget is the failed-validation retry budget K (0 = unbounded),
@@ -227,12 +289,12 @@ func NewVB() *VB { return newVB(DefaultLevels, nil) }
 // levels ~ log2 of the expected element count is the classic sizing.
 func NewVBLevels(levels int) *VB { return newVB(levels, nil) }
 
-// NewVBArena returns a value-aware skip list whose towers live in a
-// height-classed slab arena with epoch-based reclamation. Reuse is safe
-// for the same reason as the flat vbl-arena — the protocol is
+// NewVBArena returns a value-aware skip list whose towers recycle
+// through a height-classed arena with epoch-based reclamation. Reuse is
+// safe for the same reason as the flat vbl-arena — the protocol is
 // lock-based and the per-operation epoch pin keeps every node an
-// operation discovered alive (and its val immutable) until the
-// operation unpins — see DESIGN.md §15.
+// operation discovered alive (and its val, up and height immutable)
+// until the operation unpins — see DESIGN.md §15.
 func NewVBArena() *VB {
 	return newVB(DefaultLevels, mem.New[vbNode](mem.Options{Classes: numTowerClasses}))
 }
@@ -245,13 +307,13 @@ func newVB(levels int, arena *mem.Arena[vbNode]) *VB {
 		levels = maxLevel
 	}
 	s := &VB{
-		head:   &vbNode{val: MinSentinel, height: maxLevel},
-		tail:   &vbNode{val: MaxSentinel, height: maxLevel},
+		head:   allocTower(MinSentinel, maxLevel),
+		tail:   allocTower(MaxSentinel, maxLevel),
 		levels: levels,
 		arena:  arena,
 	}
 	for l := 0; l < maxLevel; l++ {
-		s.head.next[l].Store(s.tail)
+		s.head.at(l).Store(s.tail)
 	}
 	s.seed.Store(0x9E3779B97F4A7C15)
 	return s
@@ -316,31 +378,33 @@ func (s *VB) randomHeight() int {
 	return h
 }
 
-// newTower materializes a tower of height h holding v: from the heap,
-// or recycled out of the arena's height class when one is attached. A
-// recycled tower's levels below h are re-stored by the caller before
-// the level-0 link publishes it; levels at or above h are never read,
-// because a node is only reachable at levels it was linked at.
+// newTower materializes a tower of height h holding v: recycled out of
+// the arena's height class when one is attached and the class has a
+// tower past its grace period, else fresh from allocTower. A recycled
+// tower's levels below h are re-stored by the caller before the level-0
+// link publishes it; its up is resliced to h-1 links, which the class
+// floor guarantees its allocation holds.
 func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 	if p := s.probes; obs.On(p) {
 		p.Inc(obs.EvSkipTowerHeight, int64(h))
 	}
-	if !g.Active() {
-		if p := s.probes; obs.On(p) {
-			p.Inc(obs.EvNodeAlloc, v)
+	if g.Active() {
+		if n := g.ReuseClass(towerClass(h)); n != nil {
+			//lint:ignore valimmutable the tower is recycled: past its grace period no reader holds it, and it is unpublished until the level-0 link after this re-initialization
+			n.val = v
+			n.up = n.up[:h-1]
+			n.height = int32(h)
+			n.deleted.Store(false)
+			n.linked.Store(0)
+			n.idxDone.Store(false)
+			n.retired.Store(false)
+			return n
 		}
-		//lint:ignore hotalloc without an arena the insert path must materialize the new tower on the heap
-		return &vbNode{val: v, height: h}
 	}
-	n := g.GetClass(towerClass(h))
-	//lint:ignore valimmutable the tower is recycled: it is unpublished and fully re-initialized before the level-0 link publishes it
-	n.val = v
-	n.height = h
-	n.deleted.Store(false)
-	n.linked.Store(0)
-	n.idxDone.Store(false)
-	n.retired.Store(false)
-	return n
+	if p := s.probes; obs.On(p) {
+		p.Inc(obs.EvNodeAlloc, v)
+	}
+	return allocTower(v, h)
 }
 
 // maybeRetire retires a deleted tower into the arena's limbo once it is
@@ -355,13 +419,14 @@ func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 // the CAS makes the retirement exclusive among the remover, the
 // inserter and the opportunistic unlinkers who may all observe it. A
 // tower whose sweep transiently missed a level is simply never
-// retired — it leaks to its slab, which is safe, just not recycled.
+// retired — the GC reclaims it once unreachable, it is just not
+// recycled.
 func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
 	if !g.Active() || !n.deleted.Load() || !n.idxDone.Load() || n.linked.Load() != 0 {
 		return
 	}
 	if n.retired.CompareAndSwap(false, true) {
-		g.RetireClass(n, towerClass(n.height))
+		g.RetireClass(n, towerClass(int(n.height)))
 	}
 }
 
@@ -380,18 +445,18 @@ func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
 func (s *VB) find(g mem.Guard[vbNode], v int64) (preds, succs [maxLevel]*vbNode) {
 	pred := s.head
 	for l := s.levels - 1; l >= 0; l-- {
-		curr := pred.next[l].Load()
+		curr := pred.at(l).Load()
 		for curr.val < v {
 			if l > 0 && curr.deleted.Load() {
 				if s.tryUnlinkLevel(g, pred, curr, l) {
-					curr = pred.next[l].Load()
+					curr = pred.at(l).Load()
 				} else {
-					curr = curr.next[l].Load() // route through, don't adopt
+					curr = curr.at(l).Load() // route through, don't adopt
 				}
 				continue
 			}
 			pred = curr
-			curr = pred.next[l].Load()
+			curr = pred.at(l).Load()
 		}
 		preds[l], succs[l] = pred, curr
 	}
@@ -408,15 +473,15 @@ func (s *VB) tryUnlinkLevel(g mem.Guard[vbNode], pred, curr *vbNode, l int) bool
 			return false
 		}
 	}
-	if pred.deleted.Load() || pred.next[l].Load() != curr {
+	if pred.deleted.Load() || pred.at(l).Load() != curr {
 		return false
 	}
 	if !pred.lock.TryLock() {
 		return false
 	}
-	ok := !pred.deleted.Load() && pred.next[l].Load() == curr
+	ok := !pred.deleted.Load() && pred.at(l).Load() == curr
 	if ok {
-		pred.next[l].Store(curr.next[l].Load())
+		pred.at(l).Store(curr.at(l).Load())
 	}
 	pred.lock.Unlock()
 	if ok {
@@ -440,19 +505,19 @@ func (s *VB) Contains(v int64) bool {
 	g := s.arena.Pin()
 	pred := s.head
 	for l := s.levels - 1; l >= 1; l-- {
-		curr := pred.next[l].Load()
+		curr := pred.at(l).Load()
 		for curr.val < v {
 			if curr.deleted.Load() {
-				curr = curr.next[l].Load() // route through, don't adopt
+				curr = curr.at(l).Load() // route through, don't adopt
 				continue
 			}
 			pred = curr
-			curr = pred.next[l].Load()
+			curr = pred.at(l).Load()
 		}
 	}
-	curr := pred.next[0].Load()
+	curr := pred.next0.Load()
 	for curr.val < v {
-		curr = curr.next[0].Load()
+		curr = curr.next0.Load()
 	}
 	found := curr.val == v && !curr.deleted.Load()
 	g.Unpin()
@@ -508,7 +573,7 @@ func (s *VB) Insert(v int64) bool {
 			n = s.newTower(g, v, h)
 		}
 		for l := 0; l < h; l++ {
-			n.next[l].Store(succs[l])
+			n.at(l).Store(succs[l])
 		}
 		injected := false
 		if fp := s.fps; failpoint.On(fp) {
@@ -521,7 +586,7 @@ func (s *VB) Insert(v int64) bool {
 			continue
 		}
 		n.setLinked(0)
-		preds[0].next[0].Store(n)
+		preds[0].next0.Store(n)
 		preds[0].lock.Unlock()
 		break
 	}
@@ -549,14 +614,14 @@ index:
 				// more index levels would only create orphans.
 				break index
 			}
-			n.next[l].Store(succs[l])
+			n.at(l).Store(succs[l])
 			injected := false
 			if fp := s.fps; failpoint.On(fp) {
 				injected = fp.Fail(failpoint.SiteSkipIndexLink, v)
 			}
 			if !injected && preds[l].lockNextAt(l, succs[l], s.probes, s.backoff) {
 				n.setLinked(l)
-				preds[l].next[l].Store(n)
+				preds[l].at(l).Store(n)
 				preds[l].lock.Unlock()
 				break
 			}
@@ -567,7 +632,7 @@ index:
 				// Give up: the index stays sparse at this level. Park the
 				// level's pointer on tail rather than leaving the last
 				// speculative succ frozen there: descents through a live
-				// tower read next[j] for every level below the adoption
+				// tower read at(j) for every level below the adoption
 				// level, linked or not (bottom-up linking means any such
 				// level was processed — linked, or parked here), and once
 				// this insert unpins a frozen succ could be unlinked,
@@ -577,7 +642,7 @@ index:
 				// val immutable). tail is a terminal the walk treats as
 				// "drop a level", which is exactly what a sparse index
 				// level means.
-				n.next[l].Store(s.tail)
+				n.at(l).Store(s.tail)
 				break
 			}
 			preds, succs = s.find(g, v)
@@ -624,7 +689,7 @@ func (s *VB) Remove(v int64) bool {
 			return false
 		}
 		curr := succs[0]
-		next := curr.next[0].Load()
+		next := curr.next0.Load()
 		injected := false
 		if fp := s.fps; failpoint.On(fp) {
 			if injected = fp.Fail(failpoint.SiteSkipLockNextAt, v); injected {
@@ -638,7 +703,7 @@ func (s *VB) Remove(v int64) bool {
 		// Re-read the successor under pred's lock: it is the (possibly
 		// different) node holding v whose presence the value validation
 		// just established.
-		curr = preds[0].next[0].Load()
+		curr = preds[0].next0.Load()
 		injected = false
 		if fp := s.fps; failpoint.On(fp) {
 			if injected = fp.Fail(failpoint.SiteSkipLockNextAt, v); injected {
@@ -657,7 +722,7 @@ func (s *VB) Remove(v int64) bool {
 			fp.Do(failpoint.SiteUnlink, v)
 		}
 		curr.deleted.Store(true) // logical deletion: v is out, now
-		preds[0].next[0].Store(next)
+		preds[0].next0.Store(next)
 		curr.clearLinked(0) // after the unlink store: linked==0 now implies unreachable
 		curr.lock.Unlock()
 		preds[0].lock.Unlock()
@@ -678,7 +743,7 @@ func (s *VB) Remove(v int64) bool {
 // An injected SiteSkipIndexLink failure abandons the level — membership
 // is unaffected, the orphan is collected by later traversals.
 func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
-	for l := n.height - 1; l >= 1; l-- {
+	for l := int(n.height) - 1; l >= 1; l-- {
 		for {
 			pred, linked := s.findPredAtLevel(g, n, l)
 			if !linked {
@@ -690,7 +755,7 @@ func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
 				}
 			}
 			if pred.lockNextAt(l, n, s.probes, s.backoff) {
-				pred.next[l].Store(n.next[l].Load())
+				pred.at(l).Store(n.at(l).Load())
 				pred.lock.Unlock()
 				n.clearLinked(l)
 				if p := s.probes; obs.On(p) {
@@ -716,7 +781,7 @@ func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
 func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bool) {
 	pred := s.head
 	for lev := s.levels - 1; lev > l; lev-- {
-		curr := pred.next[lev].Load()
+		curr := pred.at(lev).Load()
 		for curr.val < n.val {
 			if curr.deleted.Load() {
 				// Route through without adopting: a deleted pred handed
@@ -724,15 +789,15 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 				// lock forever untakeable, and sweep's retry loop would
 				// spin on it (fatal when sweep is the only runnable
 				// thread — see the level-l rule below).
-				curr = curr.next[lev].Load()
+				curr = curr.at(lev).Load()
 				continue
 			}
 			pred = curr
-			curr = pred.next[lev].Load()
+			curr = pred.at(lev).Load()
 		}
 	}
 	for {
-		curr := pred.next[l].Load()
+		curr := pred.at(l).Load()
 		if curr == n {
 			return pred, true
 		}
@@ -756,7 +821,7 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 func (s *VB) Len() int {
 	g := s.arena.Pin()
 	n := 0
-	for curr := s.head.next[0].Load(); curr.val != MaxSentinel; curr = curr.next[0].Load() {
+	for curr := s.head.next0.Load(); curr.val != MaxSentinel; curr = curr.next0.Load() {
 		if !curr.deleted.Load() {
 			n++
 		}
@@ -770,7 +835,7 @@ func (s *VB) Len() int {
 func (s *VB) Snapshot() []int64 {
 	g := s.arena.Pin()
 	var out []int64
-	for curr := s.head.next[0].Load(); curr.val != MaxSentinel; curr = curr.next[0].Load() {
+	for curr := s.head.next0.Load(); curr.val != MaxSentinel; curr = curr.next0.Load() {
 		if !curr.deleted.Load() {
 			out = append(out, curr.val)
 		}

@@ -20,6 +20,9 @@ go build -tags obsoff ./...
 step "go build -tags nofailpoint ./... (site-free build)"
 go build -tags nofailpoint ./...
 
+step "gofmt -l . (every Go file formatted)"
+test -z "$(gofmt -l .)"
+
 step "go vet ./..."
 go vet ./...
 

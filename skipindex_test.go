@@ -161,8 +161,8 @@ func skipImpls(t testing.TB) []Impl {
 // keys (InsertAll/RemoveAll/ContainsAll).
 func FuzzSkipVsOracle(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 3, 9, 5, 1})                            // one insert batch
-	f.Add([]byte{0, 6, 31, 30, 29, 3, 1, 0, 1, 2, 30, 29})  // descending, then remove
+	f.Add([]byte{0, 3, 9, 5, 1})                                 // one insert batch
+	f.Add([]byte{0, 6, 31, 30, 29, 3, 1, 0, 1, 2, 30, 29})       // descending, then remove
 	f.Add([]byte{0, 4, 8, 8, 8, 9, 3, 0, 31, 1, 1, 8, 3, 7, 11}) // dups, full scan, churn
 	seed := make([]byte, 0, 96)
 	for i := byte(0); i < 31; i++ {
