@@ -313,8 +313,8 @@ func figureSkipList(p protocol) {
 // divides O(n) by S — while the skip indexes stay log-time. The
 // figure lines up the strongest lists (flat and sharded VBL, Lazy,
 // Harris) against vbskip, vbskip-arena, and their sharded forms at the
-// same shard count; scripts/bench_index.sh turns the expected ordering
-// into a committed gate.
+// same shard count; synchrobench -gate index turns the expected
+// ordering into a committed gate.
 func figureIndex(p protocol) {
 	p.header("=== Log-time at large ranges: skip indexes vs every list ===")
 	for _, keyRange := range []int64{20000, 200000} {

@@ -90,6 +90,11 @@
 // The JSON report's "mem" section carries allocs_per_op/bytes_per_op
 // over the measured intervals, the headline the arena moves.
 //
+// Gates: -gate smoke|batch|adapt|index runs one suite of the table in
+// gates.go: every cell in its own process, the reports written to
+// BENCH_<suite>.json, then the suite's gates (exit status 1 when one
+// fails).
+//
 // Use -list to see the available implementations.
 package main
 
@@ -117,51 +122,68 @@ import (
 	"listset/internal/workload"
 )
 
+// options holds the command-line flags.
+type options struct {
+	implName, dist, phasePreset, chaosSpec, gate                         string
+	metricsAddr, cpuprofile, mutexprof, blockprof, memprofile, traceFile string
+	threads, shards, updateRatio, runs, sampleEvery, gcpercent           int
+	traceDepth, batchSize, scanPct, hotFrac, retryBudget                 int
+	keyRange, seed, scanWidth, hotLo, hotWidth                           int64
+	duration, warmup, streamEvery, adaptEvery, phaseDur, watchdog        time.Duration
+	list, quiet, jsonOut, probesOn, arena, adaptOn                       bool
+	theta                                                                float64
+}
+
+// register defines the flags on fs, storing their values in o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.implName, "impl", "vbl", "implementation to benchmark (see -list)")
+	fs.IntVar(&o.threads, "threads", 4, "number of worker goroutines")
+	fs.IntVar(&o.shards, "shards", 0, "split the key range across N independent lists (0 = the impl name's preset: 16 for vbl-sharded and the like, else unsharded)")
+	fs.IntVar(&o.updateRatio, "update-ratio", 20, "percent of update operations (x/2% inserts, x/2% removes)")
+	fs.Int64Var(&o.keyRange, "range", 2048, "key range; steady-state set size is about range/2")
+	fs.DurationVar(&o.duration, "duration", 1*time.Second, "measured duration per run")
+	fs.DurationVar(&o.warmup, "warmup", 1*time.Second, "warm-up before each run")
+	fs.IntVar(&o.runs, "runs", 3, "number of (warmup, measure) repetitions")
+	fs.Int64Var(&o.seed, "seed", 42, "base RNG seed")
+	fs.BoolVar(&o.list, "list", false, "list available implementations and exit")
+	fs.BoolVar(&o.quiet, "quiet", false, "print one self-describing line per run configuration")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the report as JSON (implies -probes; default -sample-every 64)")
+	fs.BoolVar(&o.probesOn, "probes", false, "count contention events during measured runs")
+	fs.IntVar(&o.sampleEvery, "sample-every", -1, "time every Nth op into latency histograms; 0 disables (default: 64 with -json, else 0)")
+	fs.StringVar(&o.metricsAddr, "metricsaddr", "", "serve expvar metrics and pprof over HTTP at this address (implies -probes)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the measured runs to this file")
+	fs.StringVar(&o.mutexprof, "mutexprofile", "", "write a mutex-contention profile to this file")
+	fs.StringVar(&o.blockprof, "blockprofile", "", "write a blocking profile to this file")
+	fs.BoolVar(&o.arena, "arena", false, "arena-backed node lifetimes: slab allocation + epoch-based recycling (vbl, lazy, vbskip)")
+	fs.IntVar(&o.gcpercent, "gcpercent", 0, "debug.SetGCPercent for the whole process; -1 disables the GC, 0 keeps the default")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (after a forced GC) to this file when the runs finish")
+	fs.StringVar(&o.traceFile, "trace", "", "record measured intervals and write the capture here (.json = Chrome trace-event format, else compact binary; implies -probes)")
+	fs.IntVar(&o.traceDepth, "trace-depth", trace.DefaultDepth, "flight-recorder ring depth per worker, in records (rounded up to a power of two)")
+	fs.DurationVar(&o.streamEvery, "stream", 0, "stream interval metrics as JSON lines every period (0 = off; implies -probes)")
+	fs.IntVar(&o.batchSize, "batch", 0, "batched mode: apply N keys per call through the set's batch surface (0 = per-key mode; 1 = single-key batches)")
+	fs.IntVar(&o.scanPct, "scan", 0, "percent of operations that are range scans (out of the contains share; 0 = none)")
+	fs.Int64Var(&o.scanWidth, "scan-width", 0, "key width of each range scan (0 = default 100)")
+	fs.StringVar(&o.dist, "dist", "uniform", "key distribution: uniform, zipf or hotspot")
+	fs.Float64Var(&o.theta, "theta", 0.99, "zipfian skew in (0, 1); used with -dist zipf")
+	fs.IntVar(&o.hotFrac, "hot-frac", workload.DefaultHotPercent, "percent of traffic in the hot window; used with -dist hotspot")
+	fs.Int64Var(&o.hotLo, "hot-lo", 0, "hot window's lower key bound; used with -dist hotspot")
+	fs.Int64Var(&o.hotWidth, "hot-width", 0, "hot window's key width (0 = range/128); used with -dist hotspot")
+	fs.BoolVar(&o.adaptOn, "adapt", false, "run the adaptive contention controller (implies -probes; rebalancing on sharded impls)")
+	fs.DurationVar(&o.adaptEvery, "adapt-interval", 0, "controller tick period (0 = default 50ms)")
+	fs.StringVar(&o.phasePreset, "phases", "", "time-varying workload preset: "+strings.Join(workload.PresetNames(), ", "))
+	fs.DurationVar(&o.phaseDur, "phase-dur", 0, "dwell per phase (0 = default 150ms)")
+	fs.StringVar(&o.chaosSpec, "chaos", "", "failpoint scenarios: comma-separated site:action[:prob][:delay], or \"shipped\"")
+	fs.IntVar(&o.retryBudget, "retry-budget", 0, "failed-validation retry budget K before escalation (0 = unbounded)")
+	fs.DurationVar(&o.watchdog, "watchdog", 0, "liveness deadline: fail the run if a worker stalls this long (0 = off)")
+	fs.StringVar(&o.gate, "gate", "", "run a gate suite ("+strings.Join(gateSuites(), ", ")+"): every cell in its own process, written to BENCH_<suite>.json, then the suite's gates")
+}
+
 func main() {
-	var (
-		implName    = flag.String("impl", "vbl", "implementation to benchmark (see -list)")
-		threads     = flag.Int("threads", 4, "number of worker goroutines")
-		shards      = flag.Int("shards", 0, "split the key range across N independent lists (0 = the impl name's preset: 16 for vbl-sharded and the like, else unsharded)")
-		updateRatio = flag.Int("update-ratio", 20, "percent of update operations (x/2% inserts, x/2% removes)")
-		keyRange    = flag.Int64("range", 2048, "key range; steady-state set size is about range/2")
-		duration    = flag.Duration("duration", 1*time.Second, "measured duration per run")
-		warmup      = flag.Duration("warmup", 1*time.Second, "warm-up before each run")
-		runs        = flag.Int("runs", 3, "number of (warmup, measure) repetitions")
-		seed        = flag.Int64("seed", 42, "base RNG seed")
-		list        = flag.Bool("list", false, "list available implementations and exit")
-		quiet       = flag.Bool("quiet", false, "print one self-describing line per run configuration")
-		jsonOut     = flag.Bool("json", false, "emit the report as JSON (implies -probes; default -sample-every 64)")
-		probesOn    = flag.Bool("probes", false, "count contention events during measured runs")
-		sampleEvery = flag.Int("sample-every", -1, "time every Nth op into latency histograms; 0 disables (default: 64 with -json, else 0)")
-		metricsAddr = flag.String("metricsaddr", "", "serve expvar metrics and pprof over HTTP at this address (implies -probes)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the measured runs to this file")
-		mutexprof   = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
-		blockprof   = flag.String("blockprofile", "", "write a blocking profile to this file")
-		arena       = flag.Bool("arena", false, "arena-backed node lifetimes: slab allocation + epoch-based recycling (vbl, lazy, vbskip)")
-		gcpercent   = flag.Int("gcpercent", 0, "debug.SetGCPercent for the whole process; -1 disables the GC, 0 keeps the default")
-		memprofile  = flag.String("memprofile", "", "write a heap profile (after a forced GC) to this file when the runs finish")
-		traceFile   = flag.String("trace", "", "record measured intervals and write the capture here (.json = Chrome trace-event format, else compact binary; implies -probes)")
-		traceDepth  = flag.Int("trace-depth", trace.DefaultDepth, "flight-recorder ring depth per worker, in records (rounded up to a power of two)")
-		streamEvery = flag.Duration("stream", 0, "stream interval metrics as JSON lines every period (0 = off; implies -probes)")
-		batchSize   = flag.Int("batch", 0, "batched mode: apply N keys per call through the set's batch surface (0 = per-key mode; 1 = single-key batches)")
-		scanPct     = flag.Int("scan", 0, "percent of operations that are range scans (out of the contains share; 0 = none)")
-		scanWidth   = flag.Int64("scan-width", 0, "key width of each range scan (0 = default 100)")
-		dist        = flag.String("dist", "uniform", "key distribution: uniform, zipf or hotspot")
-		theta       = flag.Float64("theta", 0.99, "zipfian skew in (0, 1); used with -dist zipf")
-		hotFrac     = flag.Int("hot-frac", workload.DefaultHotPercent, "percent of traffic in the hot window; used with -dist hotspot")
-		hotLo       = flag.Int64("hot-lo", 0, "hot window's lower key bound; used with -dist hotspot")
-		hotWidth    = flag.Int64("hot-width", 0, "hot window's key width (0 = range/128); used with -dist hotspot")
-		adaptOn     = flag.Bool("adapt", false, "run the adaptive contention controller (implies -probes; rebalancing on sharded impls)")
-		adaptEvery  = flag.Duration("adapt-interval", 0, "controller tick period (0 = default 50ms)")
-		phasePreset = flag.String("phases", "", "time-varying workload preset: "+strings.Join(workload.PresetNames(), ", "))
-		phaseDur    = flag.Duration("phase-dur", 0, "dwell per phase (0 = default 150ms)")
-		chaosSpec   = flag.String("chaos", "", "failpoint scenarios: comma-separated site:action[:prob][:delay], or \"shipped\"")
-		retryBudget = flag.Int("retry-budget", 0, "failed-validation retry budget K before escalation (0 = unbounded)")
-		watchdog    = flag.Duration("watchdog", 0, "liveness deadline: fail the run if a worker stalls this long (0 = off)")
-	)
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if o.list {
 		var arenas []string
 		for _, im := range listset.Implementations() {
 			safe := "concurrent"
@@ -178,27 +200,10 @@ func main() {
 		return
 	}
 
-	im, err := listset.Lookup(*implName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	if o.gate != "" {
+		os.Exit(runGate(o.gate))
 	}
-	if !im.ThreadSafe && *threads > 1 {
-		fmt.Fprintf(os.Stderr, "synchrobench: %s is not thread safe; use -threads 1\n", im.Name)
-		os.Exit(2)
-	}
-
-	// Mode resolution: the name's preset modes (vbl-sharded presets
-	// 16 shards, vbl-arena an arena) plus -shards/-arena. A sharded
-	// partition always splits exactly the workload's key range, so
-	// every shard owns range/S keys and traversals shrink O(n/S).
-	opts := im.Preset()
-	if *shards != 0 {
-		opts.Shards = *shards
-	}
-	opts.Arena = opts.Arena || *arena
-	opts.Lo, opts.Hi = 0, *keyRange
-	probe, err := im.Build(opts)
+	im, opts, wl, probe, err := o.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "synchrobench:", err)
 		os.Exit(2)
@@ -207,83 +212,63 @@ func main() {
 	// Flag resolution: -json wants the full report, so it switches the
 	// probes on and defaults sampling to a light 1-in-64; -metricsaddr
 	// is pointless without counters to serve.
-	if *sampleEvery < 0 {
-		if *jsonOut || *streamEvery > 0 {
-			*sampleEvery = 64
+	if o.sampleEvery < 0 {
+		if o.jsonOut || o.streamEvery > 0 {
+			o.sampleEvery = 64
 		} else {
-			*sampleEvery = 0
+			o.sampleEvery = 0
 		}
 	}
-	if *jsonOut || *metricsAddr != "" || *traceFile != "" || *streamEvery > 0 || *adaptOn {
-		*probesOn = true
+	if o.jsonOut || o.metricsAddr != "" || o.traceFile != "" || o.streamEvery > 0 || o.adaptOn {
+		o.probesOn = true
 	}
 
-	if *gcpercent != 0 {
-		debug.SetGCPercent(*gcpercent)
+	if o.gcpercent != 0 {
+		debug.SetGCPercent(o.gcpercent)
 	}
 
 	newSet := func() harness.Set {
 		s, _ := im.Build(opts) // validated above
 		return s
 	}
-	wl := workload.Config{
-		UpdatePercent: *updateRatio,
-		Range:         *keyRange,
-		ScanPercent:   *scanPct,
-		ScanWidth:     *scanWidth,
-	}
-	switch *dist {
-	case "", workload.DistUniform:
-	case workload.DistZipf:
-		wl.Dist, wl.Theta = *dist, *theta
-	case workload.DistHotspot:
-		wl.Dist = *dist
-		wl.HotPercent, wl.HotLo, wl.HotWidth = *hotFrac, *hotLo, *hotWidth
-	default:
-		wl.Dist = *dist // workload.Validate rejects it with the full list
-	}
-	if _, ok := probe.(listset.Ranger); *scanPct > 0 && !ok {
-		fmt.Fprintf(os.Stderr, "synchrobench: %s has no native range scan; drop -scan, add -shards, or pick vbl, lazy, harris or a skip list\n", im.Name)
-		os.Exit(2)
-	}
-	if _, ok := probe.(listset.Batcher); *batchSize > 1 && !ok {
-		fmt.Fprintf(os.Stderr, "synchrobench: note: %s has no native batch surface; -batch %d runs the per-key fallback\n", im.Name, *batchSize)
+	if _, ok := probe.(listset.Batcher); o.batchSize > 1 && !ok {
+		fmt.Fprintf(os.Stderr, "synchrobench: note: %s has no native batch surface; -batch %d runs the per-key fallback\n", im.Name, o.batchSize)
 	}
 	cfg := harness.Config{
 		Name:               im.Name,
 		New:                newSet,
 		Shards:             opts.Shards,
 		Arena:              opts.Arena,
-		Threads:            *threads,
+		Threads:            o.threads,
 		Workload:           wl,
-		BatchSize:          *batchSize,
-		Duration:           *duration,
-		Warmup:             *warmup,
-		Runs:               *runs,
-		Seed:               *seed,
-		LatencySampleEvery: *sampleEvery,
-		RetryBudget:        *retryBudget,
-		Watchdog:           *watchdog,
+		BatchSize:          o.batchSize,
+		Duration:           o.duration,
+		Warmup:             o.warmup,
+		Runs:               o.runs,
+		Seed:               o.seed,
+		LatencySampleEvery: o.sampleEvery,
+		RetryBudget:        o.retryBudget,
+		Watchdog:           o.watchdog,
 	}
-	if *adaptOn {
+	if o.adaptOn {
 		// Rebalancing needs the routing stripes only sharded façades
 		// have; the controller discovers the rest of the actuator
 		// surface itself.
 		cfg.Adapt = &adapt.Config{
-			Interval:  *adaptEvery,
+			Interval:  o.adaptEvery,
 			Rebalance: opts.Shards > 0,
 		}
 	}
-	if *phasePreset != "" {
-		sched, err := workload.Preset(*phasePreset, wl, *phaseDur)
+	if o.phasePreset != "" {
+		sched, err := workload.Preset(o.phasePreset, wl, o.phaseDur)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "synchrobench:", err)
 			os.Exit(2)
 		}
 		cfg.Phases = sched
 	}
-	if *chaosSpec != "" {
-		scs, err := failpoint.ParseScenarios(*chaosSpec, *seed)
+	if o.chaosSpec != "" {
+		scs, err := failpoint.ParseScenarios(o.chaosSpec, o.seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "synchrobench:", err)
 			os.Exit(2)
@@ -293,20 +278,20 @@ func main() {
 			fmt.Fprintln(os.Stderr, "synchrobench: warning: built with -tags nofailpoint; -chaos scenarios will never fire")
 		}
 	}
-	if *probesOn {
+	if o.probesOn {
 		cfg.Probes = obs.NewProbes()
 		if !obs.Compiled {
 			fmt.Fprintln(os.Stderr, "synchrobench: warning: built with -tags obsoff; probe counts will be zero")
 		}
 	}
-	if *traceFile != "" {
-		cfg.Trace = trace.NewTracer(*threads, *traceDepth)
+	if o.traceFile != "" {
+		cfg.Trace = trace.NewTracer(o.threads, o.traceDepth)
 	}
-	if *streamEvery > 0 {
-		cfg.Stream = *streamEvery
+	if o.streamEvery > 0 {
+		cfg.Stream = o.streamEvery
 		// With -json the report owns stdout, so the stream rides stderr.
 		streamOut := os.Stdout
-		if *jsonOut {
+		if o.jsonOut {
 			streamOut = os.Stderr
 		}
 		enc := json.NewEncoder(streamOut)
@@ -315,24 +300,24 @@ func main() {
 			lastRow.Store(row)
 			enc.Encode(row) //nolint:errcheck // best-effort live stream
 		}
-		if *metricsAddr != "" {
+		if o.metricsAddr != "" {
 			obs.PublishFunc("listset.stream", func() any {
 				return lastRow.Load()
 			})
 		}
 	}
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		obs.Publish("listset.events", cfg.Probes)
 		go func() {
 			// DefaultServeMux already carries /debug/vars (expvar) and
 			// /debug/pprof (net/http/pprof).
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
+			if err := http.ListenAndServe(o.metricsAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "synchrobench: metrics server: %v\n", err)
 			}
 		}()
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -344,13 +329,13 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *mutexprof != "" {
+	if o.mutexprof != "" {
 		runtime.SetMutexProfileFraction(1)
-		defer writeProfile("mutex", *mutexprof)
+		defer writeProfile("mutex", o.mutexprof)
 	}
-	if *blockprof != "" {
+	if o.blockprof != "" {
 		runtime.SetBlockProfileRate(1)
-		defer writeProfile("block", *blockprof)
+		defer writeProfile("block", o.blockprof)
 	}
 	res, err := harness.Run(cfg)
 	if err != nil {
@@ -358,31 +343,78 @@ func main() {
 		os.Exit(2)
 	}
 	if cfg.Trace != nil {
-		if err := writeTrace(cfg.Trace, *traceFile); err != nil {
+		if err := writeTrace(cfg.Trace, o.traceFile); err != nil {
 			fmt.Fprintln(os.Stderr, "synchrobench:", err)
 			os.Exit(2)
 		}
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		// A forced GC first, so the profile shows live retention (slab
 		// arenas held vs. garbage awaiting collection), not float.
 		runtime.GC()
-		writeProfile("heap", *memprofile)
+		writeProfile("heap", o.memprofile)
 	}
 
 	switch {
-	case *jsonOut:
+	case o.jsonOut:
 		if err := harness.WriteJSON(os.Stdout, res); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-	case *quiet:
+	case o.quiet:
 		// One self-describing line so sweeps driven by shell loops stay
 		// greppable: impl, threads, workload, mean ops/sec.
 		fmt.Printf("%s %d %s %.0f\n", im.Name, cfg.Threads, cfg.Workload, res.Summary.Mean)
 	default:
 		printHuman(im.Name, cfg, res)
 	}
+}
+
+// resolve looks the implementation up and composes its modes: the
+// name's preset (vbl-sharded presets 16 shards, vbl-arena an arena)
+// plus -shards/-arena. A sharded partition always splits exactly the
+// workload's key range, so every shard owns range/S keys and
+// traversals shrink O(n/S). The returned probe set has been built once
+// to validate the options.
+func (o *options) resolve() (listset.Impl, listset.Options, workload.Config, listset.Set, error) {
+	var wl workload.Config
+	im, err := listset.Lookup(o.implName)
+	if err != nil {
+		return im, listset.Options{}, wl, nil, err
+	}
+	if !im.ThreadSafe && o.threads > 1 {
+		return im, listset.Options{}, wl, nil, fmt.Errorf("%s is not thread safe; use -threads 1", im.Name)
+	}
+	opts := im.Preset()
+	if o.shards != 0 {
+		opts.Shards = o.shards
+	}
+	opts.Arena = opts.Arena || o.arena
+	opts.Lo, opts.Hi = 0, o.keyRange
+	probe, err := im.Build(opts)
+	if err != nil {
+		return im, opts, wl, nil, err
+	}
+	wl = workload.Config{
+		UpdatePercent: o.updateRatio,
+		Range:         o.keyRange,
+		ScanPercent:   o.scanPct,
+		ScanWidth:     o.scanWidth,
+	}
+	switch o.dist {
+	case "", workload.DistUniform:
+	case workload.DistZipf:
+		wl.Dist, wl.Theta = o.dist, o.theta
+	case workload.DistHotspot:
+		wl.Dist = o.dist
+		wl.HotPercent, wl.HotLo, wl.HotWidth = o.hotFrac, o.hotLo, o.hotWidth
+	default:
+		wl.Dist = o.dist // workload.Validate rejects it with the full list
+	}
+	if _, ok := probe.(listset.Ranger); o.scanPct > 0 && !ok {
+		return im, opts, wl, probe, fmt.Errorf("%s has no native range scan; drop -scan, add -shards, or pick vbl, lazy, harris or a skip list", im.Name)
+	}
+	return im, opts, wl, probe, nil
 }
 
 // printHuman renders the default human-readable report.

@@ -1,80 +1,47 @@
 package main
 
-import (
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestDisabledProbeOverhead is the acceptance gate on the
-// observability layer's zero-cost claim: with probes DISABLED (the
-// default), a binary carrying the probe sites must not be meaningfully
-// slower than a probe-free build (-tags obsoff deletes the sites at
-// compile time). Each guard is a nil-check branch on a field already
-// in cache, so any real gap means a probe leaked onto a hot path
-// unguarded — which the obshygiene analyzer should have caught first.
+// The disabled-overhead gates check the zero-cost claims of the
+// observability and chaos layers: with nothing attached (the default),
+// a binary carrying the probe or failpoint sites must not be
+// meaningfully slower than one built without them (-tags obsoff and
+// -tags nofailpoint delete the sites at compile time). Each guard is a
+// nil-check branch on a field already in cache, so any real gap means a
+// site leaked onto a hot path unguarded, which the obshygiene and
+// failpointhygiene analyzers should have caught first.
 //
-// The threshold is deliberately loose (25%): CI machines are noisy,
-// often single-core, and the comparison interleaves best-of-N runs of
-// two subprocess binaries. The documented ≤2% figure comes from the
-// quiet-machine protocol in DESIGN.md §7; this test only catches
-// order-of-magnitude regressions like an unguarded atomic on the
-// traversal path.
+// The threshold is deliberately loose (25 %): CI machines are noisy and
+// the comparison interleaves best-of-3 runs of two subprocess binaries.
+// The documented ≤ 2 % figures come from the quiet-machine protocols in
+// DESIGN.md §7 and §9; these tests only catch order-of-magnitude
+// regressions like an unguarded atomic on the traversal path.
+
 func TestDisabledProbeOverhead(t *testing.T) {
+	testDisabledOverhead(t, "obsoff", "disabled probes")
+}
+
+func TestDisabledFailpointOverhead(t *testing.T) {
+	testDisabledOverhead(t, "nofailpoint", "detached failpoints")
+}
+
+// testDisabledOverhead runs the paired gate of the default build
+// against the build with tags on the vbl cell.
+func testDisabledOverhead(t *testing.T, tags, label string) {
 	if testing.Short() {
 		t.Skip("builds and times subprocess binaries; skipped with -short")
 	}
 	dir := t.TempDir()
-	normal := filepath.Join(dir, "synchrobench")
-	probeFree := filepath.Join(dir, "synchrobench-obsoff")
-	build := func(out string, tags ...string) {
-		args := []string{"build", "-o", out}
-		args = append(args, tags...)
-		args = append(args, ".")
-		cmd := exec.Command("go", args...)
-		cmd.Env = os.Environ()
-		if b, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, b)
-		}
+	self, err := build(dir, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	build(normal)
-	build(probeFree, "-tags", "obsoff")
-
-	measure := func(bin string) float64 {
-		cmd := exec.Command(bin,
-			"-impl", "vbl", "-threads", "8", "-update-ratio", "20",
-			"-range", "2048", "-duration", "300ms", "-warmup", "100ms",
-			"-runs", "1", "-quiet")
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("%s: %v", bin, err)
-		}
-		fields := strings.Fields(strings.TrimSpace(string(out)))
-		tput, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			t.Fatalf("parsing throughput from %q: %v", out, err)
-		}
-		return tput
+	reading, ok := pair{
+		cell:     "-impl vbl -threads 8 -update-ratio 20 -range 2048 -duration 300ms -warmup 100ms -runs 1",
+		baseTags: tags, base: tags + " build", test: label, min: 0.75,
+	}.run(dir, self)
+	if !ok {
+		t.Fatalf("%s; a site likely leaked past its guard", reading)
 	}
-
-	// Interleave the binaries and keep each one's best run, so a
-	// background hiccup hits both sides rather than biasing one.
-	var bestNormal, bestFree float64
-	for i := 0; i < 3; i++ {
-		if v := measure(normal); v > bestNormal {
-			bestNormal = v
-		}
-		if v := measure(probeFree); v > bestFree {
-			bestFree = v
-		}
-	}
-	t.Logf("disabled probes: %.0f ops/s; probe-free build: %.0f ops/s; ratio %.3f",
-		bestNormal, bestFree, bestNormal/bestFree)
-	if bestNormal < 0.75*bestFree {
-		t.Errorf("disabled-probe build at %.0f ops/s is more than 25%% below the probe-free build's %.0f ops/s; a probe likely leaked past its enabled-guard",
-			bestNormal, bestFree)
-	}
+	t.Log(reading)
 }

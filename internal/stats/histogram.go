@@ -171,14 +171,8 @@ type LatencySummary struct {
 	P999  float64
 }
 
-// Percentiles digests the histogram into the report percentiles. Call
-// it at quiescence: each quantile snapshots the buckets independently.
+// Percentiles digests the histogram into the report percentiles, all
+// read from one snapshot of the buckets.
 func (h *Histogram) Percentiles() LatencySummary {
-	return LatencySummary{
-		Count: h.Count(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-	}
+	return h.Buckets().Percentiles()
 }

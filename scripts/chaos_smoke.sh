@@ -16,7 +16,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-bin=/tmp/listset-synchrobench-chaos
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+bin=$tmp/synchrobench
 go build -o "$bin" ./cmd/synchrobench
 
 # Shipped-suite rows: every implementation family that carries
@@ -69,9 +72,9 @@ done
 # deep rings keep the one decision record from being overwritten by
 # the storm's restart records.)
 echo "chaos_smoke: adaptive storm (controller must tighten, watchdog must stay quiet)"
-cat=/tmp/listset-tracecat-chaos
+cat=$tmp/tracecat
 go build -o "$cat" ./cmd/tracecat
-storm_trace=/tmp/listset-chaos-adapt.trace
+storm_trace=$tmp/chaos-adapt.trace
 out=$("$bin" -impl vbl-sharded -shards 16 -threads 4 -update-ratio 60 \
   -range 256 -duration 150ms -warmup 0s -runs 1 \
   -chaos vbl-lock-next-at:fail:0.5 -retry-budget 8 -watchdog 5s \

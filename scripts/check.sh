@@ -45,16 +45,16 @@ step "race gate (batch/scan conformance, root package)"
 go test -race -short -count=1 -run 'TestBatch|TestRangeScan|TestShardSeam|TestLoad|TestCapabilityFlags|FuzzBatchVsOracle|TestChaosSkipShardSeamFaults|FuzzSkipVsOracle' .
 
 step "benchmark smoke (probes + JSON report, end to end)"
-scripts/bench_smoke.sh
+go run ./cmd/synchrobench -gate smoke
 
 step "batch amortization gate (batch surface, per-key accounting)"
-scripts/bench_batch.sh
+go run ./cmd/synchrobench -gate batch
 
 step "adaptive contention gate (controller vs static under skew)"
-scripts/bench_adapt.sh
+go run ./cmd/synchrobench -gate adapt
 
 step "index dominance gate (log-time structures vs every list)"
-scripts/bench_index.sh
+go run ./cmd/synchrobench -gate index
 
 step "chaos smoke (failpoints + retry ladder + watchdog, end to end)"
 scripts/chaos_smoke.sh

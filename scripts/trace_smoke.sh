@@ -19,9 +19,9 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d /tmp/listset-trace.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
 
-bin=/tmp/listset-synchrobench-trace
+bin=$tmp/synchrobench
 go build -o "$bin" ./cmd/synchrobench
-cat=/tmp/listset-tracecat
+cat=$tmp/tracecat
 go build -o "$cat" ./cmd/tracecat
 
 # Leg 1: deterministic replays. figures -fig replay runs Figure 2/3
