@@ -38,7 +38,7 @@ import (
 // it is live and strictly precedes v (and does not sit behind the
 // position inherited from the level above), else the inherited pred.
 func adoptVBFinger(pred, f *vbNode, v int64) *vbNode {
-	if f != nil && f.val >= pred.val && f.val < v && !f.deleted.Load() {
+	if f != nil && f.val >= pred.val && f.val < v && !f.isDeleted() {
 		return f
 	}
 	return pred
@@ -52,7 +52,7 @@ func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) 
 		pred = adoptVBFinger(pred, fingers[l], v)
 		curr := pred.at(l).Load()
 		for curr.val < v {
-			if l > 0 && curr.deleted.Load() {
+			if l > 0 && curr.isDeleted() {
 				if s.tryUnlinkLevel(g, pred, curr, l) {
 					curr = pred.at(l).Load()
 				} else {
@@ -99,7 +99,7 @@ func (s *VB) InsertAll(keys []int64) int {
 				fp.Do(failpoint.SiteSkipTraverse, v)
 			}
 			preds, succs := s.findFrom(g, v, &fingers)
-			if succs[0].val == v && succs[0].deleted.Load() {
+			if succs[0].val == v && succs[0].isDeleted() {
 				s.restartBatch(&esc, v) // marked, not yet unlinked: see Insert
 				continue
 			}
@@ -197,7 +197,7 @@ func (s *VB) RemoveAll(keys []int64) int {
 			if fp := s.fps; failpoint.On(fp) {
 				fp.Do(failpoint.SiteUnlink, v)
 			}
-			curr.deleted.Store(true)
+			curr.markDeleted()
 			preds[0].next0.Store(next)
 			curr.clearLinked(0) // after the unlink store: linked==0 now implies unreachable
 			curr.lock.Unlock()
@@ -234,7 +234,7 @@ func (s *VB) ContainsAll(keys []int64) int {
 			pred = adoptVBFinger(pred, fingers[l], v)
 			curr := pred.at(l).Load()
 			for curr.val < v {
-				if curr.deleted.Load() {
+				if curr.isDeleted() {
 					curr = curr.at(l).Load() // route through, don't adopt
 					continue
 				}
@@ -250,7 +250,7 @@ func (s *VB) ContainsAll(keys []int64) int {
 			curr = curr.next0.Load()
 		}
 		fingers[0] = pred
-		if curr.val == v && !curr.deleted.Load() {
+		if curr.val == v && !curr.isDeleted() {
 			found++
 		}
 	}
@@ -273,7 +273,7 @@ func (s *VB) RangeScan(lo, hi int64) []int64 {
 	var out []int64
 	curr := s.descendTo(lo)
 	for curr.val < hi {
-		if !curr.deleted.Load() {
+		if !curr.isDeleted() {
 			out = append(out, curr.val)
 		}
 		curr = curr.next0.Load()
@@ -290,7 +290,7 @@ func (s *VB) Ascend(from int64, yield func(int64) bool) {
 	g := s.arena.Pin()
 	curr := s.descendTo(from)
 	for curr.val != MaxSentinel {
-		if !curr.deleted.Load() && !yield(curr.val) {
+		if !curr.isDeleted() && !yield(curr.val) {
 			break
 		}
 		curr = curr.next0.Load()
@@ -306,7 +306,7 @@ func (s *VB) descendTo(v int64) *vbNode {
 	for l := s.levels - 1; l >= 1; l-- {
 		curr := pred.at(l).Load()
 		for curr.val < v {
-			if curr.deleted.Load() {
+			if curr.isDeleted() {
 				curr = curr.at(l).Load()
 				continue
 			}
@@ -347,7 +347,7 @@ func (s *VB) Load(keys []int64) int {
 			n.setLinked(l)
 			preds[l].at(l).Store(n)
 		}
-		n.idxDone.Store(true)
+		n.setState(stIdxDone)
 		for l := 0; l < h; l++ {
 			fingers[l] = n
 		}

@@ -123,7 +123,7 @@ func TestVBIndexSweep(t *testing.T) {
 	}
 	tall := 0
 	for curr := s.head.next0.Load(); curr.val != MaxSentinel; curr = curr.next0.Load() {
-		if curr.height > 1 {
+		if curr.height() > 1 {
 			tall++
 		}
 	}
@@ -258,10 +258,11 @@ func TestConcurrentSmoke(t *testing.T) {
 }
 
 // TestVBLevelInvariants checks the index structure at quiescence after
-// concurrent churn: every level sorted, no deleted tower linked at any
-// level, every level-l tower present at level 0, and every tower's up
-// slice exactly height-1 links long. The arena variant's churn recycles
-// towers into new lives at new heights within their class.
+// concurrent churn: every level sorted, no deleted or retired tower
+// linked at any level, every level-l tower present at level 0, and
+// every tower's up slice within its height class. The arena variant's
+// churn recycles towers into new lives at new heights within their
+// class.
 func TestVBLevelInvariants(t *testing.T) {
 	for name, mk := range map[string]func() *VB{"gc": NewVB, "arena": NewVBArena} {
 		t.Run(name, func(t *testing.T) {
@@ -309,7 +310,7 @@ func checkLevels(t *testing.T, s *VB) {
 	checkTowerShapes(t, s)
 	level0 := map[*vbNode]bool{}
 	for curr := s.head.next0.Load(); curr != s.tail; curr = curr.next0.Load() {
-		if curr.deleted.Load() {
+		if curr.isDeleted() {
 			t.Fatal("deleted tower reachable at level 0 at quiescence")
 		}
 		level0[curr] = true
@@ -317,8 +318,8 @@ func checkLevels(t *testing.T, s *VB) {
 	for l := 1; l < maxLevel; l++ {
 		var last int64 = MinSentinel
 		for curr := s.head.at(l).Load(); curr != s.tail; curr = curr.at(l).Load() {
-			if curr.deleted.Load() {
-				t.Fatalf("deleted tower linked at level %d at quiescence", l)
+			if st := curr.state.Load(); st&(stDeleted|stRetired) != 0 {
+				t.Fatalf("level-%d tower %d has state %#x at quiescence: deleted or retired", l, curr.val, st)
 			}
 			if !level0[curr] {
 				t.Fatalf("level-%d tower %d missing from level 0", l, curr.val)
@@ -347,7 +348,7 @@ func TestVBInsertWaitsOutMarkedTower(t *testing.T) {
 			pred, x := s.head, s.head.next0.Load()
 			pred.lock.Lock()
 			x.lock.Lock()
-			x.deleted.Store(true)
+			x.markDeleted()
 			if s.Contains(5) {
 				t.Fatal("Contains(5) = true on a marked tower")
 			}

@@ -249,10 +249,10 @@ func TestGivenUpIndexLevelsParkOnTail(t *testing.T) {
 			checkTowerShapes(t, s)
 			tall := 0
 			for curr := s.head.next0.Load(); curr != s.tail; curr = curr.next0.Load() {
-				if got := curr.linked.Load(); got != 1 {
+				if got := curr.state.Load() & stLinked; got != 1 {
 					t.Fatalf("tower %d linked mask = %b, want exactly bit 0 with the index link site failing", curr.val, got)
 				}
-				for l := 1; l < int(curr.height); l++ {
+				for l := 1; l < curr.height(); l++ {
 					tall++
 					if got := curr.at(l).Load(); got != s.tail {
 						t.Fatalf("given-up level %d of tower %d holds %d, want tail", l, curr.val, got.val)

@@ -51,48 +51,88 @@ const (
 	DefaultLevels = 18
 )
 
-// vbNode is a tower's 64-byte header. val is immutable while the node
-// is reachable, and so are up and height; next0 is the level-0
-// successor, kept inline so that everything the level-0 VBL protocol
-// reads — val, next0, deleted, lock — shares one cache line; up holds
-// the successors of levels 1..height-1 and points into the tower's own
-// allocation (see allocTower). at(l) reaches any level below height.
-// deleted and lock implement the VBL protocol on level 0 (and guard
-// this node's unlinking at every level).
+// vbNode is a tower's 48-byte header. val is immutable while the node
+// is reachable, and so is up; next0 is the level-0 successor, kept
+// inline so that everything the level-0 VBL protocol reads — val,
+// next0, the deleted bit of state, lock — sits in the header's first
+// 24 bytes; up holds the successors of levels 1..height()-1 and points
+// into the tower's own allocation (see allocTower). at(l) reaches any
+// level below height(). The deleted bit and lock implement the VBL
+// protocol on level 0 (and guard this node's unlinking at every level).
 //
-// linked, idxDone and retired exist for the arena's sake: they let the
-// last unlinker prove a deleted tower unreachable (see maybeRetire).
-// linked is a bitmask of EVERY level the tower is published at,
-// level 0 included — the bit is set under the predecessor's lock
-// BEFORE the link is stored, so any unlink of that level (which must
-// lock the then-current predecessor) happens-after the set and the
-// clear can never be lost. Bit 0 matters most: deleted is set inside
-// the remover's critical section BEFORE the level-0 unlink store, so
-// without it a concurrent index unlinker clearing the last index bit
-// in that window would retire a tower still linked at level 0 — a
-// retire-before-unreachable that breaks the arena's grace-period
-// contract (the bucket is stamped before the node is unreachable, so
-// a reader pinned one epoch later can stand on the tower when it
-// recycles). Bit 0 is cleared by the remover only AFTER the unlink
-// store, restoring retire-happens-after-unreachable.
+// state packs the tower's lifecycle into one word: the deleted mark
+// plus the linked mask, idxDone and retired, which exist for the
+// arena's sake — they let the last unlinker prove a deleted tower
+// unreachable (see maybeRetire). The linked bits (0..maxLevel-1) cover
+// EVERY level the tower is published at, level 0 included — a bit is
+// set under the predecessor's lock BEFORE the link is stored, so any
+// unlink of that level (which must lock the then-current predecessor)
+// happens-after the set and the clear can never be lost. Bit 0 matters
+// most: deleted is set inside the remover's critical section BEFORE
+// the level-0 unlink store, so without it a concurrent index unlinker
+// clearing the last index bit in that window would retire a tower
+// still linked at level 0 — a retire-before-unreachable that breaks
+// the arena's grace-period contract (the bucket is stamped before the
+// node is unreachable, so a reader pinned one epoch later can stand on
+// the tower when it recycles). Bit 0 is cleared by the remover only
+// AFTER the unlink store, restoring retire-happens-after-unreachable.
 type vbNode struct {
-	val     int64
-	next0   atomic.Pointer[vbNode]
-	up      []atomic.Pointer[vbNode]
-	height  int32
-	deleted atomic.Bool
-	lock    trylock.SpinLock
-	linked  atomic.Uint32
-	idxDone atomic.Bool
-	retired atomic.Bool
+	val   int64
+	next0 atomic.Pointer[vbNode]
+	state atomic.Uint32
+	lock  trylock.SpinLock
+	up    []atomic.Pointer[vbNode]
 }
 
-// at returns the successor link of level l < height.
+// state bits: the per-level linked mask, then the three lifecycle
+// flags. Every bit is set at most once per tower life, and only the
+// linked bits are ever cleared.
+const (
+	stLinked  = 1<<maxLevel - 1
+	stIdxDone = 1 << maxLevel
+	stRetired = 1 << (maxLevel + 1)
+	stDeleted = 1 << (maxLevel + 2)
+)
+
+// height is the number of levels the tower holds.
+func (n *vbNode) height() int { return len(n.up) + 1 }
+
+// at returns the successor link of level l < height().
 func (n *vbNode) at(l int) *atomic.Pointer[vbNode] {
 	if l == 0 {
 		return &n.next0
 	}
 	return &n.up[l-1]
+}
+
+// isDeleted reports the VBL deletion mark.
+func (n *vbNode) isDeleted() bool { return n.state.Load()&stDeleted != 0 }
+
+// setState ORs bits into state (CAS loop: Go 1.22 has no atomic Or).
+func (n *vbNode) setState(bits uint32) {
+	for {
+		old := n.state.Load()
+		if n.state.CompareAndSwap(old, old|bits) {
+			return
+		}
+	}
+}
+
+// markDeleted sets the deletion mark: logical deletion.
+func (n *vbNode) markDeleted() { n.setState(stDeleted) }
+
+// setLinked marks level l as published; callers hold the level's
+// predecessor lock and set the bit before storing the link (see vbNode).
+func (n *vbNode) setLinked(l int) { n.setState(1 << uint(l)) }
+
+// clearLinked marks level l as unlinked again.
+func (n *vbNode) clearLinked(l int) {
+	for {
+		old := n.state.Load()
+		if n.state.CompareAndSwap(old, old&^(1<<uint(l))) {
+			return
+		}
+	}
 }
 
 // Towers taller than one level are the header plus an embedded link
@@ -115,51 +155,31 @@ type (
 )
 
 // allocTower materializes a fresh tower of height h holding v on the
-// heap, sized to h's height class: a bare header at height 1, 80, 112
-// or 216 bytes above it. Every tower is built here — head and tail,
-// GC-mode inserts, and arena-mode inserts whose class has nothing to
-// recycle — so a recycled tower always has its class's capacity.
+// heap, sized to h's height class: the bare 48-byte header at height
+// 1, then 64 (one cache line), 96 or 200 bytes. Every tower is built
+// here — head and tail, GC-mode inserts, and arena-mode inserts whose
+// class has nothing to recycle — so a recycled tower always has its
+// class's capacity.
 func allocTower(v int64, h int) *vbNode {
 	switch towerClass(h) {
 	case 0:
-		//lint:ignore hotalloc a height-1 tower is the bare 64-byte header: the one allocation of an insert the arena cannot serve
-		return &vbNode{val: v, height: int32(h)}
+		//lint:ignore hotalloc a height-1 tower is the bare 48-byte header: the one allocation of an insert the arena cannot serve
+		return &vbNode{val: v}
 	case 1:
-		//lint:ignore hotalloc heights 2-3: header and 2 links in one 80-byte object, the insert's only allocation
-		t := &tower3{vbNode: vbNode{val: v, height: int32(h)}}
+		//lint:ignore hotalloc heights 2-3: header and 2 links in one 64-byte object (one cache line), the insert's only allocation
+		t := &tower3{vbNode: vbNode{val: v}}
 		t.up = t.links[:h-1]
 		return &t.vbNode
 	case 2:
-		//lint:ignore hotalloc heights 4-7: header and 6 links in one 112-byte object, the insert's only allocation
-		t := &tower7{vbNode: vbNode{val: v, height: int32(h)}}
+		//lint:ignore hotalloc heights 4-7: header and 6 links in one 96-byte object, the insert's only allocation
+		t := &tower7{vbNode: vbNode{val: v}}
 		t.up = t.links[:h-1]
 		return &t.vbNode
 	default:
 		//lint:ignore hotalloc heights 8 and up (1 in 128 towers, plus head and tail): header and maxLevel-1 links in one object
-		t := &towerMax{vbNode: vbNode{val: v, height: int32(h)}}
+		t := &towerMax{vbNode: vbNode{val: v}}
 		t.up = t.links[:h-1]
 		return &t.vbNode
-	}
-}
-
-// setLinked marks level l as published (CAS loop: Go 1.22 has no
-// atomic Or).
-func (n *vbNode) setLinked(l int) {
-	for {
-		old := n.linked.Load()
-		if n.linked.CompareAndSwap(old, old|1<<uint(l)) {
-			return
-		}
-	}
-}
-
-// clearLinked marks level l as unlinked again.
-func (n *vbNode) clearLinked(l int) {
-	for {
-		old := n.linked.Load()
-		if n.linked.CompareAndSwap(old, old&^(1<<uint(l))) {
-			return
-		}
 	}
 }
 
@@ -180,7 +200,7 @@ func (n *vbNode) acquire(p *obs.Probes, bo *trylock.Backoff) {
 // probe report. The re-read is racy — a borderline case may be
 // classified either way — which is fine for a counter.
 func (n *vbNode) countIdentityFail(p *obs.Probes) {
-	if n.deleted.Load() {
+	if n.isDeleted() {
 		p.Inc(obs.EvValFailDeleted, n.val)
 	} else {
 		p.Inc(obs.EvValFailSucc, n.val)
@@ -189,7 +209,7 @@ func (n *vbNode) countIdentityFail(p *obs.Probes) {
 
 // countValueFail classifies a failed value validation analogously.
 func (n *vbNode) countValueFail(p *obs.Probes) {
-	if n.deleted.Load() {
+	if n.isDeleted() {
 		p.Inc(obs.EvValFailDeleted, n.val)
 	} else {
 		p.Inc(obs.EvValFailValue, n.val)
@@ -199,14 +219,14 @@ func (n *vbNode) countValueFail(p *obs.Probes) {
 // lockNextAt is the identity-validating value-aware try-lock at level
 // l: lock-free pre-validation, acquire, revalidate under the lock.
 func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes, bo *trylock.Backoff) bool {
-	if n.deleted.Load() || n.at(l).Load() != succ {
+	if n.isDeleted() || n.at(l).Load() != succ {
 		if obs.On(p) {
 			n.countIdentityFail(p)
 		}
 		return false
 	}
 	n.acquire(p, bo)
-	if n.deleted.Load() || n.at(l).Load() != succ {
+	if n.isDeleted() || n.at(l).Load() != succ {
 		n.lock.Unlock()
 		if obs.On(p) {
 			n.countIdentityFail(p)
@@ -219,14 +239,14 @@ func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes, bo *trylock.Back
 // lockNextAtValue is the value-validating try-lock on level 0 — the
 // paper's central novelty, applied verbatim to the membership level.
 func (n *vbNode) lockNextAtValue(v int64, p *obs.Probes, bo *trylock.Backoff) bool {
-	if n.deleted.Load() || n.next0.Load().val != v {
+	if n.isDeleted() || n.next0.Load().val != v {
 		if obs.On(p) {
 			n.countValueFail(p)
 		}
 		return false
 	}
 	n.acquire(p, bo)
-	if n.deleted.Load() || n.next0.Load().val != v {
+	if n.isDeleted() || n.next0.Load().val != v {
 		n.lock.Unlock()
 		if obs.On(p) {
 			n.countValueFail(p)
@@ -293,7 +313,7 @@ func NewVBLevels(levels int) *VB { return newVB(levels, nil) }
 // through a height-classed arena with epoch-based reclamation. Reuse is
 // safe for the same reason as the flat vbl-arena — the protocol is
 // lock-based and the per-operation epoch pin keeps every node an
-// operation discovered alive (and its val, up and height immutable)
+// operation discovered alive (and its val and up immutable)
 // until the operation unpins — see DESIGN.md §15.
 func NewVBArena() *VB {
 	return newVB(DefaultLevels, mem.New[vbNode](mem.Options{Classes: numTowerClasses}))
@@ -393,11 +413,7 @@ func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 			//lint:ignore valimmutable the tower is recycled: past its grace period no reader holds it, and it is unpublished until the level-0 link after this re-initialization
 			n.val = v
 			n.up = n.up[:h-1]
-			n.height = int32(h)
-			n.deleted.Store(false)
-			n.linked.Store(0)
-			n.idxDone.Store(false)
-			n.retired.Store(false)
+			n.state.Store(0)
 			return n
 		}
 	}
@@ -411,22 +427,20 @@ func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 // provably unreachable for new traversals: the remover marked it
 // (deleted), the inserter finished its index maintenance (idxDone),
 // and every level it was published at — level 0 included — has been
-// unlinked again (linked == 0; the remover clears bit 0 only after
-// storing the level-0 unlink, so linked == 0 happens-after the tower
+// unlinked again (no linked bit; the remover clears bit 0 only after
+// storing the level-0 unlink, so an empty mask happens-after the tower
 // became unreachable). Each level is linked at most once per life —
 // only the inserter links it — and unlinked at most once, so the mask
-// is monotone toward zero after idxDone and the condition is stable;
-// the CAS makes the retirement exclusive among the remover, the
-// inserter and the opportunistic unlinkers who may all observe it. A
-// tower whose sweep transiently missed a level is simply never
-// retired — the GC reclaims it once unreachable, it is just not
-// recycled.
+// is monotone toward zero after idxDone and the state is stable; one
+// CAS from exactly deleted|idxDone to deleted|idxDone|retired checks
+// all three facts in a single atomic step and makes the retirement
+// exclusive among the remover, the inserter and the opportunistic
+// unlinkers who may all observe it. A tower whose sweep transiently
+// missed a level is simply never retired — the GC reclaims it once
+// unreachable, it is just not recycled.
 func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
-	if !g.Active() || !n.deleted.Load() || !n.idxDone.Load() || n.linked.Load() != 0 {
-		return
-	}
-	if n.retired.CompareAndSwap(false, true) {
-		g.RetireClass(n, towerClass(int(n.height)))
+	if g.Active() && n.state.CompareAndSwap(stDeleted|stIdxDone, stDeleted|stIdxDone|stRetired) {
+		g.RetireClass(n, towerClass(n.height()))
 	}
 }
 
@@ -447,7 +461,7 @@ func (s *VB) find(g mem.Guard[vbNode], v int64) (preds, succs [maxLevel]*vbNode)
 	for l := s.levels - 1; l >= 0; l-- {
 		curr := pred.at(l).Load()
 		for curr.val < v {
-			if l > 0 && curr.deleted.Load() {
+			if l > 0 && curr.isDeleted() {
 				if s.tryUnlinkLevel(g, pred, curr, l) {
 					curr = pred.at(l).Load()
 				} else {
@@ -473,13 +487,13 @@ func (s *VB) tryUnlinkLevel(g mem.Guard[vbNode], pred, curr *vbNode, l int) bool
 			return false
 		}
 	}
-	if pred.deleted.Load() || pred.at(l).Load() != curr {
+	if pred.isDeleted() || pred.at(l).Load() != curr {
 		return false
 	}
 	if !pred.lock.TryLock() {
 		return false
 	}
-	ok := !pred.deleted.Load() && pred.at(l).Load() == curr
+	ok := !pred.isDeleted() && pred.at(l).Load() == curr
 	if ok {
 		pred.at(l).Store(curr.at(l).Load())
 	}
@@ -507,7 +521,7 @@ func (s *VB) Contains(v int64) bool {
 	for l := s.levels - 1; l >= 1; l-- {
 		curr := pred.at(l).Load()
 		for curr.val < v {
-			if curr.deleted.Load() {
+			if curr.isDeleted() {
 				curr = curr.at(l).Load() // route through, don't adopt
 				continue
 			}
@@ -519,7 +533,7 @@ func (s *VB) Contains(v int64) bool {
 	for curr.val < v {
 		curr = curr.next0.Load()
 	}
-	found := curr.val == v && !curr.deleted.Load()
+	found := curr.val == v && !curr.isDeleted()
 	g.Unpin()
 	return found
 }
@@ -553,7 +567,7 @@ func (s *VB) Insert(v int64) bool {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
 		preds, succs = s.find(g, v)
-		if succs[0].val == v && succs[0].deleted.Load() {
+		if succs[0].val == v && succs[0].isDeleted() {
 			// v's tower is marked but its remover has not yet stored the
 			// level-0 unlink: v is already absent (Contains says so), so
 			// reporting it present would not linearize. Re-find.
@@ -609,7 +623,7 @@ func (s *VB) linkIndex(g mem.Guard[vbNode], n *vbNode, h int, preds, succs [maxL
 index:
 	for l := 1; l < h; l++ {
 		for attempt := 0; ; attempt++ {
-			if n.deleted.Load() {
+			if n.isDeleted() {
 				// A concurrent remove already claimed the node; linking
 				// more index levels would only create orphans.
 				break index
@@ -651,10 +665,10 @@ index:
 			}
 		}
 	}
-	n.idxDone.Store(true)
+	n.setState(stIdxDone)
 	// If a remove raced us, sweep our own index entries; whoever of the
 	// racers observes the fully-unlinked state retires the tower.
-	if n.deleted.Load() {
+	if n.isDeleted() {
 		s.sweep(g, n)
 		s.maybeRetire(g, n)
 	}
@@ -721,7 +735,7 @@ func (s *VB) Remove(v int64) bool {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteUnlink, v)
 		}
-		curr.deleted.Store(true) // logical deletion: v is out, now
+		curr.markDeleted() // logical deletion: v is out, now
 		preds[0].next0.Store(next)
 		curr.clearLinked(0) // after the unlink store: linked==0 now implies unreachable
 		curr.lock.Unlock()
@@ -743,7 +757,7 @@ func (s *VB) Remove(v int64) bool {
 // An injected SiteSkipIndexLink failure abandons the level — membership
 // is unaffected, the orphan is collected by later traversals.
 func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
-	for l := int(n.height) - 1; l >= 1; l-- {
+	for l := n.height() - 1; l >= 1; l-- {
 		for {
 			pred, linked := s.findPredAtLevel(g, n, l)
 			if !linked {
@@ -783,7 +797,7 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 	for lev := s.levels - 1; lev > l; lev-- {
 		curr := pred.at(lev).Load()
 		for curr.val < n.val {
-			if curr.deleted.Load() {
+			if curr.isDeleted() {
 				// Route through without adopting: a deleted pred handed
 				// down to the level-l walk would be returned with its
 				// lock forever untakeable, and sweep's retry loop would
@@ -806,7 +820,7 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 		if curr.val > n.val || curr == s.tail {
 			return nil, false
 		}
-		if curr.deleted.Load() {
+		if curr.isDeleted() {
 			if !s.tryUnlinkLevel(g, pred, curr, l) {
 				return nil, false
 			}
@@ -822,7 +836,7 @@ func (s *VB) Len() int {
 	g := s.arena.Pin()
 	n := 0
 	for curr := s.head.next0.Load(); curr.val != MaxSentinel; curr = curr.next0.Load() {
-		if !curr.deleted.Load() {
+		if !curr.isDeleted() {
 			n++
 		}
 	}
@@ -836,7 +850,7 @@ func (s *VB) Snapshot() []int64 {
 	g := s.arena.Pin()
 	var out []int64
 	for curr := s.head.next0.Load(); curr.val != MaxSentinel; curr = curr.next0.Load() {
-		if !curr.deleted.Load() {
+		if !curr.isDeleted() {
 			out = append(out, curr.val)
 		}
 	}

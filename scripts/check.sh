@@ -44,6 +44,9 @@ go test -race -short -count=1 ./internal/core ./internal/lazy ./internal/harris 
 step "race gate (batch/scan conformance, root package)"
 go test -race -short -count=1 -run 'TestBatch|TestRangeScan|TestShardSeam|TestLoad|TestCapabilityFlags|FuzzBatchVsOracle|TestChaosSkipShardSeamFaults|FuzzSkipVsOracle' .
 
+step "race gate (skip-list tower lifecycle, ×5)"
+go test -race -count=5 -run 'TestVB|TestGivenUp|TestTowerState' ./internal/skiplist
+
 step "benchmark smoke (probes + JSON report, end to end)"
 go run ./cmd/synchrobench -gate smoke
 
