@@ -2,6 +2,7 @@ package listset
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -455,32 +456,45 @@ func TestShardSeamBatch(t *testing.T) {
 	}
 }
 
-// TestShardSeamBatchParallel repeats the seam batch through the
-// parallel fan-out path.
+// TestShardSeamBatchParallel runs the every-third-key batch across all
+// sixteen seams of the sharded skip index, GC and arena: the split
+// hands every shard a sub-batch, each skip list applies it in one
+// pass. (The name is historical: the split once fanned out to one
+// goroutine per shard.)
 func TestShardSeamBatchParallel(t *testing.T) {
-	s := NewVBLShardedRange(16, 0, 1024)
-	type parallelizer interface{ SetBatchParallel(bool) }
-	p, ok := s.(parallelizer)
-	if !ok {
-		t.Fatal("sharded façade lost SetBatchParallel")
-	}
-	p.SetBatchParallel(true)
-	b := AsBatcher(s)
-	var keys []int64
-	for k := int64(0); k < 1024; k += 3 {
-		keys = append(keys, k)
-	}
-	if got, want := b.InsertAll(keys), len(keys); got != want {
-		t.Fatalf("parallel InsertAll = %d, want %d", got, want)
-	}
-	if got := b.ContainsAll(keys); got != len(keys) {
-		t.Fatalf("parallel ContainsAll = %d, want %d", got, len(keys))
-	}
-	if got, want := b.RemoveAll(keys), len(keys); got != want {
-		t.Fatalf("parallel RemoveAll = %d, want %d", got, want)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d after removing everything", s.Len())
+	for _, name := range []string{"vbskip-sharded", "vbskip-sharded-arena"} {
+		t.Run(name, func(t *testing.T) {
+			im, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := im.Preset() // 16 shards
+			opts.Lo, opts.Hi = 0, 1024
+			s, err := im.Build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := AsBatcher(s)
+			var keys []int64
+			for k := int64(0); k < 1024; k += 3 {
+				keys = append(keys, k)
+			}
+			if got, want := b.InsertAll(keys), len(keys); got != want {
+				t.Fatalf("seam InsertAll = %d, want %d", got, want)
+			}
+			if got := b.ContainsAll(keys); got != len(keys) {
+				t.Fatalf("seam ContainsAll = %d, want %d", got, len(keys))
+			}
+			if got := AsRanger(s).RangeScan(0, 1024); !slices.Equal(got, keys) {
+				t.Fatalf("seam RangeScan = %v, want %v", got, keys)
+			}
+			if got, want := b.RemoveAll(keys), len(keys); got != want {
+				t.Fatalf("seam RemoveAll = %d, want %d", got, want)
+			}
+			if s.Len() != 0 {
+				t.Fatalf("Len = %d after removing everything", s.Len())
+			}
+		})
 	}
 }
 

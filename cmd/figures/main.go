@@ -16,7 +16,7 @@
 //	              the sharded VBL under skewed (Zipf θ=0.99), seam and
 //	              moving-hotspot load; the adaptive column runs the
 //	              internal/adapt feedback loops (per-shard AIMD
-//	              backoff, retry-budget tuning, online rebalancing)
+//	              backoff, retry-budget tuning, overload shedding)
 //	-fig replay   audit — Figure 2/3 failpoint replays captured by the
 //	              flight recorder, lifted back to the paper's accepted
 //	              schedules and linearizability-checked (-traceout DIR
@@ -434,9 +434,9 @@ func figureChaos(p protocol) {
 // the same façade with the feedback controller armed, on the three
 // load shapes a static partition handles worst — Zipf θ=0.99 (all
 // heat on shard 0), the seam attack (hot window parked on the
-// key-space midpoint boundary), and the moving hotspot (rebalanced
-// partitions invalidated a phase later). The uniform panel bounds the
-// controller's overhead when there is nothing to adapt to.
+// key-space midpoint boundary), and the moving hotspot (the hot shards
+// change every phase). The uniform panel bounds the controller's
+// overhead when there is nothing to adapt to.
 func figureAdapt(p protocol) {
 	p.header("=== Adaptive contention control: static vs adaptive sharded VBL, 50% updates, key range 20000 ===")
 	const nShards, keyRange = 16, int64(20000)
@@ -446,7 +446,7 @@ func figureAdapt(p protocol) {
 	static.Name = "vbl-s16-static"
 	adaptive := shardedCandidate("vbl", nShards, keyRange)
 	adaptive.Name = "vbl-s16-adapt"
-	adaptive.Adapt = &adapt.Config{Rebalance: true}
+	adaptive.Adapt = &adapt.Config{}
 	cands := []harness.Candidate{static, adaptive}
 
 	uniform := base

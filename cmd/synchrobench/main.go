@@ -62,9 +62,8 @@
 //	-adapt           run the obs-driven feedback controller alongside
 //	                 the workers: AIMD per-shard backoff ceilings,
 //	                 retry-budget tightening under validation-failure
-//	                 storms, online shard rebalancing on sustained load
-//	                 skew (sharded impls), and overload shedding;
-//	                 implies -probes, reports an "adapt" section
+//	                 storms, and overload shedding; implies -probes,
+//	                 reports an "adapt" section
 //	-adapt-interval  controller tick period (default 50ms)
 //	-phases          time-varying workload preset cycling through full
 //	                 workload configs: bursts (read-heavy → write-burst
@@ -168,7 +167,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.hotFrac, "hot-frac", workload.DefaultHotPercent, "percent of traffic in the hot window; used with -dist hotspot")
 	fs.Int64Var(&o.hotLo, "hot-lo", 0, "hot window's lower key bound; used with -dist hotspot")
 	fs.Int64Var(&o.hotWidth, "hot-width", 0, "hot window's key width (0 = range/128); used with -dist hotspot")
-	fs.BoolVar(&o.adaptOn, "adapt", false, "run the adaptive contention controller (implies -probes; rebalancing on sharded impls)")
+	fs.BoolVar(&o.adaptOn, "adapt", false, "run the adaptive contention controller (implies -probes)")
 	fs.DurationVar(&o.adaptEvery, "adapt-interval", 0, "controller tick period (0 = default 50ms)")
 	fs.StringVar(&o.phasePreset, "phases", "", "time-varying workload preset: "+strings.Join(workload.PresetNames(), ", "))
 	fs.DurationVar(&o.phaseDur, "phase-dur", 0, "dwell per phase (0 = default 150ms)")
@@ -251,13 +250,8 @@ func main() {
 		Watchdog:           o.watchdog,
 	}
 	if o.adaptOn {
-		// Rebalancing needs the routing stripes only sharded façades
-		// have; the controller discovers the rest of the actuator
-		// surface itself.
-		cfg.Adapt = &adapt.Config{
-			Interval:  o.adaptEvery,
-			Rebalance: opts.Shards > 0,
-		}
+		// The controller discovers the set's actuator surface itself.
+		cfg.Adapt = &adapt.Config{Interval: o.adaptEvery}
 	}
 	if o.phasePreset != "" {
 		sched, err := workload.Preset(o.phasePreset, wl, o.phaseDur)
@@ -476,9 +470,8 @@ func printHuman(name string, cfg harness.Config, res harness.Result) {
 			r.Ops, r.Restarts, r.EscalatedHead, r.EscalatedBackoff, r.MaxRestarts)
 	}
 	if a := res.Adapt; a != nil {
-		fmt.Printf("adapt         %d ticks: %d/%d backoff widen/decay, %d/%d budget tighten/relax, %d rebalances (%d keys), %d/%d shed/unshed\n",
-			a.Ticks, a.BackoffWiden, a.BackoffDecay, a.BudgetTighten, a.BudgetRelax,
-			a.Rebalances, a.KeysMigrated, a.Sheds, a.Unsheds)
+		fmt.Printf("adapt         %d ticks: %d/%d backoff widen/decay, %d/%d budget tighten/relax, %d/%d shed/unshed\n",
+			a.Ticks, a.BackoffWiden, a.BackoffDecay, a.BudgetTighten, a.BudgetRelax, a.Sheds, a.Unsheds)
 		fmt.Printf("              final budget %d, ceilings %v\n", a.FinalBudget, a.FinalCeilings)
 	}
 	if res.Latency != nil {

@@ -3,25 +3,24 @@
 // probes count which schedules the lists reject — contended try-lock
 // acquisitions, failed validations, escalated retries — and this
 // package samples those counters every control interval and drives
-// three actuators in response (DESIGN.md §14):
+// two actuators in response (DESIGN.md §14):
 //
 //   - per-shard try-lock backoff: AIMD on each shard's spin ceiling
 //     (additive widen for above-fair-share shards while the global
 //     contended-acquisition ratio is high, multiplicative decay when
-//     it is low), through the per-instance trylock.Backoff policies
-//     PR 9's satellite fix introduced;
-//   - retry budget: tighten the prev→head→backoff escalation ladder
-//     under a validation-failure storm, relax it back to the
-//     configured baseline when the storm passes;
-//   - shard boundaries: when the per-shard load histogram stays skewed
-//     for HotStreak intervals, repartition along the weighted quantile
-//     of the observed load (shard.Rebalance's online migration).
+//     it is low), through the per-instance trylock.Backoff policies;
+//   - retry budget: halve the prev→head→backoff escalation ladder's
+//     budget under a validation-failure storm, double it back to the
+//     configured baseline when the storm passes.
+//
+// The shard partition itself is static: the load histogram only
+// localizes which shards' ceilings widen.
 //
 // On top of the loops sits overload shedding: when the contended ratio
-// crosses ShedContention the controller forces batch serialization,
-// pins ceilings at the limit and floors the retry budget — degrading
-// throughput deliberately so the harness watchdog never has to fire —
-// and undoes all of it after ShedRecover quiet intervals.
+// crosses ShedContention the controller pins ceilings at the limit and
+// floors the retry budget — degrading throughput deliberately so the
+// harness watchdog never has to fire — and undoes both after
+// ShedRecover quiet intervals.
 //
 // Every decision is emitted as an obs event (EvAdapt*), so the flight
 // recorder orders adaptations against the contention that caused them
@@ -73,21 +72,6 @@ type Config struct {
 	ValFailHigh float64
 	ValFailLow  float64
 
-	// Rebalance enables the shard-boundary actuator (requires a set
-	// with the shard façade's rebalancing surface).
-	Rebalance bool
-	// HotFactor is the skew trigger: an interval is "hot" when the
-	// busiest shard carries more than HotFactor times its fair share
-	// of the routed operations. Default 2.0.
-	HotFactor float64
-	// HotStreak is how many consecutive hot intervals arm a
-	// rebalance. Default 3.
-	HotStreak int
-	// Cooldown is how many intervals after a rebalance the trigger
-	// stays disarmed, giving the migrated partition time to show in
-	// the load histogram. Default 10.
-	Cooldown int
-
 	// ShedContention is the contended-acquisition ratio that trips
 	// overload shedding (two consecutive intervals). Default 0.50.
 	ShedContention float64
@@ -123,15 +107,6 @@ func (c Config) WithDefaults() Config {
 	if c.ValFailLow == 0 {
 		c.ValFailLow = 0.05
 	}
-	if c.HotFactor == 0 {
-		c.HotFactor = 2.0
-	}
-	if c.HotStreak == 0 {
-		c.HotStreak = 3
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 10
-	}
 	if c.ShedContention == 0 {
 		c.ShedContention = 0.50
 	}
@@ -149,8 +124,6 @@ type Stats struct {
 	BackoffDecay  uint64 `json:"backoff_decay"`
 	BudgetTighten uint64 `json:"budget_tighten"`
 	BudgetRelax   uint64 `json:"budget_relax"`
-	Rebalances    uint64 `json:"rebalances"`
-	KeysMigrated  uint64 `json:"keys_migrated"`
 	Sheds         uint64 `json:"sheds"`
 	Unsheds       uint64 `json:"unsheds"`
 	// FinalBudget and FinalCeilings are the actuator positions at
@@ -160,21 +133,14 @@ type Stats struct {
 	Shedding      bool    `json:"shedding"`
 }
 
-// rebalancer is the shard-façade surface the boundary and per-shard
-// actuators need; *shard.Sharded satisfies it. Declared here so the
-// controller works against any set exposing the same shape without an
-// import cycle.
-type rebalancer interface {
+// shardActuator is the shard-façade surface the per-shard backoff
+// loop needs: the load histogram that picks the hot shards and one
+// backoff policy per shard to widen. *shard.Sharded satisfies it.
+type shardActuator interface {
 	Shards() int
-	Boundaries() []int64
-	FocusRange() (lo, hi int64)
-	EnableRebalance()
 	EnableLoadStats()
 	LoadCounts() []uint64
 	SetShardBackoffs([]*trylock.Backoff)
-	Rebalance(bounds []int64) (moved int, err error)
-	SetBatchParallel(on bool)
-	BatchParallel() bool
 }
 
 // Controller is one feedback loop bound to one set. Construct with
@@ -187,7 +153,7 @@ type Controller struct {
 
 	// Actuator surfaces (nil when the set does not support one).
 	rb       obs.RetryBudgeted
-	sharded  rebalancer
+	sharded  shardActuator
 	backoffs []*trylock.Backoff // per shard, or one entry for plain sets
 
 	// Tick state (single-goroutine; tests drive tick() directly).
@@ -195,12 +161,9 @@ type Controller struct {
 	prevOps   uint64
 	prevLoads []uint64
 	budget    int
-	hotTicks  int
-	cooldown  int
 	hiTicks   int // consecutive intervals at/above ShedContention
 	quiet     int // consecutive intervals below ContentionHigh while shedding
 	shedding  bool
-	wasPar    bool // batch-parallel setting to restore on unshed
 
 	stats Stats
 	stop  chan struct{}
@@ -210,7 +173,7 @@ type Controller struct {
 // New binds a controller to set, discovering which actuator surfaces
 // it offers, and pre-positions them (budget at BudgetBase, default
 // ceilings). Must run before the set is shared: it arms the shard
-// façade's load stats and, with cfg.Rebalance, its routing stripes.
+// façade's load stats.
 // ops must return the cumulative operation count the controller
 // normalizes counter deltas by (monotone, safe to call concurrently).
 func New(set any, p *obs.Probes, ops func() uint64, cfg Config) *Controller {
@@ -227,12 +190,9 @@ func New(set any, p *obs.Probes, ops func() uint64, cfg Config) *Controller {
 		c.rb = rb
 		rb.SetRetryBudget(c.budget)
 	}
-	if sh, ok := set.(rebalancer); ok {
+	if sh, ok := set.(shardActuator); ok {
 		c.sharded = sh
 		sh.EnableLoadStats()
-		if cfg.Rebalance {
-			sh.EnableRebalance()
-		}
 		bs := make([]*trylock.Backoff, sh.Shards())
 		for i := range bs {
 			bs[i] = trylock.NewBackoff()
@@ -240,7 +200,6 @@ func New(set any, p *obs.Probes, ops func() uint64, cfg Config) *Controller {
 		sh.SetShardBackoffs(bs)
 		c.backoffs = bs
 		c.prevLoads = make([]uint64, len(bs))
-		c.wasPar = sh.BatchParallel()
 	} else if b := trylock.NewBackoff(); trylock.AttachBackoff(set, b) {
 		c.backoffs = []*trylock.Backoff{b}
 	}
@@ -311,7 +270,6 @@ func (c *Controller) tick() {
 	if !c.shedding {
 		c.adaptBackoff(contention, loads)
 		c.adaptBudget(valfail)
-		c.adaptBoundaries(loads)
 	}
 }
 
@@ -338,17 +296,13 @@ func (c *Controller) adaptShedding(contention float64) {
 	}
 }
 
-// shed trips the overload state: serialize batches, pin ceilings at
-// the limit (waiters sleep instead of stampeding the lock words),
-// floor the retry budget (doomed ops give up their window early).
+// shed trips the overload state: pin ceilings at the limit (waiters
+// sleep instead of stampeding the lock words) and floor the retry
+// budget (doomed ops give up their window early).
 func (c *Controller) shed() {
 	c.shedding = true
 	c.hiTicks, c.quiet = 0, 0
 	c.stats.Sheds++
-	if c.sharded != nil {
-		c.wasPar = c.sharded.BatchParallel()
-		c.sharded.SetBatchParallel(false)
-	}
 	for _, b := range c.backoffs {
 		b.SetCeiling(trylock.CeilingLimit)
 	}
@@ -361,9 +315,6 @@ func (c *Controller) shed() {
 func (c *Controller) unshed() {
 	c.shedding = false
 	c.stats.Unsheds++
-	if c.sharded != nil {
-		c.sharded.SetBatchParallel(c.wasPar)
-	}
 	for _, b := range c.backoffs {
 		b.SetCeiling(trylock.DefaultMaxSpin)
 	}
@@ -377,7 +328,9 @@ func (c *Controller) unshed() {
 // stripe heatmap can only detect); multiplicative decrease relaxes
 // everyone once the contention signal clears the low-water mark.
 // Between the marks: the hysteresis dead band where a stationary
-// workload comes to rest.
+// workload comes to rest. A ceiling already at its bound (the limit
+// for a widen, the default for a decay) is left alone and not counted:
+// every counted decision is an actual change.
 func (c *Controller) adaptBackoff(contention float64, loads []uint64) {
 	if len(c.backoffs) == 0 {
 		return
@@ -385,11 +338,11 @@ func (c *Controller) adaptBackoff(contention float64, loads []uint64) {
 	switch {
 	case contention > c.cfg.ContentionHigh:
 		for i, b := range c.backoffs {
-			if !c.aboveFairShare(loads, i) {
+			cur := b.Ceiling()
+			if cur >= trylock.CeilingLimit || !aboveFairShare(loads, i) {
 				continue
 			}
-			next := b.Ceiling() + c.cfg.CeilingStep
-			b.SetCeiling(next) // clamps at CeilingLimit
+			b.SetCeiling(cur + c.cfg.CeilingStep) // clamps at CeilingLimit
 			c.stats.BackoffWiden++
 			c.emit(obs.EvAdaptBackoffWiden, int64(i))
 		}
@@ -422,9 +375,7 @@ func (c *Controller) loadDeltas() []uint64 {
 	}
 	d := make([]uint64, len(cur))
 	for i := range cur {
-		if i < len(c.prevLoads) && cur[i] >= c.prevLoads[i] {
-			d[i] = cur[i] - c.prevLoads[i]
-		}
+		d[i] = cur[i] - c.prevLoads[i]
 	}
 	c.prevLoads = cur
 	return d
@@ -433,7 +384,7 @@ func (c *Controller) loadDeltas() []uint64 {
 // aboveFairShare reports whether shard i carried more than its fair
 // share this interval. With no load histogram (plain sets, disabled
 // stats) every policy is eligible — the single-policy degenerate case.
-func (c *Controller) aboveFairShare(loads []uint64, i int) bool {
+func aboveFairShare(loads []uint64, i int) bool {
 	if len(loads) <= 1 {
 		return true
 	}
@@ -480,56 +431,4 @@ func (c *Controller) setBudget(k int) {
 	if c.rb != nil {
 		c.rb.SetRetryBudget(k)
 	}
-}
-
-// adaptBoundaries watches the load histogram for sustained skew and
-// repartitions along its weighted quantile.
-func (c *Controller) adaptBoundaries(loads []uint64) {
-	if c.sharded == nil || !c.cfg.Rebalance || loads == nil {
-		return
-	}
-	if c.cooldown > 0 {
-		c.cooldown--
-		return
-	}
-	if !c.skewed(loads) {
-		c.hotTicks = 0
-		return
-	}
-	c.hotTicks++
-	if c.hotTicks < c.cfg.HotStreak {
-		return
-	}
-	c.hotTicks = 0
-	lo, hi := c.sharded.FocusRange()
-	bounds := quantileBounds(c.sharded.Boundaries(), lo, hi, loads)
-	if bounds == nil {
-		return
-	}
-	moved, err := c.sharded.Rebalance(bounds)
-	if err != nil {
-		return
-	}
-	c.stats.Rebalances++
-	c.stats.KeysMigrated += uint64(moved)
-	c.cooldown = c.cfg.Cooldown
-	c.emit(obs.EvAdaptRebalance, int64(moved))
-	// The histogram now describes a dead partition; resample fresh.
-	c.prevLoads = c.sharded.LoadCounts()
-}
-
-// skewed reports whether the busiest shard exceeds HotFactor times
-// its fair share.
-func (c *Controller) skewed(loads []uint64) bool {
-	var total, max uint64
-	for _, l := range loads {
-		total += l
-		if l > max {
-			max = l
-		}
-	}
-	if total == 0 {
-		return false
-	}
-	return float64(max)*float64(len(loads)) > c.cfg.HotFactor*float64(total)
 }

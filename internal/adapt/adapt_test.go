@@ -1,6 +1,7 @@
 package adapt
 
 import (
+	"encoding/json"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -10,48 +11,25 @@ import (
 	"listset/internal/trylock"
 )
 
-// fakeShard is a minimal rebalancer + RetryBudgeted the state-machine
-// tests drive: the test feeds per-interval loads and reads back what
-// the controller actuated.
+// fakeShard is a minimal shardActuator + RetryBudgeted the
+// state-machine tests drive: the test feeds per-interval loads and
+// reads back what the controller actuated.
 type fakeShard struct {
-	bounds     []int64
-	lo, hi     int64
-	cum        []uint64 // cumulative per-shard loads (test appends)
-	backoffs   []*trylock.Backoff
-	parallel   bool
-	budget     int
-	rebalanced [][]int64
-	loadStats  bool
-	armed      bool
+	cum       []uint64 // cumulative per-shard loads (test appends)
+	backoffs  []*trylock.Backoff
+	budget    int
+	loadStats bool
 }
 
-func newFakeShard(shards int, lo, hi int64) *fakeShard {
-	f := &fakeShard{lo: lo, hi: hi, cum: make([]uint64, shards), parallel: true}
-	span := (hi - lo) / int64(shards)
-	for i := 0; i < shards; i++ {
-		f.bounds = append(f.bounds, lo+int64(i)*span)
-	}
-	return f
-}
+func newFakeShard(shards int) *fakeShard { return &fakeShard{cum: make([]uint64, shards)} }
 
 func (f *fakeShard) Shards() int                            { return len(f.cum) }
-func (f *fakeShard) Boundaries() []int64                    { return append([]int64(nil), f.bounds...) }
-func (f *fakeShard) FocusRange() (int64, int64)             { return f.lo, f.hi }
-func (f *fakeShard) EnableRebalance()                       { f.armed = true }
 func (f *fakeShard) EnableLoadStats()                       { f.loadStats = true }
 func (f *fakeShard) SetShardBackoffs(bs []*trylock.Backoff) { f.backoffs = bs }
-func (f *fakeShard) SetBatchParallel(on bool)               { f.parallel = on }
-func (f *fakeShard) BatchParallel() bool                    { return f.parallel }
 func (f *fakeShard) SetRetryBudget(k int)                   { f.budget = k }
 func (f *fakeShard) RetryStats() obs.RetryStats             { return obs.RetryStats{} }
 
 func (f *fakeShard) LoadCounts() []uint64 { return append([]uint64(nil), f.cum...) }
-
-func (f *fakeShard) Rebalance(bounds []int64) (int, error) {
-	f.rebalanced = append(f.rebalanced, append([]int64(nil), bounds...))
-	f.bounds = append([]int64(nil), bounds...)
-	return 42, nil
-}
 
 // harness bundles a controller with hand-cranked signal sources.
 type harness struct {
@@ -64,7 +42,7 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
-	h := &harness{p: obs.NewProbes(), f: newFakeShard(4, 0, 4000)}
+	h := &harness{p: obs.NewProbes(), f: newFakeShard(4)}
 	h.c = New(h.f, h.p, h.ops.Load, cfg)
 	if h.f.budget != h.c.cfg.BudgetBase {
 		t.Fatalf("New did not pre-position the budget: %d, want %d", h.f.budget, h.c.cfg.BudgetBase)
@@ -105,7 +83,7 @@ var uniform = []uint64{100, 100, 100, 100}
 func TestAIMDStationaryConvergence(t *testing.T) {
 	prop := func(ratioPct uint8, hotShard uint8, skewed bool) bool {
 		ratio := float64(ratioPct%100) / 100
-		h := newHarness(t, Config{Rebalance: false})
+		h := newHarness(t, Config{})
 		weights := append([]uint64(nil), uniform...)
 		if skewed {
 			weights[int(hotShard)%4] = 5000
@@ -190,19 +168,15 @@ func TestBudgetStormAndRecovery(t *testing.T) {
 	}
 }
 
-// TestSheddingTripsAndRecovers: sustained overload must serialize
-// batches, pin ceilings and floor the budget — then restore all three
-// after the recovery streak.
+// TestSheddingTripsAndRecovers: sustained overload must pin ceilings
+// and floor the budget — then restore both after the recovery streak.
 func TestSheddingTripsAndRecovers(t *testing.T) {
 	h := newHarness(t, Config{ShedRecover: 3})
 	h.interval(0.80, 0.0, uniform)
-	if !h.f.parallel {
+	if h.c.shedding || h.f.budget != h.c.cfg.BudgetBase {
 		t.Fatal("shed tripped after a single hot interval; needs two")
 	}
 	h.interval(0.80, 0.0, uniform)
-	if h.f.parallel {
-		t.Fatal("batches still parallel under overload")
-	}
 	if h.f.budget != h.c.cfg.BudgetMin {
 		t.Fatalf("budget = %d under shed, want floor %d", h.f.budget, h.c.cfg.BudgetMin)
 	}
@@ -214,8 +188,10 @@ func TestSheddingTripsAndRecovers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h.interval(0.01, 0.0, uniform)
 	}
-	if !h.f.parallel {
-		t.Fatal("batch parallelism not restored after recovery")
+	for _, b := range h.f.backoffs {
+		if b.Ceiling() != trylock.DefaultMaxSpin {
+			t.Fatalf("ceiling = %d after unshed, want default %d", b.Ceiling(), trylock.DefaultMaxSpin)
+		}
 	}
 	if h.f.budget != h.c.cfg.BudgetBase {
 		t.Fatalf("budget = %d after unshed, want base %d", h.f.budget, h.c.cfg.BudgetBase)
@@ -230,47 +206,74 @@ func TestSheddingTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestRebalanceTriggerAndCooldown: sustained skew arms the boundary
-// actuator after HotStreak intervals, exactly once per cooldown.
+// TestRebalanceTriggerAndCooldown: sustained skew is not a trigger
+// for anything beyond the backoff loop. Forty skewed intervals in the
+// dead band move no ceiling, and the only adapt events and stats are
+// ticks; the report's adapt section carries no partition fields.
 func TestRebalanceTriggerAndCooldown(t *testing.T) {
-	h := newHarness(t, Config{Rebalance: true, HotStreak: 3, Cooldown: 5})
-	if !h.f.armed {
-		t.Fatal("New with Rebalance did not arm the façade")
-	}
+	h := newHarness(t, Config{})
 	skew := []uint64{3700, 100, 100, 100}
-	for i := 0; i < 3; i++ {
-		if len(h.f.rebalanced) != 0 {
-			t.Fatalf("rebalanced after only %d hot intervals", i)
-		}
+	for i := 0; i < 40; i++ {
 		h.interval(0.05, 0.0, skew)
 	}
-	if len(h.f.rebalanced) != 1 {
-		t.Fatalf("rebalances = %d after the streak, want 1", len(h.f.rebalanced))
-	}
-	nb := h.f.rebalanced[0]
-	// The quantile split must shrink the hot shard: its upper bound
-	// moves down toward the load mass.
-	if nb[1] >= 1000 {
-		t.Fatalf("new bound[1] = %d, want < 1000 (hot shard 0 must shrink)", nb[1])
-	}
-	for i := 1; i < len(nb); i++ {
-		if nb[i] <= nb[i-1] {
-			t.Fatalf("bounds not strictly increasing: %v", nb)
+	for i, b := range h.f.backoffs {
+		if b.Ceiling() != trylock.DefaultMaxSpin {
+			t.Fatalf("shard %d ceiling = %d under dead-band skew, want %d", i, b.Ceiling(), trylock.DefaultMaxSpin)
 		}
 	}
-	// Cooldown: five more skewed intervals must not re-trigger.
-	for i := 0; i < 5; i++ {
-		h.interval(0.05, 0.0, skew)
-	}
-	if len(h.f.rebalanced) != 1 {
-		t.Fatalf("rebalances = %d during cooldown, want still 1", len(h.f.rebalanced))
+	snap := h.p.Snapshot()
+	for ev := obs.EvAdaptBackoffWiden; ev <= obs.EvAdaptUnshed; ev++ {
+		if snap[ev] != 0 {
+			t.Fatalf("event %s = %d under dead-band skew, want 0", ev, snap[ev])
+		}
 	}
 	st := h.c.snapshotStats()
-	if st.Rebalances != 1 || st.KeysMigrated != 42 {
-		t.Fatalf("stats rebalances/keys = %d/%d, want 1/42", st.Rebalances, st.KeysMigrated)
+	if st.Ticks != 40 || st.BackoffWiden+st.BackoffDecay+st.BudgetTighten+st.BudgetRelax+st.Sheds+st.Unsheds != 0 {
+		t.Fatalf("stats = %+v, want 40 ticks and no decision", st)
 	}
-	if h.p.Snapshot()[obs.EvAdaptRebalance] != 1 {
-		t.Fatal("rebalance event not emitted")
+	js, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(js, &keys); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"ticks", "backoff_widen", "backoff_decay", "budget_tighten", "budget_relax",
+		"sheds", "unsheds", "final_budget", "final_ceilings", "shedding"}
+	if len(keys) != len(want) {
+		t.Fatalf("adapt section keys = %v, want exactly %v", keys, want)
+	}
+	for _, k := range want {
+		if _, ok := keys[k]; !ok {
+			t.Fatalf("adapt section lacks %q: %s", k, js)
+		}
+	}
+}
+
+// TestWidenCountsOnlyCeilingChanges: once a hot shard's ceiling sits at
+// CeilingLimit, further hot intervals change nothing, so they must
+// count no widen and emit no widen event.
+func TestWidenCountsOnlyCeilingChanges(t *testing.T) {
+	h := newHarness(t, Config{})
+	hot := []uint64{5000, 100, 100, 100}
+	changes := uint64(0)
+	for i := 0; i < 60; i++ {
+		before := h.f.backoffs[0].Ceiling()
+		h.interval(0.30, 0.0, hot)
+		if h.f.backoffs[0].Ceiling() != before {
+			changes++
+		}
+	}
+	if c := h.f.backoffs[0].Ceiling(); c != trylock.CeilingLimit {
+		t.Fatalf("hot ceiling = %d after 60 hot ticks, want the limit %d", c, trylock.CeilingLimit)
+	}
+	st := h.c.snapshotStats()
+	if st.BackoffWiden != changes {
+		t.Fatalf("BackoffWiden = %d, want the %d actual ceiling changes", st.BackoffWiden, changes)
+	}
+	if ev := h.p.Snapshot()[obs.EvAdaptBackoffWiden]; ev != changes {
+		t.Fatalf("%s events = %d, want %d", obs.EvAdaptBackoffWiden, ev, changes)
 	}
 }
 

@@ -65,11 +65,10 @@ var hotNames = map[string]bool{
 	"containsall": true,
 	"rangescan":   true,
 	// The adaptive-contention layer (DESIGN.md §14): shardOf is the
-	// façade's routing decision, taken on every operation — twice
-	// while a migration is in flight — and the controller's tick runs
-	// its whole signal->actuator loop; a hidden closure there turns
-	// every control interval into GC pressure the backoff math never
-	// priced.
+	// façade's routing decision, taken on every operation, and the
+	// controller's tick runs its whole signal->actuator loop; a hidden
+	// closure there turns every control interval into GC pressure the
+	// backoff math never priced.
 	"shardof": true,
 	"tick":    true,
 	// The skip lists' entry points (DESIGN.md §15): tower

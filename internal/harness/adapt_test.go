@@ -29,7 +29,7 @@ func TestRunWithAdaptOnSharded(t *testing.T) {
 		Dist: workload.DistHotspot, HotLo: 0, HotWidth: 64,
 	}
 	cfg.Probes = obs.NewProbes()
-	cfg.Adapt = &adapt.Config{Interval: 2 * time.Millisecond, Rebalance: true, HotStreak: 2, Cooldown: 2}
+	cfg.Adapt = &adapt.Config{Interval: 2 * time.Millisecond}
 	cfg.Duration = 60 * time.Millisecond
 	cfg.Warmup = 20 * time.Millisecond
 	cfg.Runs = 1
@@ -116,8 +116,7 @@ func TestValidatePhasesRangeCovered(t *testing.T) {
 	}
 }
 
-// shardMapSet is mapSet's shard.Set twin (Len/Snapshot/RangeScan for
-// the façade's migration machinery).
+// shardMapSet is mapSet's shard.Set twin.
 type shardMapSet struct {
 	mu sync.Mutex
 	m  map[int64]bool

@@ -116,11 +116,8 @@ const (
 	// EvAdaptBudgetRelax counts controller decisions that relaxed the
 	// retry budget back toward its configured value when quiet.
 	EvAdaptBudgetRelax
-	// EvAdaptRebalance counts shard-boundary rebalances: one count per
-	// completed weighted-quantile repartition + migration.
-	EvAdaptRebalance
-	// EvAdaptShed counts transitions into overload shedding (batch
-	// serialization forced, backoff widened, budget floored).
+	// EvAdaptShed counts transitions into overload shedding (spin
+	// ceilings pinned at the limit, retry budget floored).
 	EvAdaptShed
 	// EvAdaptUnshed counts recoveries out of overload shedding.
 	EvAdaptUnshed
@@ -172,7 +169,6 @@ var eventNames = [NumEvents]string{
 	EvAdaptBackoffDecay:    "adapt_backoff_decay",
 	EvAdaptBudgetTighten:   "adapt_budget_tighten",
 	EvAdaptBudgetRelax:     "adapt_budget_relax",
-	EvAdaptRebalance:       "adapt_rebalance",
 	EvAdaptShed:            "adapt_shed",
 	EvAdaptUnshed:          "adapt_unshed",
 	EvSkipRestartL0:        "skip_restart_l0",

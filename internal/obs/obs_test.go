@@ -90,7 +90,6 @@ func TestEventNamesStable(t *testing.T) {
 		EvAdaptBackoffDecay:    "adapt_backoff_decay",
 		EvAdaptBudgetTighten:   "adapt_budget_tighten",
 		EvAdaptBudgetRelax:     "adapt_budget_relax",
-		EvAdaptRebalance:       "adapt_rebalance",
 		EvAdaptShed:            "adapt_shed",
 		EvAdaptUnshed:          "adapt_unshed",
 		EvSkipRestartL0:        "skip_restart_l0",

@@ -49,11 +49,10 @@ func (s RetryStats) Add(o RetryStats) RetryStats {
 // measured interval with two Stats reads. MaxRestarts carries s's
 // value unchanged: a maximum has no meaningful delta, and the worst op
 // seen by the later snapshot is still the honest "worst so far". The
-// subtraction saturates at zero per field: an online rebalance swaps
-// fresh shard slots (fresh retry counters) into the aggregate
-// mid-interval, so a later snapshot can legitimately read lower — the
-// saturated delta undercounts the migrated shards' tail, which is the
-// honest floor, instead of wrapping to 2^64.
+// counters behind each field are monotone, so two in-order reads of
+// one set never go negative; the subtraction still saturates at zero
+// per field, so reads passed out of order (or taken from two different
+// sets) floor at zero instead of wrapping to 2^64.
 func (s RetryStats) Sub(o RetryStats) RetryStats {
 	sat := func(a, b uint64) uint64 {
 		if a < b {

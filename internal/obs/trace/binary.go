@@ -14,7 +14,7 @@ import (
 // Layout (all little-endian):
 //
 //	offset size  field
-//	0      8     magic "LSTRACE1"
+//	0      8     magic "LSTRACE2"
 //	8      4     workers (uint32)
 //	12     4     depth (uint32)
 //	16     8     drops (uint64)
@@ -22,8 +22,11 @@ import (
 //	32     32×n  records: seq, time, key (8 bytes each),
 //	             worker (int32), kind, op, aux, flags (1 byte each)
 
-// binaryMagic identifies (and versions) the format.
-const binaryMagic = "LSTRACE1"
+// binaryMagic identifies (and versions) the format. Event records
+// store the obs.Event number, so the version changes whenever the event
+// numbering does: LSTRACE1 captures predate the removal of
+// adapt_rebalance and would decode every later event one slot off.
+const binaryMagic = "LSTRACE2"
 
 // recordSize is the on-disk size of one record.
 const recordSize = 32

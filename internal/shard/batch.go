@@ -1,10 +1,6 @@
 package shard
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
-
 	"listset/internal/batch"
 	"listset/internal/obs"
 )
@@ -20,14 +16,7 @@ import (
 //
 // Shards whose backing set implements Batcher get the sub-batch in one
 // native call; others fall back to a per-key loop over the same
-// (already sorted, deduplicated) sub-slice. With SetBatchParallel the
-// non-empty sub-batches run concurrently, one goroutine per shard —
-// safe because sub-batches touch disjoint shards and disjoint keys.
-//
-// On a rebalance-armed façade a batch holds every routing stripe
-// shared for its duration, so it executes against one routing state;
-// mid-migration the batch splits at the watermark and the two halves
-// run against the generation that owns them.
+// (already sorted, deduplicated) sub-slice.
 
 // Batcher is the native batch surface a shard's backing set may
 // provide. Keys passed down are sorted and deduplicated already;
@@ -50,17 +39,6 @@ type Ranger interface {
 type Loader interface {
 	Load(keys []int64) int
 }
-
-// SetBatchParallel enables (or disables) fanning a batch's per-shard
-// sub-batches out to one goroutine per non-empty shard. Off by
-// default: parallel pays off for large batches over many shards, and
-// costs a goroutine spawn per shard otherwise. Safe to toggle while
-// operations are in flight — the adaptive controller forces batches
-// serial to shed overload.
-func (s *Sharded) SetBatchParallel(on bool) { s.parallel.Store(on) }
-
-// BatchParallel reports the current batch fan-out setting.
-func (s *Sharded) BatchParallel() bool { return s.parallel.Load() }
 
 // batchOp is one per-shard batch primitive: apply ks to the slot's set
 // and return the effective-operation count.
@@ -118,78 +96,32 @@ func batchLoad(set Set, ks []int64) int {
 	return n
 }
 
-// apply routes the sorted, deduplicated keys ks to the generation (or,
-// mid-migration, generations) that own them and returns the summed
-// count.
+// apply splits the sorted, deduplicated keys ks into per-shard
+// sub-batches, applies op to each non-empty one in shard order and
+// returns the summed count.
 func (s *Sharded) apply(ks []int64, op batchOp) int {
-	if len(ks) == 0 {
-		return 0
-	}
-	if !s.rebalanceable {
-		return s.applyGen(s.gen.Load(), ks, op)
-	}
-	s.locks.rlockAll()
-	defer s.locks.runlockAll()
-	if m := s.mig.Load(); m != nil {
-		// Split at the watermark: the migrated prefix belongs to the
-		// new generation, the rest to the old. ks is sorted, so both
-		// halves stay contiguous sub-slices.
-		w := m.watermark.Load()
-		cut := sort.Search(len(ks), func(i int) bool { return ks[i] >= w })
-		return s.applyGen(m.to, ks[:cut], op) + s.applyGen(m.from, ks[cut:], op)
-	}
-	return s.applyGen(s.gen.Load(), ks, op)
-}
-
-// applyGen splits ks into per-shard sub-batches of one generation and
-// applies op to each non-empty one, sequentially or in parallel.
-func (s *Sharded) applyGen(g *generation, ks []int64, op batchOp) int {
 	if len(ks) == 0 {
 		return 0
 	}
 	// Locate each shard's sub-slice by binary search against its key
 	// span [start, end): start bounds come from the monotone partition,
 	// so the sub-slices tile ks exactly.
-	type sub struct {
-		slot int
-		ks   []int64
-	}
-	var subs []sub
-	lo, hi := g.shardOf(ks[0]), g.shardOf(ks[len(ks)-1])
+	total := 0
+	lo, hi := s.shardOf(ks[0]), s.shardOf(ks[len(ks)-1])
 	rest := ks
 	for i := lo; i <= hi && len(rest) > 0; i++ {
-		var part []int64
-		if i == hi {
-			part, rest = rest, nil
-		} else {
-			end := g.boundary(i + 1)
-			part = batch.Span(rest, rest[0], end)
-			rest = rest[len(part):]
+		part := rest
+		if i < hi {
+			part = batch.Span(rest, rest[0], s.boundary(i+1))
 		}
+		rest = rest[len(part):]
 		if len(part) == 0 {
 			continue
 		}
-		subs = append(subs, sub{slot: i, ks: part})
 		if p := s.probes; obs.On(p) {
 			p.Inc(obs.EvBatchSplit, part[0])
 		}
-	}
-	if s.parallel.Load() && len(subs) > 1 {
-		var total atomic.Int64
-		var wg sync.WaitGroup
-		for _, sb := range subs {
-			wg.Add(1)
-			go func(sb sub) {
-				defer wg.Done()
-				total.Add(int64(op(g.slots[sb.slot].set, sb.ks)))
-			}(sb)
-		}
-		wg.Wait()
-		return int(total.Load())
-	}
-	total := 0
-	for _, sb := range subs {
-		total += op(g.slots[sb.slot].set, sb.ks)
+		total += op(s.slots[i].set, part)
 	}
 	return total
 }
@@ -239,36 +171,47 @@ func (s *Sharded) RangeScan(lo, hi int64) []int64 {
 	if hi <= lo {
 		return nil
 	}
-	if !s.rebalanceable {
-		return s.gen.Load().rangeScan(lo, hi)
+	var out []int64
+	for i := s.shardOf(lo); i <= s.shardOf(hi-1); i++ {
+		set := s.slots[i].set
+		if r, ok := set.(Ranger); ok {
+			out = append(out, r.RangeScan(lo, hi)...)
+			continue
+		}
+		for _, v := range set.Snapshot() {
+			if v >= lo && v < hi {
+				out = append(out, v)
+			}
+		}
 	}
-	s.locks.rlockAll()
-	defer s.locks.runlockAll()
-	if m := s.mig.Load(); m != nil {
-		// Migrated keys all precede unmigrated ones, so the
-		// concatenation stays sorted.
-		return append(m.to.rangeScan(lo, hi), m.from.rangeScan(lo, hi)...)
-	}
-	return s.gen.Load().rangeScan(lo, hi)
+	return out
 }
 
 // Ascend calls yield for every key >= from in ascending order until
 // yield returns false or the set ends, walking the shards in partition
 // order. Shards without a native Ascend iterate their Snapshot.
 func (s *Sharded) Ascend(from int64, yield func(int64) bool) {
-	if !s.rebalanceable {
-		s.gen.Load().ascend(from, yield)
-		return
-	}
-	s.locks.rlockAll()
-	defer s.locks.runlockAll()
-	if m := s.mig.Load(); m != nil {
-		if !m.to.ascend(from, yield) {
-			m.from.ascend(from, yield)
+	stopped := false
+	for i := s.shardOf(from); i < len(s.slots) && !stopped; i++ {
+		set := s.slots[i].set
+		if r, ok := set.(Ranger); ok {
+			//lint:ignore hotalloc the stop-propagating wrapper must capture yield and stopped to end the walk across shard boundaries; one closure per shard per scan, amortized over the whole walk
+			r.Ascend(from, func(v int64) bool {
+				if !yield(v) {
+					stopped = true
+					return false
+				}
+				return true
+			})
+			continue
 		}
-		return
+		for _, v := range set.Snapshot() {
+			if v >= from && !yield(v) {
+				stopped = true
+				break
+			}
+		}
 	}
-	s.gen.Load().ascend(from, yield)
 }
 
 var (

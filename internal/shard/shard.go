@@ -27,25 +27,15 @@
 // so shard i's keys all precede shard i+1's and Snapshot is a plain
 // concatenation of per-shard snapshots, still in ascending order.
 //
-// # Generations and online rebalancing
-//
-// The partition lives in an immutable generation: a boundary table
-// plus the slots it routes into. A static set keeps one generation for
-// its whole life and routing is a comparison, a subtraction, one shift
-// and one clamp — no division, no hashing. EnableRebalance arms the
-// façade for online repartitioning (DESIGN.md §14): Rebalance builds a
-// fresh generation from an explicit boundary table (weighted-quantile
-// splits come from internal/adapt) and migrates keys chunk by chunk
-// behind a watermark, routing every operation through a striped
-// read-lock so each op executes against exactly one routing state.
-// Unarmed sets never touch the stripes: the fast path is one atomic
-// generation-pointer load on top of the original routing.
+// The partition is fixed at construction: a focus range split into S
+// power-of-two spans, so routing is a comparison, a subtraction, one
+// shift and one clamp — no division, no hashing, no locks and no
+// indirection beyond the slot table.
 package shard
 
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -95,203 +85,6 @@ type slot struct {
 	_   [(cacheLine - unsafe.Sizeof(Set(nil))%cacheLine) % cacheLine]byte
 }
 
-// generation is one immutable routing epoch: the boundary table and
-// the slots it routes into. Every field is fixed at construction, so a
-// generation can be read without synchronization once published
-// through the façade's atomic pointer.
-type generation struct {
-	lo    int64 // lower edge of the focus range
-	shift uint  // log2 of the per-shard key span (uniform routing)
-	// bounds, when non-nil, replaces the uniform shift routing: element
-	// i is the inclusive lower key bound of shard i, strictly
-	// increasing from index 1. Element 0 is conceptually -inf (shard 0
-	// also owns every key below the focus range) and stores the focus
-	// lower edge for reporting. Routing is a binary search, still a
-	// monotone function of the key.
-	bounds []int64
-	slots  []slot
-}
-
-// shardOf maps a key to its owning slot index. It is a pure, monotone
-// function of the key: k1 <= k2 implies shardOf(k1) <= shardOf(k2),
-// which is what keeps Snapshot a plain concatenation.
-func (g *generation) shardOf(k int64) int {
-	if g.bounds != nil {
-		// Greatest i with bounds[i] <= k; keys below bounds[1] belong
-		// to shard 0 regardless of the stored bounds[0].
-		i, j := 1, len(g.bounds)
-		for i < j {
-			h := int(uint(i+j) >> 1)
-			if g.bounds[h] <= k {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		return i - 1
-	}
-	if k < g.lo {
-		return 0
-	}
-	idx := (uint64(k) - uint64(g.lo)) >> g.shift
-	if idx >= uint64(len(g.slots)) {
-		idx = uint64(len(g.slots) - 1)
-	}
-	return int(idx)
-}
-
-// boundary returns the inclusive lower key bound of shard i, saturated
-// at MaxInt64 on overflow.
-func (g *generation) boundary(i int) int64 {
-	if g.bounds != nil {
-		return g.bounds[i]
-	}
-	off := uint64(i) << g.shift
-	b := int64(uint64(g.lo) + off)
-	if off>>g.shift != uint64(i) || b < g.lo {
-		return 1<<63 - 1
-	}
-	return b
-}
-
-// boundaries returns the full boundary table (see Sharded.Boundaries).
-func (g *generation) boundaries() []int64 {
-	out := make([]int64, len(g.slots))
-	for i := range out {
-		out[i] = g.boundary(i)
-	}
-	return out
-}
-
-// length sums the shard lengths of this generation.
-func (g *generation) length() int {
-	n := 0
-	for i := range g.slots {
-		n += g.slots[i].set.Len()
-	}
-	return n
-}
-
-// snapshot concatenates the per-shard snapshots (ascending: the
-// partition is order-preserving).
-func (g *generation) snapshot() []int64 {
-	var out []int64
-	for i := range g.slots {
-		out = append(out, g.slots[i].set.Snapshot()...)
-	}
-	return out
-}
-
-// rangeScan returns this generation's keys in [lo, hi), ascending.
-func (g *generation) rangeScan(lo, hi int64) []int64 {
-	if hi <= lo {
-		return nil
-	}
-	var out []int64
-	for i := g.shardOf(lo); i <= g.shardOf(hi-1); i++ {
-		set := g.slots[i].set
-		if r, ok := set.(Ranger); ok {
-			out = append(out, r.RangeScan(lo, hi)...)
-			continue
-		}
-		for _, v := range set.Snapshot() {
-			if v >= lo && v < hi {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// ascend walks this generation's keys >= from in ascending order until
-// yield returns false; reports whether the walk was stopped by yield.
-func (g *generation) ascend(from int64, yield func(int64) bool) (stopped bool) {
-	for i := g.shardOf(from); i < len(g.slots) && !stopped; i++ {
-		set := g.slots[i].set
-		if r, ok := set.(Ranger); ok {
-			//lint:ignore hotalloc the stop-propagating wrapper must capture yield and stopped to end the walk across shard boundaries; one closure per shard per scan, amortized over the whole walk
-			r.Ascend(from, func(v int64) bool {
-				if !yield(v) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			continue
-		}
-		for _, v := range set.Snapshot() {
-			if v >= from && !yield(v) {
-				stopped = true
-				break
-			}
-		}
-	}
-	return stopped
-}
-
-// migration is the transient state of one online rebalance: keys below
-// the watermark have moved to the new generation, keys at or above it
-// are still owned by the old one. The watermark only advances while
-// the migrator holds every routing stripe exclusively, so an operation
-// (which holds its key's stripe shared) always sees a stable routing
-// decision for the duration of its critical section.
-type migration struct {
-	from, to  *generation
-	watermark atomic.Int64
-}
-
-// migStripes is the number of routing stripes an armed façade routes
-// operations through; 16 matches the obs counter striping so the
-// per-key hash spreads identically.
-const migStripes = 16
-
-// paddedRWMutex keeps adjacent stripes off each other's cache lines;
-// the read-lock fast path is an atomic RMW on the mutex word, which
-// would otherwise bounce between stripes.
-type paddedRWMutex struct {
-	sync.RWMutex
-	_ [(cacheLine - unsafe.Sizeof(sync.RWMutex{})%cacheLine) % cacheLine]byte
-}
-
-// stripedLocks is the routing-stripe table: single-key operations take
-// their key's stripe shared; whole-set operations (Len, Snapshot,
-// scans, batches) take every stripe shared; the migrator takes every
-// stripe exclusive. All multi-stripe acquisitions walk the table in
-// index order, so the lock order is global and acyclic.
-type stripedLocks struct {
-	ls [migStripes]paddedRWMutex
-}
-
-// forKey maps a key to its stripe (Fibonacci hashing, mirroring
-// obs.shardOf so near-sequential keys spread across stripes).
-func (sl *stripedLocks) forKey(k int64) *sync.RWMutex {
-	return &sl.ls[(uint64(k)*0x9E3779B97F4A7C15)>>(64-4)].RWMutex
-}
-
-func (sl *stripedLocks) lockAll() {
-	for i := range sl.ls {
-		sl.ls[i].Lock()
-	}
-}
-
-func (sl *stripedLocks) unlockAll() {
-	for i := range sl.ls {
-		sl.ls[i].Unlock()
-	}
-}
-
-func (sl *stripedLocks) rlockAll() {
-	for i := range sl.ls {
-		sl.ls[i].RLock()
-	}
-}
-
-func (sl *stripedLocks) runlockAll() {
-	for i := range sl.ls {
-		sl.ls[i].RUnlock()
-	}
-}
-
 // loadSlot is one shard's padded operation counter (EnableLoadStats).
 type loadSlot struct {
 	n atomic.Uint64
@@ -302,38 +95,17 @@ type loadSlot struct {
 // owning one contiguous slice of the key space. The zero value is not
 // usable; call New or NewRange.
 //
-// Sharded is safe for concurrent use iff the underlying sets are; an
-// unarmed façade adds no locking of its own, and an armed one
-// (EnableRebalance) adds one striped read-lock per operation.
+// Sharded is safe for concurrent use iff the underlying sets are; it
+// adds no locking of its own.
 type Sharded struct {
-	// gen is the current routing generation; replaced wholesale by a
-	// completed rebalance, never mutated in place.
-	gen atomic.Pointer[generation]
-	// mig is non-nil exactly while a rebalance is migrating keys.
-	mig atomic.Pointer[migration]
-
-	lo, hi int64      // focus range [lo, hi) (immutable)
-	newSet func() Set // shard constructor, kept for rebuilds
-
-	// rebalanceable arms the striped routing locks; set only by
-	// EnableRebalance, before the set is shared. Unarmed façades never
-	// touch locks and pay no per-op synchronization beyond the
-	// generation pointer load.
-	rebalanceable bool
-	locks         *stripedLocks
-	// rebalanceMu serializes migrators: one rebalance at a time.
-	rebalanceMu sync.Mutex
+	lo, hi int64  // focus range [lo, hi)
+	shift  uint   // log2 of the per-shard key span
+	slots  []slot // one per shard, in key order
 
 	// loads, when non-nil (EnableLoadStats, before sharing), counts
-	// routed operations per shard — the weights the adaptive
-	// controller's quantile split uses. Best-effort during a
-	// migration, exact between them.
+	// routed operations per shard — the load histogram the adaptive
+	// controller's fair-share test reads.
 	loads []loadSlot
-
-	// parallel, when true, fans batch sub-batches out to one goroutine
-	// per non-empty shard (SetBatchParallel). Atomic: the adaptive
-	// controller toggles it mid-run to shed overload.
-	parallel atomic.Bool
 
 	// fps, when non-nil, arms the chaos failpoints: the façade's own
 	// SiteShardRoute site plus whatever sites the shards expose.
@@ -342,15 +114,6 @@ type Sharded struct {
 	// probes, when non-nil, receives the façade's own events (batch
 	// splits); the shards' events are attached separately by SetProbes.
 	probes *obs.Probes
-
-	// budget is the last attached retry budget, kept so a rebalance can
-	// hand it to the fresh generation's shards. Atomic: the controller
-	// and the harness watchdog may race a rebalance.
-	budget atomic.Int32
-
-	// backoffs, when non-nil, holds the per-shard backoff policies last
-	// attached by SetShardBackoffs, re-attached to fresh generations.
-	backoffs atomic.Pointer[[]*trylock.Backoff]
 }
 
 // New returns a Sharded over the given number of shards (rounded up to
@@ -375,21 +138,15 @@ func NewRange(shards int, lo, hi int64, newSet func() Set) *Sharded {
 		panic(fmt.Sprintf("shard: empty focus range [%d, %d)", lo, hi))
 	}
 	n := ceilPow2(shards)
-	g := &generation{
-		lo:    lo,
-		shift: spanShift(lo, hi, n),
-		slots: make([]slot, n),
+	s := &Sharded{lo: lo, hi: hi, shift: spanShift(lo, hi, n), slots: make([]slot, n)}
+	for i := range s.slots {
+		s.slots[i].set = newSet()
 	}
-	for i := range g.slots {
-		g.slots[i].set = newSet()
-	}
-	s := &Sharded{lo: lo, hi: hi, newSet: newSet}
-	s.gen.Store(g)
 	return s
 }
 
 // FocusRange returns the focus range [lo, hi) the set was constructed
-// over. Rebalancing moves the interior boundaries, never the edges.
+// over.
 func (s *Sharded) FocusRange() (lo, hi int64) { return s.lo, s.hi }
 
 // ceilPow2 rounds n up to a power of two within [1, MaxShards].
@@ -417,11 +174,29 @@ func spanShift(lo, hi int64, shards int) uint {
 	return uint(totalBits - shardBits)
 }
 
-// shardOf maps a key to its owning slot index in the current
-// generation (tests and diagnostics; operations route through their
-// generation explicitly).
+// shardOf maps a key to its owning slot index. It is a pure, monotone
+// function of the key: k1 <= k2 implies shardOf(k1) <= shardOf(k2),
+// which is what keeps Snapshot a plain concatenation.
 func (s *Sharded) shardOf(k int64) int {
-	return s.gen.Load().shardOf(k)
+	if k < s.lo {
+		return 0
+	}
+	idx := (uint64(k) - uint64(s.lo)) >> s.shift
+	if idx >= uint64(len(s.slots)) {
+		idx = uint64(len(s.slots) - 1)
+	}
+	return int(idx)
+}
+
+// boundary returns the inclusive lower key bound of shard i, saturated
+// at MaxInt64 on overflow.
+func (s *Sharded) boundary(i int) int64 {
+	off := uint64(i) << s.shift
+	b := int64(uint64(s.lo) + off)
+	if off>>s.shift != uint64(i) || b < s.lo {
+		return 1<<63 - 1
+	}
+	return b
 }
 
 // route is the façade's own failpoint site plus the per-shard load
@@ -429,88 +204,36 @@ func (s *Sharded) shardOf(k int64) int {
 // and entering it widens the window in which a concurrent operation on
 // a seam key can overtake, the interleaving the seam-fault conformance
 // tests hammer.
-func (s *Sharded) route(g *generation, v int64) int {
+func (s *Sharded) route(v int64) Set {
 	if fp := s.fps; failpoint.On(fp) {
 		fp.Do(failpoint.SiteShardRoute, v)
 	}
-	i := g.shardOf(v)
+	i := s.shardOf(v)
 	if ls := s.loads; ls != nil {
 		ls[i].n.Add(1)
 	}
-	return i
-}
-
-// owner returns the set currently owning v. When a migration is in
-// flight, keys below the watermark have moved to the new generation.
-// An armed façade's caller must hold v's routing stripe (shared) so
-// the watermark cannot advance mid-operation.
-func (s *Sharded) owner(v int64) Set {
-	if m := s.mig.Load(); m != nil {
-		g := m.from
-		if v < m.watermark.Load() {
-			g = m.to
-		}
-		return g.slots[s.route(g, v)].set
-	}
-	g := s.gen.Load()
-	return g.slots[s.route(g, v)].set
+	return s.slots[i].set
 }
 
 // Insert adds v and reports whether v was absent. It is executed
-// entirely by v's owning shard, under a stable routing decision.
-func (s *Sharded) Insert(v int64) bool {
-	if !s.rebalanceable {
-		g := s.gen.Load()
-		return g.slots[s.route(g, v)].set.Insert(v)
-	}
-	mu := s.locks.forKey(v)
-	mu.RLock()
-	ok := s.owner(v).Insert(v)
-	mu.RUnlock()
-	return ok
-}
+// entirely by v's owning shard.
+func (s *Sharded) Insert(v int64) bool { return s.route(v).Insert(v) }
 
 // Remove deletes v and reports whether v was present.
-func (s *Sharded) Remove(v int64) bool {
-	if !s.rebalanceable {
-		g := s.gen.Load()
-		return g.slots[s.route(g, v)].set.Remove(v)
-	}
-	mu := s.locks.forKey(v)
-	mu.RLock()
-	ok := s.owner(v).Remove(v)
-	mu.RUnlock()
-	return ok
-}
+func (s *Sharded) Remove(v int64) bool { return s.route(v).Remove(v) }
 
 // Contains reports whether v is in the set.
-func (s *Sharded) Contains(v int64) bool {
-	if !s.rebalanceable {
-		g := s.gen.Load()
-		return g.slots[s.route(g, v)].set.Contains(v)
-	}
-	mu := s.locks.forKey(v)
-	mu.RLock()
-	ok := s.owner(v).Contains(v)
-	mu.RUnlock()
-	return ok
-}
+func (s *Sharded) Contains(v int64) bool { return s.route(v).Contains(v) }
 
 // Len sums the shard lengths. Like the underlying lists' Len it is a
 // best-effort traversal under concurrent updates and exact at
 // quiescence; O(n) total across shards.
 func (s *Sharded) Len() int {
-	if !s.rebalanceable {
-		return s.gen.Load().length()
+	n := 0
+	for i := range s.slots {
+		n += s.slots[i].set.Len()
 	}
-	s.locks.rlockAll()
-	defer s.locks.runlockAll()
-	if m := s.mig.Load(); m != nil {
-		// Disjoint by the watermark invariant: to holds the migrated
-		// prefix, from the rest.
-		return m.to.length() + m.from.length()
-	}
-	return s.gen.Load().length()
+	return n
 }
 
 // Snapshot returns the elements in ascending order by concatenating
@@ -518,29 +241,26 @@ func (s *Sharded) Len() int {
 // key of shard i precedes every key of shard i+1. Best-effort under
 // concurrent updates, exact at quiescence.
 func (s *Sharded) Snapshot() []int64 {
-	if !s.rebalanceable {
-		return s.gen.Load().snapshot()
+	var out []int64
+	for i := range s.slots {
+		out = append(out, s.slots[i].set.Snapshot()...)
 	}
-	s.locks.rlockAll()
-	defer s.locks.runlockAll()
-	if m := s.mig.Load(); m != nil {
-		// Every migrated key is below the watermark and every
-		// unmigrated key at or above it, so the concatenation is sorted.
-		return append(m.to.snapshot(), m.from.snapshot()...)
-	}
-	return s.gen.Load().snapshot()
+	return out
 }
 
 // Shards returns the number of shards (after power-of-two rounding).
-func (s *Sharded) Shards() int { return len(s.gen.Load().slots) }
+func (s *Sharded) Shards() int { return len(s.slots) }
 
-// Boundaries returns the inclusive lower key bound of each shard of
-// the current generation in ascending order; element 0 is conceptually
-// -inf (shard 0 also owns every key below the focus range) and is
-// reported as the focus lower edge. Bounds that would overflow int64
-// saturate at MaxInt64.
+// Boundaries returns the inclusive lower key bound of each shard in
+// ascending order; element 0 is conceptually -inf (shard 0 also owns
+// every key below the focus range) and is reported as the focus lower
+// edge. Bounds that would overflow int64 saturate at MaxInt64.
 func (s *Sharded) Boundaries() []int64 {
-	return s.gen.Load().boundaries()
+	out := make([]int64, len(s.slots))
+	for i := range out {
+		out[i] = s.boundary(i)
+	}
+	return out
 }
 
 // SetProbes attaches (or with nil detaches) the contention-event
@@ -549,9 +269,8 @@ func (s *Sharded) Boundaries() []int64 {
 // listset/bench/v1 report unchanged. Call before sharing the set.
 func (s *Sharded) SetProbes(p *obs.Probes) {
 	s.probes = p
-	g := s.gen.Load()
-	for i := range g.slots {
-		obs.Attach(g.slots[i].set, p)
+	for i := range s.slots {
+		obs.Attach(s.slots[i].set, p)
 	}
 }
 
@@ -561,26 +280,17 @@ func (s *Sharded) SetProbes(p *obs.Probes) {
 // the seam and the per-shard algorithm sites. Call before sharing.
 func (s *Sharded) SetFailpoints(fp *failpoint.Set) {
 	s.fps = fp
-	g := s.gen.Load()
-	for i := range g.slots {
-		failpoint.Attach(g.slots[i].set, fp)
+	for i := range s.slots {
+		failpoint.Attach(s.slots[i].set, fp)
 	}
 }
 
 // SetRetryBudget forwards the retry budget to every shard that
 // supports one. Safe to call while operations are in flight (the
-// shards store their budgets atomically); a migration in progress
-// hands the latest budget to the generation it is building.
+// shards store their budgets atomically).
 func (s *Sharded) SetRetryBudget(k int) {
-	s.budget.Store(int32(k))
-	g := s.gen.Load()
-	for i := range g.slots {
-		obs.AttachRetryBudget(g.slots[i].set, k)
-	}
-	if m := s.mig.Load(); m != nil {
-		for i := range m.to.slots {
-			obs.AttachRetryBudget(m.to.slots[i].set, k)
-		}
+	for i := range s.slots {
+		obs.AttachRetryBudget(s.slots[i].set, k)
 	}
 }
 
@@ -588,9 +298,8 @@ func (s *Sharded) SetRetryBudget(k int) {
 // shards without a retry ladder).
 func (s *Sharded) RetryStats() obs.RetryStats {
 	var sum obs.RetryStats
-	g := s.gen.Load()
-	for i := range g.slots {
-		if rb, ok := g.slots[i].set.(obs.RetryBudgeted); ok {
+	for i := range s.slots {
+		if rb, ok := s.slots[i].set.(obs.RetryBudgeted); ok {
 			sum = sum.Add(rb.RetryStats())
 		}
 	}
@@ -598,33 +307,29 @@ func (s *Sharded) RetryStats() obs.RetryStats {
 }
 
 // SetShardBackoffs attaches one try-lock backoff policy per shard (the
-// adaptive controller's per-shard actuator) and keeps the table so
-// rebalances re-attach it to fresh generations: policy i always
-// governs slot i of the current partition. len(bs) must equal
-// Shards(); call before sharing the set (retuning the attached
-// policies afterwards is safe — their fields are atomic).
+// adaptive controller's per-shard actuator): policy i governs shard i.
+// len(bs) must equal Shards(); call before sharing the set (retuning
+// the attached policies afterwards is safe — their fields are atomic).
 func (s *Sharded) SetShardBackoffs(bs []*trylock.Backoff) {
-	g := s.gen.Load()
-	if len(bs) != len(g.slots) {
-		panic(fmt.Sprintf("shard: SetShardBackoffs with %d policies for %d shards", len(bs), len(g.slots)))
+	if len(bs) != len(s.slots) {
+		panic(fmt.Sprintf("shard: SetShardBackoffs with %d policies for %d shards", len(bs), len(s.slots)))
 	}
-	s.backoffs.Store(&bs)
-	for i := range g.slots {
-		trylock.AttachBackoff(g.slots[i].set, bs[i])
+	for i := range s.slots {
+		trylock.AttachBackoff(s.slots[i].set, bs[i])
 	}
 }
 
-// EnableLoadStats turns on per-shard operation counting, the weight
-// source for adaptive repartitioning. Call before sharing the set.
+// EnableLoadStats turns on per-shard operation counting, the load
+// histogram the adaptive controller reads. Call before sharing the set.
 func (s *Sharded) EnableLoadStats() {
 	if s.loads == nil {
-		s.loads = make([]loadSlot, len(s.gen.Load().slots))
+		s.loads = make([]loadSlot, len(s.slots))
 	}
 }
 
 // LoadCounts returns the cumulative routed-operation count per shard
-// of the current partition (nil unless EnableLoadStats was called).
-// Counts are monotone; diff two reads for an interval's weights.
+// (nil unless EnableLoadStats was called). Counts are monotone for the
+// set's life; diff two reads for an interval's weights.
 func (s *Sharded) LoadCounts() []uint64 {
 	if s.loads == nil {
 		return nil
@@ -635,21 +340,6 @@ func (s *Sharded) LoadCounts() []uint64 {
 	}
 	return out
 }
-
-// EnableRebalance arms the façade for online repartitioning: every
-// operation routes through a striped read-lock from now on, which is
-// what lets Rebalance freeze routing per chunk. Call before sharing
-// the set; an unarmed façade rejects Rebalance and pays none of the
-// striping cost.
-func (s *Sharded) EnableRebalance() {
-	if s.locks == nil {
-		s.locks = &stripedLocks{}
-		s.rebalanceable = true
-	}
-}
-
-// RebalanceEnabled reports whether EnableRebalance armed the façade.
-func (s *Sharded) RebalanceEnabled() bool { return s.rebalanceable }
 
 var (
 	_ obs.Instrumented     = (*Sharded)(nil)

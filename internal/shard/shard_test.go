@@ -155,9 +155,8 @@ func TestSnapshotIsSortedUnionOfShards(t *testing.T) {
 			}
 		}
 		var union []int64
-		g := s.gen.Load()
-		for i := range g.slots {
-			union = append(union, g.slots[i].set.Snapshot()...)
+		for i := range s.slots {
+			union = append(union, s.slots[i].set.Snapshot()...)
 		}
 		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
 		snap := s.Snapshot()
@@ -220,10 +219,9 @@ func TestSlotLayout(t *testing.T) {
 		t.Fatalf("slot size %d is not a multiple of the %d-byte cache line", sz, cacheLine)
 	}
 	s := New(4, newSliceSet)
-	g := s.gen.Load()
-	for i := 1; i < len(g.slots); i++ {
-		a := uintptr(unsafe.Pointer(&g.slots[i-1]))
-		b := uintptr(unsafe.Pointer(&g.slots[i]))
+	for i := 1; i < len(s.slots); i++ {
+		a := uintptr(unsafe.Pointer(&s.slots[i-1]))
+		b := uintptr(unsafe.Pointer(&s.slots[i]))
 		if b-a < cacheLine {
 			t.Fatalf("slots %d and %d are %d bytes apart, want >= %d", i-1, i, b-a, cacheLine)
 		}

@@ -20,7 +20,7 @@ import (
 //     is a shard boundary for every power-of-two shard count — the
 //     worst case for a static range partition;
 //   - "moving": a hot window that jumps across the range each phase,
-//     so a rebalanced partition is wrong again a phase later.
+//     so the shards whose backoff widened cool again a phase later.
 
 // Phase is one leg of a Schedule: a complete workload configuration
 // and how long it runs before the clock moves on.

@@ -12,32 +12,26 @@ import (
 )
 
 // Tests for the skip lists' full-citizenship surfaces (DESIGN.md §15):
-// the sharded façade under seam-targeted faults with a live migration,
-// and a fuzz target that drives the batch + scan paths of every skip
-// variant against the map oracle.
+// the sharded façade under seam-targeted faults, its allocation-free
+// point path, and a fuzz target that drives the batch + scan paths of
+// every skip variant against the map oracle.
 
 // TestChaosSkipShardSeamFaults is the skip-list twin of
-// TestChaosShardSeamFaults, with one extra hazard the flat lists never
-// face: a concurrent Rebalance moves the partition's watermark across
-// keys whose towers span multiple index levels, so a migrated tower
-// must come up with a consistent index on the destination shard while
-// forced failures hammer the level-0 locks and index links at the old
-// boundaries. Any tower whose index survived the move pointing at the
-// wrong shard's nodes would surface as a non-linearizable history or a
-// broken cross-shard snapshot order.
+// TestChaosShardSeamFaults: forced failures hammer the level-0 locks
+// and index links of towers on both flanks of every seam of a
+// 16-shard skip index, while yields at the façade's routing step and
+// inside the descent widen every window in which a seam operation can
+// be overtaken. A tower whose index pointed into the wrong shard's
+// nodes would surface as a non-linearizable history or a broken
+// cross-shard snapshot order.
 func TestChaosSkipShardSeamFaults(t *testing.T) {
 	const shards = 16
 	s := NewVBSkipShardedRange(shards, 0, 64)
-	reb, ok := s.(interface {
-		EnableRebalance()
-		Rebalance(bounds []int64) (moved int, err error)
-		Boundaries() []int64
-	})
+	b, ok := s.(interface{ Boundaries() []int64 })
 	if !ok {
-		t.Fatal("sharded skip façade does not expose the rebalance surface")
+		t.Fatal("sharded skip façade does not expose its boundaries")
 	}
-	reb.EnableRebalance()
-	boundaries := reb.Boundaries()
+	boundaries := b.Boundaries()
 	if len(boundaries) != shards {
 		t.Fatalf("Boundaries() returned %d bounds, want %d", len(boundaries), shards)
 	}
@@ -57,8 +51,7 @@ func TestChaosSkipShardSeamFaults(t *testing.T) {
 	}
 	defer fps.DisarmAll()
 
-	// Candidate keys hug every boundary from both sides, so each
-	// migration strands towers on both flanks of the moving watermark.
+	// Candidate keys hug every boundary from both sides.
 	var candidates []int64
 	for _, bd := range boundaries {
 		candidates = append(candidates, bd-1, bd, bd+1)
@@ -68,19 +61,6 @@ func TestChaosSkipShardSeamFaults(t *testing.T) {
 		if i%2 == 0 && k >= 0 {
 			s.Insert(k)
 			initial[k] = true
-		}
-	}
-
-	// Two skewed partitions the migrator flips between: all-low squeezes
-	// fifteen seams into [0, 16), all-high squeezes them into [48, 64).
-	low := make([]int64, shards)
-	high := make([]int64, shards)
-	for i := range low {
-		low[i] = int64(i)
-		if i == 0 {
-			high[i] = 0
-		} else {
-			high[i] = int64(47 + i)
 		}
 	}
 
@@ -110,22 +90,6 @@ func TestChaosSkipShardSeamFaults(t *testing.T) {
 			}
 		}(int64(i)+7000, sess)
 	}
-	// The migrator runs beside the churn: membership-preserving, so the
-	// recorded history must stay linearizable straight through it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < 3; r++ {
-			if _, err := reb.Rebalance(low); err != nil {
-				t.Errorf("Rebalance(low): %v", err)
-				return
-			}
-			if _, err := reb.Rebalance(high); err != nil {
-				t.Errorf("Rebalance(high): %v", err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 	if err := lincheck.Check(rec.History(), initial); err != nil {
 		t.Fatal(err)
@@ -133,8 +97,39 @@ func TestChaosSkipShardSeamFaults(t *testing.T) {
 	snap := s.Snapshot()
 	for i := 1; i < len(snap); i++ {
 		if snap[i-1] >= snap[i] {
-			t.Fatalf("Snapshot not strictly ascending across migrated seams: %v", snap)
+			t.Fatalf("Snapshot not strictly ascending across seams: %v", snap)
 		}
+	}
+}
+
+// TestShardedSkipPointPathAllocs: on a populated 16-shard skip index,
+// the façade's point path — routing plus the descent — allocates
+// nothing for Contains or for a Remove of a missing key, GC and arena.
+func TestShardedSkipPointPathAllocs(t *testing.T) {
+	const keys = 1 << 14
+	for _, c := range []struct {
+		name string
+		s    Set
+	}{
+		{"gc", NewVBSkipShardedRange(16, 0, keys)},
+		{"arena", NewVBSkipShardedArenaRange(16, 0, keys)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for k := int64(0); k < keys; k += 2 {
+				c.s.Insert(k)
+			}
+			var k int64
+			next := func() int64 { k = (k + 7919) % keys; return k }
+			if n := testing.AllocsPerRun(2000, func() { c.s.Contains(next()) }); n != 0 {
+				t.Errorf("Contains allocates %.3f per op, want 0", n)
+			}
+			if n := testing.AllocsPerRun(2000, func() { c.s.Remove(next() | 1) }); n != 0 {
+				t.Errorf("missing-key Remove allocates %.3f per op, want 0", n)
+			}
+			if got := c.s.Len(); got != keys/2 {
+				t.Fatalf("Len = %d after missing-key removes, want %d", got, keys/2)
+			}
+		})
 	}
 }
 
