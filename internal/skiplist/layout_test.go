@@ -1,59 +1,72 @@
 package skiplist
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
 )
 
-// towerCap is the up-link capacity of height class c: the embedded link
-// array of the class's tower struct, sized for its tallest member.
-var towerCap = [numTowerClasses]int{0, 2, 6, maxLevel - 1}
+// towerSize is the byte size of height class c's tower: the header
+// plus the class's link array, each exactly one allocator size class.
+var towerSize = [numTowerClasses]uintptr{24, 48, 80, 176}
 
 // TestTowerLayout pins the height-sized tower layout so it cannot
-// silently regress: the header is 48 bytes with everything the level-0
-// VBL protocol reads in its first 24, each height class is exactly
-// header plus its link array, a height-2/3 tower is one aligned cache
-// line, and the head and tail carry every level.
+// silently regress: the header is 24 bytes and holds everything the
+// level-0 VBL protocol reads, each height class is exactly header plus
+// its link array and costs exactly that much heap, every link at(l)
+// addresses lies inside its tower's allocation, and the head and tail
+// carry every level.
 func TestTowerLayout(t *testing.T) {
-	if sz := unsafe.Sizeof(vbNode{}); sz != 48 {
-		t.Fatalf("vbNode header is %d bytes, want 48", sz)
+	hdr := unsafe.Sizeof(vbNode{})
+	if hdr != towerSize[0] {
+		t.Fatalf("vbNode header is %d bytes, want %d", hdr, towerSize[0])
 	}
 	var n vbNode
-	for name, off := range map[string]uintptr{
-		"val":   unsafe.Offsetof(n.val),
-		"next0": unsafe.Offsetof(n.next0),
-		"state": unsafe.Offsetof(n.state),
-		"lock":  unsafe.Offsetof(n.lock),
-	} {
-		if off >= 24 {
-			t.Errorf("vbNode.%s at offset %d, want below 24 (level-0 fields lead the header)", name, off)
-		}
-	}
-	for _, c := range []struct {
-		name string
-		got  uintptr
-		want uintptr
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
 	}{
-		{"tower3", unsafe.Sizeof(tower3{}), 64},
-		{"tower7", unsafe.Sizeof(tower7{}), 96},
-		{"towerMax", unsafe.Sizeof(towerMax{}), 200},
+		{"val", unsafe.Offsetof(n.val), unsafe.Sizeof(n.val)},
+		{"next0", unsafe.Offsetof(n.next0), unsafe.Sizeof(n.next0)},
+		{"state", unsafe.Offsetof(n.state), unsafe.Sizeof(n.state)},
+		{"lock", unsafe.Offsetof(n.lock), unsafe.Sizeof(n.lock)},
 	} {
-		if c.got != c.want {
-			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		if f.off+f.size > hdr {
+			t.Errorf("vbNode.%s spans [%d, %d), outside the %d-byte header", f.name, f.off, f.off+f.size, hdr)
 		}
 	}
+	sizes := [numTowerClasses]uintptr{hdr, unsafe.Sizeof(tower4{}), unsafe.Sizeof(tower8{}), unsafe.Sizeof(towerMax{})}
+	if sizes != towerSize {
+		t.Errorf("tower class sizes %v, want %v", sizes, towerSize)
+	}
+	// Each class's heap cost per object is its struct size (no
+	// size-class slack), and every link at(l) addresses lies inside the
+	// struct (none in unscanned slack the GC would miss).
+	const objs = 1 << 14
+	keep := make([]*vbNode, objs)
+	for c, h := range [numTowerClasses]int{1, 2, 5, 9} {
+		clear(keep)
+		before := liveHeap()
+		for i := range keep {
+			keep[i] = allocTower(int64(i), h)
+		}
+		after := liveHeap()
+		if per := math.Round((float64(after) - float64(before)) / objs); per != float64(sizes[c]) {
+			t.Errorf("class %d (height %d): %.0f B of live heap per tower, want its struct's %d", c, h, per, sizes[c])
+		}
+	}
+	runtime.KeepAlive(keep)
 	for h := 1; h <= maxLevel; h++ {
 		n := allocTower(int64(h), h)
-		if n.height() != h || len(n.up) != h-1 || cap(n.up) != towerCap[towerClass(h)] {
-			t.Errorf("allocTower(_, %d): height %d, len(up) %d, cap(up) %d; want %d, %d, %d",
-				h, n.height(), len(n.up), cap(n.up), h, h-1, towerCap[towerClass(h)])
+		if n.height() != h {
+			t.Errorf("allocTower(_, %d): height %d", h, n.height())
 		}
-		// A 64-byte object sits in the allocator's 64-byte size class,
-		// whose slots are 64-byte aligned: the whole tower is one line.
-		if towerClass(h) == 1 {
-			if a := uintptr(unsafe.Pointer(n)); a%64 != 0 {
-				t.Errorf("height-%d tower at %#x straddles a 64-byte line", h, a)
+		base := uintptr(unsafe.Pointer(n))
+		end := base + sizes[towerClass(h)]
+		for l := 0; l < h; l++ {
+			if p := uintptr(unsafe.Pointer(n.at(l))); p < base || p+unsafe.Sizeof(n.next0) > end {
+				t.Errorf("height-%d tower [%#x, %#x): at(%d) = %#x lies outside it", h, base, end, l, p)
 			}
 		}
 	}
@@ -71,10 +84,10 @@ func TestTowerLayout(t *testing.T) {
 }
 
 // checkTowerShapes walks level 0 at quiescence and asserts that every
-// reachable tower's height lies within the list's levels, its up slice
-// within the capacity its height class allocates (a recycled tower
-// reused at a new height must have been resliced, never left at its
-// old length), and that no reachable tower carries the retired bit.
+// reachable tower's height lies within the list's levels, that no
+// linked bit is set at or above its height (a recycled tower reused at
+// a new height must carry that height, never its old one), and that no
+// reachable tower carries the retired bit.
 func checkTowerShapes(t *testing.T, s *VB) {
 	t.Helper()
 	for curr := s.head.next0.Load(); curr != s.tail; curr = curr.next0.Load() {
@@ -82,10 +95,11 @@ func checkTowerShapes(t *testing.T, s *VB) {
 		if h < 1 || h > s.levels {
 			t.Fatalf("tower %d has height %d outside [1, %d]", curr.val, h, s.levels)
 		}
-		if c := cap(curr.up); c != towerCap[towerClass(h)] {
-			t.Fatalf("tower %d of height %d: cap(up) = %d, want its class's %d", curr.val, h, c, towerCap[towerClass(h)])
+		st := curr.state.Load()
+		if above := st & stLinked &^ (1<<uint(h) - 1); above != 0 {
+			t.Fatalf("tower %d of height %d has linked bits %#x at or above its height", curr.val, h, above)
 		}
-		if st := curr.state.Load(); st&stRetired != 0 {
+		if st&stRetired != 0 {
 			t.Fatalf("tower %d reachable at level 0 with state %#x: retired", curr.val, st)
 		}
 	}
@@ -102,10 +116,10 @@ func liveHeap() uint64 {
 }
 
 // TestVBMemoryPerKey bounds the index's memory bill: a bulk-loaded list
-// keeps at most 64 bytes of live heap per key in both GC and arena
-// mode. Geometric(1/2) heights over the four tower sizes (48, 64, 96,
-// 208 B after size-class rounding) average ~61 B; a fixed maxLevel
-// link array would cost 208.
+// keeps at most 40 bytes of live heap per key in both GC and arena
+// mode. Geometric(1/2) heights over the four tower sizes (24, 48, 80,
+// 176 B, each an allocator size class) average ~38.4 B; a fixed
+// maxLevel link array would cost 208.
 func TestVBMemoryPerKey(t *testing.T) {
 	const n = 1 << 16
 	keys := make([]int64, n)
@@ -123,8 +137,8 @@ func TestVBMemoryPerKey(t *testing.T) {
 			perKey := (float64(after) - float64(before)) / n
 			runtime.KeepAlive(s)
 			t.Logf("%s: %.2f B/key", name, perKey)
-			if perKey > 64 {
-				t.Fatalf("%s: %.2f B/key of live heap, want <= 64", name, perKey)
+			if perKey > 40 {
+				t.Fatalf("%s: %.2f B/key of live heap, want <= 40", name, perKey)
 			}
 		})
 	}
@@ -135,13 +149,13 @@ func TestVBMemoryPerKey(t *testing.T) {
 // index-point shard (62 500 keys, 0, 2, ..., 124 998). It replays
 // Contains' descent through at() for 65 536 queries from a fixed LCG
 // and counts, per query, the distinct 64-byte lines among each
-// dereferenced tower's val and state words and each link slot loaded
-// (an upper slot together with the up slice header it is reached
-// through), head and tail excluded, plus the distinct towers. The
-// tower count is exact; the line count moves by about a line with where
-// the allocator places the towers. The 64-byte header read 39.3-40.5
-// lines and 22.0 towers per query; the 48-byte header, which puts every
-// height-2/3 tower in one line, reads 34.6-36.8 over the same towers.
+// dereferenced tower's val and state words and each link slot loaded,
+// head and tail excluded, plus the distinct towers. The tower count is
+// exact; the line count moves by about a line with where the allocator
+// places the towers. The 64-byte header read 39.3-40.5 lines and 22.0
+// towers per query, and the 48-byte header, whose upper links were
+// reached through an up slice header, 34.6-36.8; the 24-byte header,
+// which addresses them directly, reads 32.4-33.0 over the same towers.
 func TestVBContainsLinesTouched(t *testing.T) {
 	const (
 		n       = 62500
@@ -170,9 +184,6 @@ func TestVBContainsLinesTouched(t *testing.T) {
 		return n.val
 	}
 	load := func(n *vbNode, l int) *vbNode {
-		if l > 0 {
-			touch(n, unsafe.Pointer(&n.up))
-		}
 		touch(n, unsafe.Pointer(n.at(l)))
 		return n.at(l).Load()
 	}
@@ -212,8 +223,8 @@ func TestVBContainsLinesTouched(t *testing.T) {
 	perLines := float64(sumLines) / queries
 	perTowers := float64(sumTowers) / queries
 	t.Logf("per Contains: %.2f lines, %.2f towers", perLines, perTowers)
-	if perLines > 39 {
-		t.Errorf("%.2f distinct lines per Contains, want <= 39", perLines)
+	if perLines > 34 {
+		t.Errorf("%.2f distinct lines per Contains, want <= 34", perLines)
 	}
 	if perTowers > 22.1 {
 		t.Errorf("%.2f distinct towers per Contains, want <= 22.1", perTowers)

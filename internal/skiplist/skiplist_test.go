@@ -260,7 +260,7 @@ func TestConcurrentSmoke(t *testing.T) {
 // TestVBLevelInvariants checks the index structure at quiescence after
 // concurrent churn: every level sorted, no deleted or retired tower
 // linked at any level, every level-l tower present at level 0, and
-// every tower's up slice within its height class. The arena variant's
+// no tower linked at or above its height. The arena variant's
 // churn recycles towers into new lives at new heights within their
 // class.
 func TestVBLevelInvariants(t *testing.T) {

@@ -11,15 +11,15 @@ import (
 // step that the step stuck and that deleted and idxDone, once seen,
 // stay set, while two others mark the tower deleted and set idxDone
 // over and over. The OR and AND-NOT CAS loops must lose no bit, and
-// the final word is exact: even levels linked, odd ones clear, both
-// flags set.
+// the final word is exact: the height unchanged, even levels linked,
+// odd ones clear, both flags set.
 func TestTowerStateBits(t *testing.T) {
 	rounds := 20000
 	if testing.Short() {
 		rounds = 2000
 	}
 	n := allocTower(0, maxLevel)
-	var want uint32 = stDeleted | stIdxDone
+	want := heightBits(maxLevel) | stDeleted | stIdxDone
 	start := make(chan struct{})
 	errs := make(chan string, maxLevel)
 	var wg sync.WaitGroup
@@ -82,38 +82,41 @@ func TestTowerStateBits(t *testing.T) {
 }
 
 // TestTowerStateRetire pins maybeRetire's single CAS: a tower
-// retires only from exactly deleted|idxDone, and only in arena mode.
-// Any linked bit left, a missing fact, or an earlier retirement must
-// leave both the word and the arena's limbo untouched.
+// retires only from exactly height|deleted|idxDone, and only in arena
+// mode. Any linked bit left, a missing fact, or an earlier retirement
+// must leave both the word and the arena's limbo untouched. Each row's
+// state carries its tower's height, as every live tower's does.
 func TestTowerStateRetire(t *testing.T) {
 	for _, c := range []struct {
 		name   string
+		height int
 		state  uint32
 		arena  bool
 		retire bool
 	}{
-		{"deleted|idxDone", stDeleted | stIdxDone, true, true},
-		{"deleted|idxDone without arena", stDeleted | stIdxDone, false, false},
-		{"fresh", 0, true, false},
-		{"deleted only", stDeleted, true, false},
-		{"idxDone only", stIdxDone, true, false},
-		{"level 0 still linked", stDeleted | stIdxDone | 1, true, false},
-		{"index level still linked", stDeleted | stIdxDone | 1<<5, true, false},
-		{"top level still linked", stDeleted | stIdxDone | 1<<(maxLevel-1), true, false},
-		{"live and linked", stIdxDone | 1, true, false},
-		{"already retired", stDeleted | stIdxDone | stRetired, true, false},
+		{"deleted|idxDone", 3, stDeleted | stIdxDone, true, true},
+		{"deleted|idxDone at height 6", 6, stDeleted | stIdxDone, true, true},
+		{"deleted|idxDone without arena", 3, stDeleted | stIdxDone, false, false},
+		{"fresh", 3, 0, true, false},
+		{"deleted only", 3, stDeleted, true, false},
+		{"idxDone only", 3, stIdxDone, true, false},
+		{"level 0 still linked", 3, stDeleted | stIdxDone | 1, true, false},
+		{"index level still linked", 3, stDeleted | stIdxDone | 1<<5, true, false},
+		{"top level still linked", 3, stDeleted | stIdxDone | 1<<(maxLevel-1), true, false},
+		{"live and linked", 3, stIdxDone | 1, true, false},
+		{"already retired", 3, stDeleted | stIdxDone | stRetired, true, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := NewVB()
 			if c.arena {
 				s = NewVBArena()
 			}
-			n := allocTower(7, 3)
-			n.state.Store(c.state)
+			n := allocTower(7, c.height)
+			n.state.Store(heightBits(c.height) | c.state)
 			g := s.arena.Pin()
 			s.maybeRetire(g, n)
 			g.Unpin()
-			want := c.state
+			want := heightBits(c.height) | c.state
 			if c.retire {
 				want |= stRetired
 			}

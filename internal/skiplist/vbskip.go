@@ -29,6 +29,7 @@ package skiplist
 import (
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"listset/internal/failpoint"
 	"listset/internal/mem"
@@ -51,58 +52,69 @@ const (
 	DefaultLevels = 18
 )
 
-// vbNode is a tower's 48-byte header. val is immutable while the node
-// is reachable, and so is up; next0 is the level-0 successor, kept
-// inline so that everything the level-0 VBL protocol reads — val,
-// next0, the deleted bit of state, lock — sits in the header's first
-// 24 bytes; up holds the successors of levels 1..height()-1 and points
-// into the tower's own allocation (see allocTower). at(l) reaches any
+// vbNode is a tower's 24-byte header. val is immutable while the node
+// is reachable, and so is the tower's height; next0 is the level-0
+// successor, kept inline so that the header is exactly what the
+// level-0 VBL protocol reads — val, next0, the deleted bit of state,
+// lock. The successors of levels 1..height()-1 follow the header in
+// the tower's own allocation (see allocTower), and at(l) reaches any
 // level below height(). The deleted bit and lock implement the VBL
 // protocol on level 0 (and guard this node's unlinking at every level).
 //
-// state packs the tower's lifecycle into one word: the deleted mark
-// plus the linked mask, idxDone and retired, which exist for the
-// arena's sake — they let the last unlinker prove a deleted tower
-// unreachable (see maybeRetire). The linked bits (0..maxLevel-1) cover
-// EVERY level the tower is published at, level 0 included — a bit is
-// set under the predecessor's lock BEFORE the link is stored, so any
-// unlink of that level (which must lock the then-current predecessor)
-// happens-after the set and the clear can never be lost. Bit 0 matters
-// most: deleted is set inside the remover's critical section BEFORE
-// the level-0 unlink store, so without it a concurrent index unlinker
-// clearing the last index bit in that window would retire a tower
-// still linked at level 0 — a retire-before-unreachable that breaks
-// the arena's grace-period contract (the bucket is stamped before the
-// node is unreachable, so a reader pinned one epoch later can stand on
-// the tower when it recycles). Bit 0 is cleared by the remover only
-// AFTER the unlink store, restoring retire-happens-after-unreachable.
+// state packs the tower's height and lifecycle into one word: the
+// height, written before the tower is published and fixed for its
+// life; the deleted mark; and the linked mask, idxDone and retired,
+// which exist for the arena's sake — they let the last unlinker prove
+// a deleted tower unreachable (see maybeRetire). The linked bits
+// (0..maxLevel-1) cover EVERY level the tower is published at, level 0
+// included — a bit is set under the predecessor's lock BEFORE the link
+// is stored, so any unlink of that level (which must lock the
+// then-current predecessor) happens-after the set and the clear can
+// never be lost. Bit 0 matters most: deleted is set inside the
+// remover's critical section BEFORE the level-0 unlink store, so
+// without it a concurrent index unlinker clearing the last index bit
+// in that window would retire a tower still linked at level 0 — a
+// retire-before-unreachable that breaks the arena's grace-period
+// contract (the bucket is stamped before the node is unreachable, so a
+// reader pinned one epoch later can stand on the tower when it
+// recycles). Bit 0 is cleared by the remover only AFTER the unlink
+// store, restoring retire-happens-after-unreachable.
 type vbNode struct {
 	val   int64
 	next0 atomic.Pointer[vbNode]
 	state atomic.Uint32
 	lock  trylock.SpinLock
-	up    []atomic.Pointer[vbNode]
 }
 
-// state bits: the per-level linked mask, then the three lifecycle
-// flags. Every bit is set at most once per tower life, and only the
-// linked bits are ever cleared.
+// state bits: the per-level linked mask, the three lifecycle flags,
+// then the height in the 5 bits above them. Every flag is set at most
+// once per tower life, only the linked bits are ever cleared, and the
+// height is rewritten only by a (re)construction, before publication.
 const (
-	stLinked  = 1<<maxLevel - 1
-	stIdxDone = 1 << maxLevel
-	stRetired = 1 << (maxLevel + 1)
-	stDeleted = 1 << (maxLevel + 2)
+	stLinked      = 1<<maxLevel - 1
+	stIdxDone     = 1 << maxLevel
+	stRetired     = 1 << (maxLevel + 1)
+	stDeleted     = 1 << (maxLevel + 2)
+	stHeightShift = maxLevel + 3
 )
 
-// height is the number of levels the tower holds.
-func (n *vbNode) height() int { return len(n.up) + 1 }
+// heightBits is the state word of a fresh tower of height h.
+func heightBits(h int) uint32 { return uint32(h) << stHeightShift }
 
-// at returns the successor link of level l < height().
+// height is the number of levels the tower holds.
+func (n *vbNode) height() int { return int(n.state.Load() >> stHeightShift) }
+
+// at returns the successor link of level l < height(). Upper link l
+// is the (l-1)th slot of the link array allocTower places right after
+// the header, inside the same allocation: the address arithmetic stays
+// within one object (unsafe.Pointer rule 3), which checkptr verifies
+// under -race.
 func (n *vbNode) at(l int) *atomic.Pointer[vbNode] {
 	if l == 0 {
 		return &n.next0
 	}
-	return &n.up[l-1]
+	off := unsafe.Sizeof(vbNode{}) + uintptr(l-1)*unsafe.Sizeof(n.next0)
+	return (*atomic.Pointer[vbNode])(unsafe.Add(unsafe.Pointer(n), off))
 }
 
 // isDeleted reports the VBL deletion mark.
@@ -135,18 +147,19 @@ func (n *vbNode) clearLinked(l int) {
 	}
 }
 
-// Towers taller than one level are the header plus an embedded link
-// array that up slices, sized to their height class's tallest member
-// (towerClass): one allocation per tower, so an upper-level hop reads
-// the tower it lands on and nothing else.
+// Towers taller than one level are the header followed by an embedded
+// link array, sized to their height class's tallest member
+// (towerClass) so that each class fills one of the allocator's size
+// classes exactly: one allocation per tower, so an upper-level hop
+// reads the tower it lands on and nothing else.
 type (
-	tower3 struct {
+	tower4 struct {
 		vbNode
-		links [2]atomic.Pointer[vbNode]
+		links [3]atomic.Pointer[vbNode]
 	}
-	tower7 struct {
+	tower8 struct {
 		vbNode
-		links [6]atomic.Pointer[vbNode]
+		links [7]atomic.Pointer[vbNode]
 	}
 	towerMax struct {
 		vbNode
@@ -155,32 +168,34 @@ type (
 )
 
 // allocTower materializes a fresh tower of height h holding v on the
-// heap, sized to h's height class: the bare 48-byte header at height
-// 1, then 64 (one cache line), 96 or 200 bytes. Every tower is built
-// here — head and tail, GC-mode inserts, and arena-mode inserts whose
-// class has nothing to recycle — so a recycled tower always has its
-// class's capacity.
+// heap, sized to h's height class: the bare 24-byte header at height
+// 1, then 48, 80 or 176 bytes, each an allocator size class with no
+// slack. The height goes into state before the tower is published.
+// Every tower is built here — head and tail, GC-mode inserts, and
+// arena-mode inserts whose class has nothing to recycle — so every
+// vbNode is the head of its class's link array (which at relies on),
+// and a recycled tower always has its class's capacity.
 func allocTower(v int64, h int) *vbNode {
+	var n *vbNode
 	switch towerClass(h) {
 	case 0:
-		//lint:ignore hotalloc a height-1 tower is the bare 48-byte header: the one allocation of an insert the arena cannot serve
-		return &vbNode{val: v}
+		//lint:ignore hotalloc a height-1 tower is the bare 24-byte header: the one allocation of an insert the arena cannot serve
+		n = &vbNode{val: v}
 	case 1:
-		//lint:ignore hotalloc heights 2-3: header and 2 links in one 64-byte object (one cache line), the insert's only allocation
-		t := &tower3{vbNode: vbNode{val: v}}
-		t.up = t.links[:h-1]
-		return &t.vbNode
+		//lint:ignore hotalloc heights 2-4: header and 3 links in one 48-byte object, the insert's only allocation
+		t := &tower4{vbNode: vbNode{val: v}}
+		n = &t.vbNode
 	case 2:
-		//lint:ignore hotalloc heights 4-7: header and 6 links in one 96-byte object, the insert's only allocation
-		t := &tower7{vbNode: vbNode{val: v}}
-		t.up = t.links[:h-1]
-		return &t.vbNode
+		//lint:ignore hotalloc heights 5-8: header and 7 links in one 80-byte object, the insert's only allocation
+		t := &tower8{vbNode: vbNode{val: v}}
+		n = &t.vbNode
 	default:
-		//lint:ignore hotalloc heights 8 and up (1 in 128 towers, plus head and tail): header and maxLevel-1 links in one object
+		//lint:ignore hotalloc heights 9 and up (1 in 256 towers, plus head and tail): header and maxLevel-1 links in one object
 		t := &towerMax{vbNode: vbNode{val: v}}
-		t.up = t.links[:h-1]
-		return &t.vbNode
+		n = &t.vbNode
 	}
+	n.state.Store(heightBits(h))
+	return n
 }
 
 // acquire takes n's lock, counting a contended acquisition when probes
@@ -257,7 +272,7 @@ func (n *vbNode) lockNextAtValue(v int64, p *obs.Probes, bo *trylock.Backoff) bo
 }
 
 // numTowerClasses is the number of size classes towers bucket into by
-// height: 1, 2-3, 4-7, >= 8 — allocTower's four tower sizes and the
+// height: 1, 2-4, 5-8, >= 9 — allocTower's four tower sizes and the
 // arena's four recycling classes. Roughly half of all towers are
 // height 1 and recycle within their own dense class; the rare tall
 // towers never have to wait behind them.
@@ -265,11 +280,16 @@ const numTowerClasses = 4
 
 // towerClass maps a height to its arena size class.
 func towerClass(h int) int {
-	c := bits.Len(uint(h)) - 1
-	if c >= numTowerClasses {
-		c = numTowerClasses - 1
+	switch {
+	case h <= 1:
+		return 0
+	case h <= 4:
+		return 1
+	case h <= 8:
+		return 2
+	default:
+		return 3
 	}
-	return c
 }
 
 // VB is the value-aware skip list.
@@ -313,7 +333,7 @@ func NewVBLevels(levels int) *VB { return newVB(levels, nil) }
 // through a height-classed arena with epoch-based reclamation. Reuse is
 // safe for the same reason as the flat vbl-arena — the protocol is
 // lock-based and the per-operation epoch pin keeps every node an
-// operation discovered alive (and its val and up immutable)
+// operation discovered alive (and its val and height immutable)
 // until the operation unpins — see DESIGN.md §15.
 func NewVBArena() *VB {
 	return newVB(DefaultLevels, mem.New[vbNode](mem.Options{Classes: numTowerClasses}))
@@ -402,7 +422,7 @@ func (s *VB) randomHeight() int {
 // the arena's height class when one is attached and the class has a
 // tower past its grace period, else fresh from allocTower. A recycled
 // tower's levels below h are re-stored by the caller before the level-0
-// link publishes it; its up is resliced to h-1 links, which the class
+// link publishes it; its state restarts at height h, which the class
 // floor guarantees its allocation holds.
 func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 	if p := s.probes; obs.On(p) {
@@ -412,8 +432,7 @@ func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 		if n := g.ReuseClass(towerClass(h)); n != nil {
 			//lint:ignore valimmutable the tower is recycled: past its grace period no reader holds it, and it is unpublished until the level-0 link after this re-initialization
 			n.val = v
-			n.up = n.up[:h-1]
-			n.state.Store(0)
+			n.state.Store(heightBits(h))
 			return n
 		}
 	}
@@ -432,15 +451,19 @@ func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 // became unreachable). Each level is linked at most once per life —
 // only the inserter links it — and unlinked at most once, so the mask
 // is monotone toward zero after idxDone and the state is stable; one
-// CAS from exactly deleted|idxDone to deleted|idxDone|retired checks
+// CAS from exactly height|deleted|idxDone to …|retired checks
 // all three facts in a single atomic step and makes the retirement
 // exclusive among the remover, the inserter and the opportunistic
 // unlinkers who may all observe it. A tower whose sweep transiently
 // missed a level is simply never retired — the GC reclaims it once
 // unreachable, it is just not recycled.
 func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
-	if g.Active() && n.state.CompareAndSwap(stDeleted|stIdxDone, stDeleted|stIdxDone|stRetired) {
-		g.RetireClass(n, towerClass(n.height()))
+	if !g.Active() {
+		return
+	}
+	h := n.height()
+	if done := heightBits(h) | stDeleted | stIdxDone; n.state.CompareAndSwap(done, done|stRetired) {
+		g.RetireClass(n, towerClass(h))
 	}
 }
 

@@ -45,7 +45,7 @@ step "race gate (batch/scan conformance, root package)"
 go test -race -short -count=1 -run 'TestBatch|TestRangeScan|TestShardSeam|TestLoad|TestCapabilityFlags|FuzzBatchVsOracle|TestChaosSkipShardSeamFaults|FuzzSkipVsOracle' .
 
 step "race gate (skip-list tower lifecycle, ×5)"
-go test -race -count=5 -run 'TestVB|TestGivenUp|TestTowerState' ./internal/skiplist
+go test -race -count=5 -run 'TestVB|TestGivenUp|TestTower' ./internal/skiplist
 
 step "benchmark smoke (probes + JSON report, end to end)"
 go run ./cmd/synchrobench -gate smoke
