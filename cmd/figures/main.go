@@ -12,11 +12,6 @@
 //	              short and a long list
 //	-fig chaos    robustness — injected restart-trigger failures at
 //	              increasing probability, bounded-retry ladder armed
-//	-fig adapt    robustness — static vs adaptive contention control on
-//	              the sharded VBL under skewed (Zipf θ=0.99), seam and
-//	              moving-hotspot load; the adaptive column runs the
-//	              internal/adapt feedback loops (per-shard AIMD
-//	              backoff, retry-budget tuning, overload shedding)
 //	-fig replay   audit — Figure 2/3 failpoint replays captured by the
 //	              flight recorder, lifted back to the paper's accepted
 //	              schedules and linearizability-checked (-traceout DIR
@@ -41,7 +36,6 @@ import (
 	"time"
 
 	"listset"
-	"listset/internal/adapt"
 	"listset/internal/failpoint"
 	"listset/internal/harness"
 	"listset/internal/workload"
@@ -103,8 +97,6 @@ func main() {
 		figureBatch(proto)
 	case "chaos":
 		figureChaos(proto)
-	case "adapt":
-		figureAdapt(proto)
 	case "replay":
 		if err := figureReplay(*traceDir); err != nil {
 			fmt.Fprintln(os.Stderr, "figures: replay:", err)
@@ -120,9 +112,8 @@ func main() {
 		figureSharded(proto, shardList)
 		figureBatch(proto)
 		figureChaos(proto)
-		figureAdapt(proto)
 	default:
-		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q (have: 1, 4, rtti, survey, skiplist, index, sharded, batch, chaos, adapt, replay, all)\n", *fig)
+		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q (have: 1, 4, rtti, survey, skiplist, index, sharded, batch, chaos, replay, all)\n", *fig)
 		os.Exit(2)
 	}
 	if proto.reports != nil {
@@ -151,9 +142,6 @@ type protocol struct {
 	// batchSize forwards to every cell (0 = per-key mode); figureBatch
 	// varies it per sweep.
 	batchSize int
-	// phases forwards a time-varying schedule to every cell;
-	// figureAdapt sets it for the seam and moving panels.
-	phases *workload.Schedule
 	// reports, when non-nil, collects every cell's JSON report instead
 	// of printing tables; main flushes the array once at exit so stdout
 	// stays a single valid JSON document.
@@ -223,7 +211,6 @@ func runAndReport(p protocol, title string, cands []harness.Candidate, wl worklo
 		RetryBudget: p.retryBudget,
 		Watchdog:    p.watchdog,
 		BatchSize:   p.batchSize,
-		Phases:      p.phases,
 	}
 	res, err := harness.RunSweep(sweep)
 	if err != nil {
@@ -426,44 +413,6 @@ func figureChaos(p protocol) {
 		}
 		title := fmt.Sprintf("chaos p=%g", prob)
 		runAndReport(p, title, cands, wl, "vbl")
-	}
-}
-
-// figureAdapt prices adaptive contention control (internal/adapt,
-// DESIGN.md §14): the sharded VBL with a static configuration against
-// the same façade with the feedback controller armed, on the three
-// load shapes a static partition handles worst — Zipf θ=0.99 (all
-// heat on shard 0), the seam attack (hot window parked on the
-// key-space midpoint boundary), and the moving hotspot (the hot shards
-// change every phase). The uniform panel bounds the controller's
-// overhead when there is nothing to adapt to.
-func figureAdapt(p protocol) {
-	p.header("=== Adaptive contention control: static vs adaptive sharded VBL, 50% updates, key range 20000 ===")
-	const nShards, keyRange = 16, int64(20000)
-	p.retryBudget = 32
-	base := workload.Config{UpdatePercent: 50, Range: keyRange}
-	static := shardedCandidate("vbl", nShards, keyRange)
-	static.Name = "vbl-s16-static"
-	adaptive := shardedCandidate("vbl", nShards, keyRange)
-	adaptive.Name = "vbl-s16-adapt"
-	adaptive.Adapt = &adapt.Config{}
-	cands := []harness.Candidate{static, adaptive}
-
-	uniform := base
-	runAndReport(p, "adapt uniform", cands, uniform, "vbl-s16-static")
-
-	zipf := base
-	zipf.Dist, zipf.Theta = workload.DistZipf, 0.99
-	runAndReport(p, "adapt zipf0.99", cands, zipf, "vbl-s16-static")
-
-	for _, preset := range []string{"seam", "moving"} {
-		sched, err := workload.Preset(preset, base, 0)
-		if err != nil {
-			panic(err)
-		}
-		p.phases = sched
-		runAndReport(p, "adapt "+preset, cands, base, "vbl-s16-static")
-		p.phases = nil
 	}
 }
 

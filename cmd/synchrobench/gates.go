@@ -128,40 +128,6 @@ var suites = map[string]suite{
 			})},
 		},
 	},
-	// The controller on the winning index's static partition: it must
-	// tick on every load shape and tax uniform load at most 5 %. The
-	// seam rows (a hot window straddling the boundary between shards 4
-	// and 5) and the zipf rows (heat on shard 0) ride along ungated as
-	// the static-vs-adaptive readings of the skewed shapes.
-	"adapt": {
-		common: "-impl vbskip-sharded -shards 16 -threads 4 -range 20000 -update-ratio 50 -retry-budget 32 -sample-every 64 -duration 700ms -warmup 200ms -runs 3",
-		rows: []row{
-			{"uniform", ""},
-			{"uniform/adaptive", "-adapt"},
-			{"seam", "-dist hotspot -hot-lo 10208 -hot-width 64"},
-			{"seam/adaptive", "-dist hotspot -hot-lo 10208 -hot-width 64 -adapt"},
-			{"zipf", "-dist zipf -theta 0.99"},
-			{"zipf/adaptive", "-dist zipf -theta 0.99 -adapt"},
-		},
-		gates: []gate{
-			{"schema", schema(false)},
-			{"adapt section", func(c cells) (string, bool) {
-				var ticks []string
-				for _, name := range []string{"uniform/adaptive", "seam/adaptive", "zipf/adaptive"} {
-					a := c[name].Adapt
-					if a == nil || a.Ticks == 0 {
-						return fmt.Sprintf("adaptive row %q has no adapt section with ticks > 0", name), false
-					}
-					ticks = append(ticks, strconv.FormatUint(a.Ticks, 10))
-				}
-				return fmt.Sprintf("%s ticks (want > 0 on every adaptive row)", strings.Join(ticks, "/")), true
-			}},
-			{"uniform tax", medians([]string{"uniform", "uniform/adaptive"}, func(c cells, m []float64) (string, bool) {
-				rel := math.Abs(m[1]-m[0]) / m[0]
-				return fmt.Sprintf("%.1f%% (want <= 5%%)", 100*rel), rel <= 0.05
-			})},
-		},
-	},
 	// At range 2·10⁴ a list traversal averages ~5000 hops and a skip-list
 	// descent ~30, so the sharded skip index strictly beats every list.
 	"index": {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"listset/internal/adapt"
 	"listset/internal/harness"
 	"listset/internal/obs/trace"
 )
@@ -97,10 +96,6 @@ func canned(suite string) cells {
 	case "batch":
 		edit(c, "batch=64", func(r *harness.JSONReport) { r.Protocol.BatchSize, r.Throughput.Median = 64, 2e7 })
 		edit(c, "scan", func(r *harness.JSONReport) { r.Counts.Scans = 10 })
-	case "adapt":
-		for _, name := range []string{"uniform/adaptive", "seam/adaptive", "zipf/adaptive"} {
-			edit(c, name, func(r *harness.JSONReport) { r.Adapt = &adapt.Stats{Ticks: 14} })
-		}
 	case "index":
 		median("vbskip S=16", 8e6)(c)
 		median("vbskip S=16 arena", 8e6)(c)
@@ -149,13 +144,6 @@ var gateCases = []struct {
 	{"batch", "amortization", "batch=64 at exactly 3x", median("batch=64", 3e6), true},
 	{"batch", "amortization", "batch=64 below 3x", median("batch=64", 2.99e6), false},
 	{"batch", "amortization", "batch=1 past 10%", median("batch=1", 1.11e6), false},
-
-	{"adapt", "schema", "no events", func(c cells) { edit(c, "seam", func(r *harness.JSONReport) { r.Events = nil }) }, false},
-	{"adapt", "adapt section", "missing section", func(c cells) { edit(c, "zipf/adaptive", func(r *harness.JSONReport) { r.Adapt = nil }) }, false},
-	{"adapt", "adapt section", "controller never ticked", func(c cells) { edit(c, "seam/adaptive", func(r *harness.JSONReport) { r.Adapt.Ticks = 0 }) }, false},
-	{"adapt", "adapt section", "one tick suffices", func(c cells) { edit(c, "uniform/adaptive", func(r *harness.JSONReport) { r.Adapt.Ticks = 1 }) }, true},
-	{"adapt", "uniform tax", "tax at 5%", median("uniform/adaptive", 0.95e6), true},
-	{"adapt", "uniform tax", "tax past 5%", median("uniform/adaptive", 0.94e6), false},
 
 	{"index", "schema", "wrong schema", func(c cells) { edit(c, "vbskip", func(r *harness.JSONReport) { r.Schema = "" }) }, false},
 	{"index", "dominance 2e4", "arena row carries it", median("vbskip S=16", 1), true},

@@ -57,22 +57,6 @@
 // contended), or -dist hotspot (-hot-frac P percent of the traffic in
 // the window [-hot-lo, -hot-lo + -hot-width), rest uniform).
 //
-// Adaptive contention control (see internal/adapt, DESIGN.md §14):
-//
-//	-adapt           run the obs-driven feedback controller alongside
-//	                 the workers: AIMD per-shard backoff ceilings,
-//	                 retry-budget tightening under validation-failure
-//	                 storms, and overload shedding; implies -probes,
-//	                 reports an "adapt" section
-//	-adapt-interval  controller tick period (default 50ms)
-//	-phases          time-varying workload preset cycling through full
-//	                 workload configs: bursts (read-heavy → write-burst
-//	                 → delete-churn), seam (hot window parked on the
-//	                 key-space midpoint — a shard boundary for every
-//	                 power-of-two partition), moving (hot window hops
-//	                 across the range each phase)
-//	-phase-dur       dwell time per phase (default 150ms)
-//
 // Sharding: -shards N routes keys through the order-preserving range
 // partitioner of internal/shard, so each of N independent lists owns
 // range/N keys and traversals walk O(n/N) nodes. It composes with every
@@ -89,7 +73,7 @@
 // The JSON report's "mem" section carries allocs_per_op/bytes_per_op
 // over the measured intervals, the headline the arena moves.
 //
-// Gates: -gate smoke|batch|adapt|index runs one suite of the table in
+// Gates: -gate smoke|batch|index runs one suite of the table in
 // gates.go: every cell in its own process, the reports written to
 // BENCH_<suite>.json, then the suite's gates (exit status 1 when one
 // fails).
@@ -112,7 +96,6 @@ import (
 	"time"
 
 	"listset"
-	"listset/internal/adapt"
 	"listset/internal/failpoint"
 	"listset/internal/harness"
 	"listset/internal/obs"
@@ -123,13 +106,13 @@ import (
 
 // options holds the command-line flags.
 type options struct {
-	implName, dist, phasePreset, chaosSpec, gate                         string
+	implName, dist, chaosSpec, gate                                      string
 	metricsAddr, cpuprofile, mutexprof, blockprof, memprofile, traceFile string
 	threads, shards, updateRatio, runs, sampleEvery, gcpercent           int
 	traceDepth, batchSize, scanPct, hotFrac, retryBudget                 int
 	keyRange, seed, scanWidth, hotLo, hotWidth                           int64
-	duration, warmup, streamEvery, adaptEvery, phaseDur, watchdog        time.Duration
-	list, quiet, jsonOut, probesOn, arena, adaptOn                       bool
+	duration, warmup, streamEvery, watchdog                              time.Duration
+	list, quiet, jsonOut, probesOn, arena                                bool
 	theta                                                                float64
 }
 
@@ -167,10 +150,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.IntVar(&o.hotFrac, "hot-frac", workload.DefaultHotPercent, "percent of traffic in the hot window; used with -dist hotspot")
 	fs.Int64Var(&o.hotLo, "hot-lo", 0, "hot window's lower key bound; used with -dist hotspot")
 	fs.Int64Var(&o.hotWidth, "hot-width", 0, "hot window's key width (0 = range/128); used with -dist hotspot")
-	fs.BoolVar(&o.adaptOn, "adapt", false, "run the adaptive contention controller (implies -probes)")
-	fs.DurationVar(&o.adaptEvery, "adapt-interval", 0, "controller tick period (0 = default 50ms)")
-	fs.StringVar(&o.phasePreset, "phases", "", "time-varying workload preset: "+strings.Join(workload.PresetNames(), ", "))
-	fs.DurationVar(&o.phaseDur, "phase-dur", 0, "dwell per phase (0 = default 150ms)")
 	fs.StringVar(&o.chaosSpec, "chaos", "", "failpoint scenarios: comma-separated site:action[:prob][:delay], or \"shipped\"")
 	fs.IntVar(&o.retryBudget, "retry-budget", 0, "failed-validation retry budget K before escalation (0 = unbounded)")
 	fs.DurationVar(&o.watchdog, "watchdog", 0, "liveness deadline: fail the run if a worker stalls this long (0 = off)")
@@ -218,7 +197,7 @@ func main() {
 			o.sampleEvery = 0
 		}
 	}
-	if o.jsonOut || o.metricsAddr != "" || o.traceFile != "" || o.streamEvery > 0 || o.adaptOn {
+	if o.jsonOut || o.metricsAddr != "" || o.traceFile != "" || o.streamEvery > 0 {
 		o.probesOn = true
 	}
 
@@ -248,18 +227,6 @@ func main() {
 		LatencySampleEvery: o.sampleEvery,
 		RetryBudget:        o.retryBudget,
 		Watchdog:           o.watchdog,
-	}
-	if o.adaptOn {
-		// The controller discovers the set's actuator surface itself.
-		cfg.Adapt = &adapt.Config{Interval: o.adaptEvery}
-	}
-	if o.phasePreset != "" {
-		sched, err := workload.Preset(o.phasePreset, wl, o.phaseDur)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "synchrobench:", err)
-			os.Exit(2)
-		}
-		cfg.Phases = sched
 	}
 	if o.chaosSpec != "" {
 		scs, err := failpoint.ParseScenarios(o.chaosSpec, o.seed)
@@ -422,9 +389,6 @@ func printHuman(name string, cfg harness.Config, res harness.Result) {
 		fmt.Printf("arena         slab-backed nodes, epoch-based recycling\n")
 	}
 	fmt.Printf("workload      %s\n", cfg.Workload)
-	if cfg.Phases != nil {
-		fmt.Printf("phases        %s\n", cfg.Phases)
-	}
 	if cfg.BatchSize > 0 {
 		fmt.Printf("batch         %d keys per call (throughput counted per key)\n", cfg.BatchSize)
 	}
@@ -468,11 +432,6 @@ func printHuman(name string, cfg harness.Config, res harness.Result) {
 		r := res.Retry
 		fmt.Printf("retry         %d ops retried: %d restarts, %d escalated to head, %d backed off, worst op %d restarts\n",
 			r.Ops, r.Restarts, r.EscalatedHead, r.EscalatedBackoff, r.MaxRestarts)
-	}
-	if a := res.Adapt; a != nil {
-		fmt.Printf("adapt         %d ticks: %d/%d backoff widen/decay, %d/%d budget tighten/relax, %d/%d shed/unshed\n",
-			a.Ticks, a.BackoffWiden, a.BackoffDecay, a.BudgetTighten, a.BudgetRelax, a.Sheds, a.Unsheds)
-		fmt.Printf("              final budget %d, ceilings %v\n", a.FinalBudget, a.FinalCeilings)
 	}
 	if res.Latency != nil {
 		for op := obs.OpKind(0); op < obs.NumOps; op++ {

@@ -64,13 +64,10 @@ var hotNames = map[string]bool{
 	"removeall":   true,
 	"containsall": true,
 	"rangescan":   true,
-	// The adaptive-contention layer (DESIGN.md §14): shardOf is the
-	// façade's routing decision, taken on every operation, and the
-	// controller's tick runs its whole signal->actuator loop; a hidden
-	// closure there turns every control interval into GC pressure the
-	// backoff math never priced.
+	// The sharded façade (DESIGN.md §8): shardOf is the routing
+	// decision, taken on every operation, so a hidden allocation there
+	// taxes every shard.
 	"shardof": true,
-	"tick":    true,
 	// The skip lists' entry points (DESIGN.md §15): tower
 	// materialization, index maintenance, the per-level descents and
 	// the finger-seeded batch passes all run on the measured path — a

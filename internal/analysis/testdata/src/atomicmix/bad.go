@@ -54,12 +54,11 @@ func okPlain(c *counter) string {
 	return c.name
 }
 
-// ---- adaptive-contention shapes (DESIGN.md §14) ----
+// ---- control-plane shapes ----
 
-// migrator mirrors the rebalance watermark and the controller's
-// backoff ceiling: both are written with function-style atomics from
-// the control plane and must never be read plainly from the routing
-// or lock paths.
+// migrator mirrors a control plane's routing watermark and backoff
+// ceiling: both are written with function-style atomics and must never
+// be read plainly from the routing or lock paths.
 type migrator struct {
 	watermark int64
 	ceiling   int32
@@ -71,7 +70,7 @@ func advance(m *migrator, w int64) {
 	atomic.StoreInt64(&m.watermark, w)
 }
 
-// widen is the ceiling's atomic home (the controller's AIMD step).
+// widen is the ceiling's atomic home (an additive step).
 func widen(m *migrator) {
 	atomic.AddInt32(&m.ceiling, 1)
 }

@@ -107,31 +107,16 @@ func (l *list) RemoveAll(keys []int64) int {
 	return n
 }
 
-// ---- adaptive-contention entry points (DESIGN.md §14) ----
+// ---- sharded-façade entry points (DESIGN.md §8) ----
 
 type router struct {
 	bounds []int64
 }
 
 // shardOf is hot by name: the routing decision runs on every
-// operation (twice under a live migration), so a spilled allocation
-// here taxes the whole façade.
+// operation, so a spilled allocation here taxes the whole façade.
 func (r *router) shardOf(k int64) *node {
 	return &node{val: k} // want "allocates on the hot path shardOf"
-}
-
-// tick is hot by name: the controller's signal->actuator loop runs
-// every interval and must not manufacture closures.
-func (r *router) tick(loads []uint64) {
-	hot := 0
-	each := func(i int) { // want "closure captures"
-		if loads[i] > loads[hot] {
-			hot = i
-		}
-	}
-	for i := range loads {
-		each(i)
-	}
 }
 
 // rebalance is NOT hot: the migrator may allocate its new generation.

@@ -65,7 +65,7 @@ func (s *VBL) InsertAll(keys []int64) int {
 					s.countInjectedFail(obs.EvValFailSucc, v)
 				}
 			}
-			if injected || !prev.lockNextAt(curr, !s.noPreValidate, s.probes, s.backoff) {
+			if injected || !prev.lockNextAt(curr, !s.noPreValidate, s.probes) {
 				prev = s.restartBatch(prev, &esc, v)
 				continue
 			}
@@ -133,7 +133,7 @@ func (s *VBL) RemoveAll(keys []int64) int {
 					s.countInjectedFail(obs.EvValFailValue, v)
 				}
 			}
-			if injected || !prev.lockNextAtValue(v, !s.noPreValidate, s.probes, s.backoff) {
+			if injected || !prev.lockNextAtValue(v, !s.noPreValidate, s.probes) {
 				prev = s.restartBatch(prev, &esc, v)
 				continue
 			}
@@ -144,7 +144,7 @@ func (s *VBL) RemoveAll(keys []int64) int {
 					s.countInjectedFail(obs.EvValFailSucc, v)
 				}
 			}
-			if injected || !curr.lockNextAt(next, !s.noPreValidate, s.probes, s.backoff) {
+			if injected || !curr.lockNextAt(next, !s.noPreValidate, s.probes) {
 				prev.lock.Unlock()
 				prev = s.restartBatch(prev, &esc, v)
 				continue

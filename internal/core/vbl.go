@@ -92,14 +92,14 @@ func newSentinel(v int64) *node {
 // is no point bouncing the lock's cache line. This is the "validate
 // before locking, not after" property the paper credits for VBL's
 // behaviour under contention.
-func (n *node) lockNextAt(succ *node, preValidate bool, p *obs.Probes, bo *trylock.Backoff) bool {
+func (n *node) lockNextAt(succ *node, preValidate bool, p *obs.Probes) bool {
 	if preValidate && (n.deleted.Load() || n.next.Load() != succ) {
 		if obs.On(p) {
 			n.countIdentityFail(p)
 		}
 		return false
 	}
-	n.acquire(p, bo)
+	n.acquire(p)
 	if n.deleted.Load() || n.next.Load() != succ {
 		n.lock.Unlock()
 		if obs.On(p) {
@@ -111,17 +111,16 @@ func (n *node) lockNextAt(succ *node, preValidate bool, p *obs.Probes, bo *trylo
 }
 
 // acquire takes n's lock, counting a contended acquisition when probes
-// are attached and drawing the contended path's spin bounds from the
-// list's backoff policy bo (nil = package defaults). Like the lock
-// helpers it wraps, it returns holding the lock by contract.
-func (n *node) acquire(p *obs.Probes, bo *trylock.Backoff) {
+// are attached. Like the lock helpers it wraps, it returns holding the
+// lock by contract.
+func (n *node) acquire(p *obs.Probes) {
 	if obs.On(p) {
-		if n.lock.LockContendedWith(bo) {
+		if n.lock.LockContended() {
 			p.Inc(obs.EvTryLockContended, n.val)
 		}
 		return
 	}
-	n.lock.LockWith(bo)
+	n.lock.Lock()
 }
 
 // countIdentityFail classifies a failed identity validation for the
@@ -148,9 +147,9 @@ func (n *node) countValueFail(p *obs.Probes) {
 // countInjectedFail mirrors a chaos-injected validation failure into
 // the probe counters. An injected failure short-circuits the real
 // validation, so without this the fault would be observationally
-// invisible — consumers of the valfail signal (the adaptive
-// controller, the flight recorder) must see an injected storm exactly
-// as they would a real one.
+// invisible — consumers of the valfail signal (the report's events,
+// the flight recorder) must see an injected storm exactly as they
+// would a real one.
 func (s *VBL) countInjectedFail(ev obs.Event, v int64) {
 	if p := s.probes; obs.On(p) {
 		p.Inc(ev, v)
@@ -162,14 +161,14 @@ func (s *VBL) countInjectedFail(ev obs.Event, v int64) {
 // not logically deleted and that the *value* of n's successor is v. The
 // successor node's identity is allowed to have changed — that is the
 // value-awareness that distinguishes VBL from the Lazy list.
-func (n *node) lockNextAtValue(v int64, preValidate bool, p *obs.Probes, bo *trylock.Backoff) bool {
+func (n *node) lockNextAtValue(v int64, preValidate bool, p *obs.Probes) bool {
 	if preValidate && (n.deleted.Load() || n.next.Load().val != v) {
 		if obs.On(p) {
 			n.countValueFail(p)
 		}
 		return false
 	}
-	n.acquire(p, bo)
+	n.acquire(p)
 	if n.deleted.Load() || n.next.Load().val != v {
 		n.lock.Unlock()
 		if obs.On(p) {
@@ -199,17 +198,10 @@ type VBL struct {
 	arena *mem.Arena[node]
 
 	// budget is the failed-validation retry budget K (0 = the paper's
-	// unbounded retries), atomic so the adaptive controller
-	// (internal/adapt) can retune it while operations are in flight;
-	// retry aggregates what the escalators saw.
+	// unbounded retries), atomic so it may be set while operations are
+	// in flight; retry aggregates what the escalators saw.
 	budget atomic.Int32
 	retry  obs.RetryCounter
-
-	// backoff, when non-nil, supplies the per-set spin bounds for
-	// contended node-lock acquisitions; nil means the package defaults.
-	// One policy per set makes backoff per-shard under the sharded
-	// façade — the process-wide constants are only the fallback.
-	backoff *trylock.Backoff
 }
 
 // SetProbes attaches (or with nil detaches) the contention-event
@@ -238,11 +230,6 @@ func (s *VBL) SetFailpoints(fp *failpoint.Set) {
 // retuned while the set is shared (each in-flight operation keeps the
 // budget it started with).
 func (s *VBL) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
-
-// SetBackoff attaches (or with nil detaches) the per-set backoff
-// policy for contended node-lock acquisitions. Call before sharing the
-// set; retuning the attached policy's ceiling afterwards is safe.
-func (s *VBL) SetBackoff(b *trylock.Backoff) { s.backoff = b }
 
 // RetryStats reports the aggregated restart/escalation tallies.
 func (s *VBL) RetryStats() obs.RetryStats { return s.retry.Stats() }
@@ -334,7 +321,7 @@ func (s *VBL) Insert(v int64) bool {
 				s.countInjectedFail(obs.EvValFailSucc, v)
 			}
 		}
-		if injected || !prev.lockNextAt(curr, !s.noPreValidate, s.probes, s.backoff) {
+		if injected || !prev.lockNextAt(curr, !s.noPreValidate, s.probes) {
 			prev = s.restart(prev, &esc, v)
 			continue // revalidate from prev (traverse handles deleted prev)
 		}
@@ -396,7 +383,7 @@ func (s *VBL) Remove(v int64) bool {
 				s.countInjectedFail(obs.EvValFailValue, v)
 			}
 		}
-		if injected || !prev.lockNextAtValue(v, !s.noPreValidate, s.probes, s.backoff) {
+		if injected || !prev.lockNextAtValue(v, !s.noPreValidate, s.probes) {
 			prev = s.restart(prev, &esc, v)
 			continue
 		}
@@ -415,7 +402,7 @@ func (s *VBL) Remove(v int64) bool {
 				s.countInjectedFail(obs.EvValFailSucc, v)
 			}
 		}
-		if injected || !curr.lockNextAt(next, !s.noPreValidate, s.probes, s.backoff) {
+		if injected || !curr.lockNextAt(next, !s.noPreValidate, s.probes) {
 			prev.lock.Unlock()
 			prev = s.restart(prev, &esc, v)
 			continue

@@ -14,7 +14,7 @@ func TestLockNextAtValidatesIdentity(t *testing.T) {
 	if prev != s.head || curr.val != 10 {
 		t.Fatalf("traverse(10) window wrong: prev.val=%d curr.val=%d", prev.val, curr.val)
 	}
-	if !prev.lockNextAt(curr, true, nil, nil) {
+	if !prev.lockNextAt(curr, true, nil) {
 		t.Fatal("lockNextAt with valid window failed")
 	}
 	if !prev.lock.Locked() {
@@ -23,7 +23,7 @@ func TestLockNextAtValidatesIdentity(t *testing.T) {
 	prev.lock.Unlock()
 
 	// Stale successor: validation must fail and leave the lock free.
-	if prev.lockNextAt(s.tail, true, nil, nil) {
+	if prev.lockNextAt(s.tail, true, nil) {
 		t.Fatal("lockNextAt succeeded with stale successor")
 	}
 	if prev.lock.Locked() {
@@ -41,7 +41,7 @@ func TestLockNextAtRejectsDeletedNode(t *testing.T) {
 	if !n10.deleted.Load() {
 		t.Fatal("removed node not marked deleted")
 	}
-	if n10.lockNextAt(succ, true, nil, nil) {
+	if n10.lockNextAt(succ, true, nil) {
 		t.Fatal("lockNextAt succeeded on a logically deleted node")
 	}
 	if n10.lock.Locked() {
@@ -65,12 +65,12 @@ func TestLockNextAtValueAcceptsReincarnatedSuccessor(t *testing.T) {
 		t.Fatal("expected a fresh node after remove+insert")
 	}
 	// Identity-based validation against the stale node fails...
-	if prev.lockNextAt(oldCurr, true, nil, nil) {
+	if prev.lockNextAt(oldCurr, true, nil) {
 		t.Fatal("lockNextAt accepted a stale successor identity")
 	}
 	// ...but value-based validation succeeds: some node with value 10
 	// still follows prev, which is all the set semantics care about.
-	if !prev.lockNextAtValue(10, true, nil, nil) {
+	if !prev.lockNextAtValue(10, true, nil) {
 		t.Fatal("lockNextAtValue rejected a reincarnated successor")
 	}
 	prev.lock.Unlock()
@@ -82,7 +82,7 @@ func TestLockNextAtValueRejectsChangedValue(t *testing.T) {
 	prev, _ := s.traverse(10, s.head)
 	s.Remove(10)
 	// prev(head)'s successor is now tail (+inf), not 10.
-	if prev.lockNextAtValue(10, true, nil, nil) {
+	if prev.lockNextAtValue(10, true, nil) {
 		t.Fatal("lockNextAtValue succeeded though the successor value changed")
 	}
 	if prev.lock.Locked() {
@@ -90,7 +90,7 @@ func TestLockNextAtValueRejectsChangedValue(t *testing.T) {
 	}
 	// An intervening insert of a different value must also fail it.
 	s.Insert(7)
-	if prev.lockNextAtValue(10, true, nil, nil) {
+	if prev.lockNextAtValue(10, true, nil) {
 		t.Fatal("lockNextAtValue(10) succeeded though successor holds 7")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"listset/internal/adapt"
 	"listset/internal/failpoint"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
@@ -101,23 +100,6 @@ type Config struct {
 	// interval is bracketed with ladder snapshots, so population and
 	// warm-up restarts never pollute the report.
 	RetryBudget int
-	// Adapt, when non-nil, runs the adaptive contention controller
-	// (internal/adapt) alongside every run: bound to the fresh set
-	// before population, started before warm-up — so the loop has
-	// already converged when measurement begins — and stopped after the
-	// measured drive, with the final run's decision tally in
-	// Result.Adapt. Requires Probes (the controller's signals ARE the
-	// event counters). When RetryBudget is also set it becomes the
-	// controller's budget baseline unless Adapt.BudgetBase overrides.
-	Adapt *adapt.Config
-	// Phases, when non-nil, replaces the fixed Workload mix with a
-	// time-varying schedule: a driver goroutine advances the shared
-	// phase clock through warm-up and measurement, and every worker's
-	// generator follows it with one atomic load per draw. Workload
-	// still describes pre-population and the report row (pass the
-	// schedule's base config there); size its Range to
-	// Phases.MaxRange() so no phase draws outside the populated space.
-	Phases *workload.Schedule
 	// Watchdog, when positive, enables the liveness watchdog: a run in
 	// which any worker makes no progress for this long fails with a
 	// goroutine dump (see watchdog.go). 0 disables it.
@@ -169,17 +151,6 @@ func (c Config) Validate() error {
 	}
 	if c.Stream < 0 {
 		return fmt.Errorf("harness: Stream = %v, must be non-negative", c.Stream)
-	}
-	if c.Adapt != nil && c.Probes == nil {
-		return fmt.Errorf("harness: Adapt requires Probes (the controller samples the event counters)")
-	}
-	if c.Phases != nil {
-		if len(c.Phases.Phases) == 0 {
-			return fmt.Errorf("harness: Phases has no phases (construct with workload.NewSchedule)")
-		}
-		if r := c.Phases.MaxRange(); r > c.Workload.Range {
-			return fmt.Errorf("harness: phase range %d exceeds Workload.Range %d; population would not cover it", r, c.Workload.Range)
-		}
 	}
 	for _, sc := range c.Chaos {
 		if err := sc.Validate(); err != nil {
@@ -259,10 +230,6 @@ type Result struct {
 	// measured drives, in order; empty unless Config.Stream was
 	// positive.
 	Timeseries []trace.StreamRow
-	// Adapt is the contention controller's decision tally for the LAST
-	// run (each run gets a fresh set, hence a fresh controller); nil
-	// unless Config.Adapt was set.
-	Adapt *adapt.Stats
 	// Mallocs and AllocBytes are the runtime.MemStats deltas summed
 	// over the measured intervals (population and warm-up excluded).
 	// They count the whole process, so they are meaningful for
@@ -345,48 +312,6 @@ func runOnce(cfg Config, r int, res *Result) (Counts, time.Duration, error) {
 		rb = b
 		res.HasRetry = true
 	}
-	// The beat counters serve double duty: liveness signal for the
-	// watchdog and cumulative progress signal for the controller. They
-	// persist across the warm-up and measured drives of one run so the
-	// controller's op counter stays monotone.
-	var beats []beat
-	if cfg.Watchdog > 0 || cfg.Adapt != nil {
-		beats = make([]beat, cfg.Threads)
-	}
-	var ctl *adapt.Controller
-	if cfg.Adapt != nil {
-		acfg := *cfg.Adapt
-		if acfg.BudgetBase == 0 && cfg.RetryBudget > 0 {
-			acfg.BudgetBase = cfg.RetryBudget
-		}
-		// One beat tick is one worker step: 32 point ops, or up to
-		// 4×BatchSize keys in batched mode. The controller only
-		// normalizes counter deltas by this, so the per-step estimate
-		// is all it needs.
-		perBeat := uint64(32)
-		if cfg.batchMode() {
-			k := cfg.BatchSize
-			if k < 1 {
-				k = 1
-			}
-			perBeat = uint64(4 * k)
-		}
-		ctl = adapt.New(set, cfg.Probes, func() uint64 {
-			var t uint64
-			for i := range beats {
-				t += beats[i].n.Load()
-			}
-			return t * perBeat
-		}, acfg)
-	}
-	stopCtl := func() {
-		if ctl != nil {
-			st := ctl.Stop()
-			res.Adapt = &st
-			ctl = nil
-		}
-	}
-	defer stopCtl()
 	res.InitialSize = workload.Prepopulate(cfg.Workload, cfg.Seed+int64(r), set.Insert)
 	// Arm only now, after population, so the setup phase is never the
 	// victim of the faults the measured phase is meant to absorb.
@@ -395,27 +320,9 @@ func runOnce(cfg Config, r int, res *Result) (Counts, time.Duration, error) {
 			return Counts{}, 0, err
 		}
 	}
-	// The phase clock restarts from phase 0 every run (reproducibility)
-	// and keeps cycling through warm-up and measurement alike.
-	if cfg.Phases != nil {
-		cfg.Phases.Advance(0)
-		phaseStop := make(chan struct{})
-		go cfg.Phases.Drive(phaseStop)
-		defer close(phaseStop)
-	}
-	if ctl != nil {
-		ctl.Start()
-	}
 	if cfg.Warmup > 0 {
-		if _, _, err := drive(set, cfg, cfg.Warmup, uint64(cfg.Seed)+uint64(r)*1000, nil, nil, fps, nil, beats); err != nil {
+		if _, _, err := drive(set, cfg, cfg.Warmup, uint64(cfg.Seed)+uint64(r)*1000, nil, nil, fps, nil); err != nil {
 			return Counts{}, 0, err
-		}
-		// Between intervals, restore the configured retry baseline: a
-		// warm-up excursion (chaos storm, cold-start contention) must
-		// not leak a tightened ladder into the measured interval. Under
-		// adaptive control the controller owns the budget instead.
-		if cfg.RetryBudget > 0 && ctl == nil {
-			obs.AttachRetryBudget(set, cfg.RetryBudget)
 		}
 	}
 	// Bracket the measured interval with counter snapshots so that
@@ -470,17 +377,12 @@ func runOnce(cfg Config, r int, res *Result) (Counts, time.Duration, error) {
 	}
 	var memBefore runtime.MemStats
 	runtime.ReadMemStats(&memBefore)
-	counts, elapsed, err := drive(set, cfg, cfg.Duration, uint64(cfg.Seed)+uint64(r)*1000+500, res.Latency, shards, fps, cfg.Trace, beats)
+	counts, elapsed, err := drive(set, cfg, cfg.Duration, uint64(cfg.Seed)+uint64(r)*1000+500, res.Latency, shards, fps, cfg.Trace)
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 	if rb != nil {
 		res.Retry = res.Retry.Add(rb.RetryStats().Sub(retryBefore))
 	}
-	// Stop the controller before detaching the trace sink: the
-	// controller emits probe events from its own goroutine, and the
-	// sink's plain-field discipline allows no concurrent writers at
-	// detach time.
-	stopCtl()
 	if str != nil {
 		str.Stop()
 	}
@@ -583,19 +485,18 @@ func sampleMask(every int) uint64 {
 // when nil and rec is non-nil, drive allocates its own. tr, when
 // non-nil, makes every worker bracket each operation with
 // op-begin/op-end trace records.
-//
-// beats, when non-nil, supplies the per-worker progress counters (len
-// cfg.Threads), owned by the caller so the adaptive controller can sum
-// them across the warm-up and measured drives of one run; the workers
-// bump them, and the watchdog (when armed) samples them.
-func drive(set Set, cfg Config, d time.Duration, seedBase uint64, rec *obs.Recorder, shards []*obs.Recorder, fps *failpoint.Set, tr *trace.Tracer, beats []beat) (Counts, time.Duration, error) {
+func drive(set Set, cfg Config, d time.Duration, seedBase uint64, rec *obs.Recorder, shards []*obs.Recorder, fps *failpoint.Set, tr *trace.Tracer) (Counts, time.Duration, error) {
 	var (
 		stop  atomic.Bool
 		start = make(chan struct{})
 		wg    sync.WaitGroup
 		mu    sync.Mutex
 		total Counts
+		beats []beat
 	)
+	if cfg.Watchdog > 0 {
+		beats = make([]beat, cfg.Threads)
+	}
 	if rec != nil && shards == nil {
 		shards = make([]*obs.Recorder, cfg.Threads)
 		for i := range shards {
@@ -614,12 +515,7 @@ func drive(set Set, cfg Config, d time.Duration, seedBase uint64, rec *obs.Recor
 			// Labels make worker samples separable in CPU, mutex and
 			// block profiles when several cells run in one process.
 			pprof.Do(context.Background(), labels, func(context.Context) {
-				var gen *workload.Generator
-				if cfg.Phases != nil {
-					gen = workload.NewPhasedGenerator(cfg.Phases, seedBase+uint64(id)*0x9E37+1)
-				} else {
-					gen = workload.NewGenerator(cfg.Workload, seedBase+uint64(id)*0x9E37+1)
-				}
+				gen := workload.NewGenerator(cfg.Workload, seedBase+uint64(id)*0x9E37+1)
 				var (
 					local Counts
 					shard *obs.Recorder
@@ -695,17 +591,11 @@ func drive(set Set, cfg Config, d time.Duration, seedBase uint64, rec *obs.Recor
 		}(t)
 	}
 	var wd *watchdog
-	if beats != nil && cfg.Watchdog > 0 {
+	if beats != nil {
 		wd = newWatchdog(beats, cfg.Watchdog, func() {
 			stop.Store(true)
 			if fps != nil {
 				fps.DisarmAll()
-			}
-			// Restore the configured retry baseline so the drain (and
-			// any interval after a survivable fire) does not inherit a
-			// ladder the storm had tightened.
-			if cfg.RetryBudget > 0 {
-				obs.AttachRetryBudget(set, cfg.RetryBudget)
 			}
 		})
 	}

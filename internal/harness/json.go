@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"listset/internal/adapt"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
 )
@@ -52,10 +51,6 @@ type JSONReport struct {
 	// streaming tick over the measured drives); nil unless the run
 	// streamed. A new optional field; schema string unchanged.
 	Timeseries []trace.StreamRow `json:"timeseries,omitempty"`
-	// Adapt is the contention controller's decision tally for the last
-	// run; nil unless the cell ran adaptively. A new optional field;
-	// schema string unchanged.
-	Adapt *adapt.Stats `json:"adapt,omitempty"`
 }
 
 // JSONMem is the runtime.MemStats delta summed over the measured
@@ -104,12 +99,6 @@ type JSONProtocol struct {
 	// BatchSize is the batched-mode batch size (0 = per-key mode).
 	// Counts stay per-key either way; see harness.Config.BatchSize.
 	BatchSize int `json:"batch_size,omitempty"`
-	// AdaptIntervalSec is the adaptive controller's tick period; 0
-	// means the cell ran without adaptive control.
-	AdaptIntervalSec float64 `json:"adapt_interval_s,omitempty"`
-	// Phases renders the time-varying schedule's cycle; empty for a
-	// fixed workload.
-	Phases string `json:"phases,omitempty"`
 }
 
 // JSONRetry mirrors obs.RetryStats.
@@ -216,16 +205,6 @@ func Report(res Result) JSONReport {
 	for _, sc := range cfg.Chaos {
 		rep.Protocol.Chaos = append(rep.Protocol.Chaos, sc.String())
 	}
-	if cfg.Adapt != nil {
-		// Report the effective interval (defaults resolved), not the
-		// possibly-zero configured one.
-		acfg := cfg.Adapt.WithDefaults()
-		rep.Protocol.AdaptIntervalSec = acfg.Interval.Seconds()
-	}
-	if cfg.Phases != nil {
-		rep.Protocol.Phases = cfg.Phases.String()
-	}
-	rep.Adapt = res.Adapt
 	if res.HasRetry {
 		rep.Retry = &JSONRetry{
 			Ops:              res.Retry.Ops,

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"listset/internal/adapt"
 	"listset/internal/failpoint"
 	"listset/internal/obs"
 	"listset/internal/workload"
@@ -14,14 +13,10 @@ import (
 // Candidate names one implementation entered into a sweep. Shards is
 // the shard count of the partitioned façade New constructs (0 =
 // unsharded); it flows into each cell's Config and report unchanged.
-// Adapt, when non-nil, runs this candidate's cells under the adaptive
-// contention controller — per candidate, so one sweep can hold the
-// static and adaptive columns of the same implementation side by side.
 type Candidate struct {
 	Name   string
 	New    func() Set
 	Shards int
-	Adapt  *adapt.Config
 }
 
 // Sweep describes a grid of benchmark cells: every candidate × every
@@ -50,10 +45,6 @@ type Sweep struct {
 	RetryBudget int
 	Watchdog    time.Duration
 	BatchSize   int
-	// Phases forwards the time-varying schedule to every cell. Cells
-	// run sequentially, so sharing one schedule is safe — each run
-	// rewinds the clock to phase 0.
-	Phases *workload.Schedule
 }
 
 // SweepResult holds one sweep's results indexed [candidate][thread].
@@ -84,12 +75,8 @@ func RunSweep(s Sweep) (SweepResult, error) {
 				RetryBudget:        s.RetryBudget,
 				Watchdog:           s.Watchdog,
 				BatchSize:          s.BatchSize,
-				Adapt:              cand.Adapt,
-				Phases:             s.Phases,
 			}
-			if s.Observe || cand.Adapt != nil {
-				// Adaptive candidates need probes regardless: the
-				// counters are the controller's only signal.
+			if s.Observe {
 				cfg.Probes = obs.NewProbes()
 			}
 			res, err := Run(cfg)

@@ -73,16 +73,12 @@ type List struct {
 	arena *mem.Arena[node]
 
 	// budget is the failed-validation retry budget K (0 = unbounded
-	// retries), atomic so the adaptive controller (internal/adapt) can
-	// retune it mid-run; retry aggregates what the escalators saw.
+	// retries), atomic so it may be set mid-run; retry aggregates what
+	// the escalators saw.
 	// Lazy's native restart already goes to head, so the ladder's only
 	// live stage is the backoff, which begins at K.
 	budget atomic.Int32
 	retry  obs.RetryCounter
-
-	// backoff, when non-nil, supplies the per-list spin bounds for
-	// contended window-lock acquisitions; nil means package defaults.
-	backoff *trylock.Backoff
 }
 
 // SetProbes attaches (or with nil detaches) the contention-event
@@ -108,11 +104,6 @@ func (l *List) SetFailpoints(fp *failpoint.Set) {
 // retries. The budget is atomic and may be retuned while the list is
 // shared; in-flight operations keep the budget they started with.
 func (l *List) SetRetryBudget(k int) { l.budget.Store(int32(k)) }
-
-// SetBackoff attaches (or with nil detaches) the per-list backoff
-// policy for contended window-lock acquisitions. Call before sharing
-// the list; retuning the attached policy afterwards is safe.
-func (l *List) SetBackoff(b *trylock.Backoff) { l.backoff = b }
 
 // RetryStats reports the aggregated restart/escalation tallies.
 func (l *List) RetryStats() obs.RetryStats { return l.retry.Stats() }
@@ -150,18 +141,17 @@ func validate(prev, curr *node) bool {
 // when probes are attached. It returns holding both locks by contract;
 // the callers release them on every path.
 func (l *List) lockWindow(prev, curr *node) {
-	bo := l.backoff
 	if p := l.probes; obs.On(p) {
-		if prev.lock.LockContendedWith(bo) {
+		if prev.lock.LockContended() {
 			p.Inc(obs.EvTryLockContended, prev.val)
 		}
-		if curr.lock.LockContendedWith(bo) {
+		if curr.lock.LockContended() {
 			p.Inc(obs.EvTryLockContended, curr.val)
 		}
 		return
 	}
-	prev.lock.LockWith(bo)
-	curr.lock.LockWith(bo)
+	prev.lock.Lock()
+	curr.lock.Lock()
 }
 
 // countValFail classifies a failed window validation for the probe

@@ -102,25 +102,6 @@ const (
 	// EvBatchSplit counts per-shard sub-batches the sharded façade
 	// split a batch into (one count per non-empty sub-batch routed).
 	EvBatchSplit
-	// EvAdaptBackoffWiden counts adaptive-controller decisions that
-	// widened a shard's try-lock spin ceiling (additive increase under
-	// contention); the key is the shard index (internal/adapt).
-	EvAdaptBackoffWiden
-	// EvAdaptBackoffDecay counts controller decisions that decayed a
-	// shard's spin ceiling back toward the default (multiplicative
-	// decrease when quiet).
-	EvAdaptBackoffDecay
-	// EvAdaptBudgetTighten counts controller decisions that tightened
-	// the retry budget under a validation-failure storm.
-	EvAdaptBudgetTighten
-	// EvAdaptBudgetRelax counts controller decisions that relaxed the
-	// retry budget back toward its configured value when quiet.
-	EvAdaptBudgetRelax
-	// EvAdaptShed counts transitions into overload shedding (spin
-	// ceilings pinned at the limit, retry budget floored).
-	EvAdaptShed
-	// EvAdaptUnshed counts recoveries out of overload shedding.
-	EvAdaptUnshed
 	// EvSkipRestartL0 counts skip-list update operations restarted after
 	// a failed level-0 validation — the VB-skip analogue of
 	// EvRestartHead (the skip list's native restart locality is the head,
@@ -165,12 +146,6 @@ var eventNames = [NumEvents]string{
 	EvEpochAdvance:         "epoch_advance",
 	EvBatchWindowRestart:   "batch_window_restart",
 	EvBatchSplit:           "batch_split",
-	EvAdaptBackoffWiden:    "adapt_backoff_widen",
-	EvAdaptBackoffDecay:    "adapt_backoff_decay",
-	EvAdaptBudgetTighten:   "adapt_budget_tighten",
-	EvAdaptBudgetRelax:     "adapt_budget_relax",
-	EvAdaptShed:            "adapt_shed",
-	EvAdaptUnshed:          "adapt_unshed",
 	EvSkipRestartL0:        "skip_restart_l0",
 	EvSkipIndexLinkRetry:   "skip_index_link_retry",
 	EvSkipIndexUnlink:      "skip_index_unlink",

@@ -86,12 +86,6 @@ func TestEventNamesStable(t *testing.T) {
 		EvEpochAdvance:         "epoch_advance",
 		EvBatchWindowRestart:   "batch_window_restart",
 		EvBatchSplit:           "batch_split",
-		EvAdaptBackoffWiden:    "adapt_backoff_widen",
-		EvAdaptBackoffDecay:    "adapt_backoff_decay",
-		EvAdaptBudgetTighten:   "adapt_budget_tighten",
-		EvAdaptBudgetRelax:     "adapt_budget_relax",
-		EvAdaptShed:            "adapt_shed",
-		EvAdaptUnshed:          "adapt_unshed",
 		EvSkipRestartL0:        "skip_restart_l0",
 		EvSkipIndexLinkRetry:   "skip_index_link_retry",
 		EvSkipIndexUnlink:      "skip_index_unlink",

@@ -14,7 +14,7 @@ import (
 // Layout (all little-endian):
 //
 //	offset size  field
-//	0      8     magic "LSTRACE2"
+//	0      8     magic "LSTRACE3"
 //	8      4     workers (uint32)
 //	12     4     depth (uint32)
 //	16     8     drops (uint64)
@@ -24,9 +24,10 @@ import (
 
 // binaryMagic identifies (and versions) the format. Event records
 // store the obs.Event number, so the version changes whenever the event
-// numbering does: LSTRACE1 captures predate the removal of
-// adapt_rebalance and would decode every later event one slot off.
-const binaryMagic = "LSTRACE2"
+// numbering does: LSTRACE2 captures predate the removal of the six
+// adapt_* events (LSTRACE1 ones that of adapt_rebalance) and would
+// decode every later event several slots off.
+const binaryMagic = "LSTRACE3"
 
 // recordSize is the on-disk size of one record.
 const recordSize = 32

@@ -168,6 +168,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("NOTATRACE........"))); err == nil {
 		t.Fatal("ReadBinary accepted a bad magic")
 	}
+	// A previous format version with an otherwise well-formed, empty
+	// header: its event numbering differs, so it must be refused too.
+	old := append([]byte("LSTRACE2"), make([]byte, 24)...)
+	if _, err := ReadBinary(bytes.NewReader(old)); err == nil {
+		t.Fatal("ReadBinary accepted an LSTRACE2 capture")
+	}
 }
 
 // TestChromeExportParses checks the Chrome trace-event export is valid

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-
-	"listset/internal/trylock"
 )
 
 // The TestRebalance* names are historical: the façade once moved its
@@ -55,41 +53,15 @@ func (l *lockedSet) Snapshot() []int64 {
 	return l.s.Snapshot()
 }
 
-// tunableSet records the backoff policy SetShardBackoffs hands it.
-type tunableSet struct {
-	sliceSet
-	b *trylock.Backoff
-}
-
-func (t *tunableSet) SetBackoff(b *trylock.Backoff) { t.b = b }
-
-// TestRebalanceErrors pins the façade's misuse panics: a backoff table
-// whose length is not Shards(), and the NewRange inputs
+// TestRebalanceErrors pins the NewRange misuse panics
 // TestNewRangePanics leaves out. The well-formed neighbours of each
 // case must not panic.
 func TestRebalanceErrors(t *testing.T) {
-	var made []*tunableSet
-	s := NewRange(4, 0, 100, func() Set {
-		ts := &tunableSet{}
-		made = append(made, ts)
-		return ts
-	})
-	policies := func(n int) []*trylock.Backoff {
-		bs := make([]*trylock.Backoff, n)
-		for i := range bs {
-			bs[i] = trylock.NewBackoff()
-		}
-		return bs
-	}
 	cases := []struct {
 		name  string
 		f     func()
 		panic bool
 	}{
-		{"backoffs: too few", func() { s.SetShardBackoffs(policies(3)) }, true},
-		{"backoffs: too many", func() { s.SetShardBackoffs(policies(5)) }, true},
-		{"backoffs: nil", func() { s.SetShardBackoffs(nil) }, true},
-		{"backoffs: one per shard", func() { s.SetShardBackoffs(policies(4)) }, false},
 		{"range: inverted", func() { NewRange(4, 10, 5, newSliceSet) }, true},
 		// uint64 width arithmetic would wrap this to a full-domain width.
 		{"range: inverted at the int64 edges", func() { NewRange(4, math.MaxInt64, math.MinInt64, newSliceSet) }, true},
@@ -106,14 +78,6 @@ func TestRebalanceErrors(t *testing.T) {
 			}()
 			c.f()
 		}()
-	}
-	// Only the well-formed table attached, policy i to shard i.
-	bs := policies(4)
-	s.SetShardBackoffs(bs)
-	for i, ts := range made {
-		if ts.b != bs[i] {
-			t.Fatalf("shard %d holds the wrong backoff policy", i)
-		}
 	}
 }
 
@@ -266,7 +230,6 @@ func TestRebalanceDuringChurn(t *testing.T) {
 		steps    = 6000
 	)
 	s := NewRange(8, 0, keySpace, newLockedSet)
-	s.EnableLoadStats()
 
 	var points, block []int64
 	for _, b := range s.Boundaries()[1:] {
@@ -376,12 +339,5 @@ func TestRebalanceDuringChurn(t *testing.T) {
 	}
 	if got := s.RangeScan(-100, 2*keySpace); !slices.Equal(got, want) {
 		t.Fatalf("quiescent RangeScan = %v, want %v", got, want)
-	}
-	var total uint64
-	for _, n := range s.LoadCounts() {
-		total += n
-	}
-	if total != workers*steps {
-		t.Fatalf("LoadCounts sum to %d routed point ops, want %d", total, workers*steps)
 	}
 }

@@ -36,12 +36,10 @@ package shard
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 	"unsafe"
 
 	"listset/internal/failpoint"
 	"listset/internal/obs"
-	"listset/internal/trylock"
 )
 
 // Set is the operation surface a shard must provide. The root
@@ -85,12 +83,6 @@ type slot struct {
 	_   [(cacheLine - unsafe.Sizeof(Set(nil))%cacheLine) % cacheLine]byte
 }
 
-// loadSlot is one shard's padded operation counter (EnableLoadStats).
-type loadSlot struct {
-	n atomic.Uint64
-	_ [cacheLine - 8]byte
-}
-
 // Sharded is the range-partitioned façade: S independent Sets, each
 // owning one contiguous slice of the key space. The zero value is not
 // usable; call New or NewRange.
@@ -101,11 +93,6 @@ type Sharded struct {
 	lo, hi int64  // focus range [lo, hi)
 	shift  uint   // log2 of the per-shard key span
 	slots  []slot // one per shard, in key order
-
-	// loads, when non-nil (EnableLoadStats, before sharing), counts
-	// routed operations per shard — the load histogram the adaptive
-	// controller's fair-share test reads.
-	loads []loadSlot
 
 	// fps, when non-nil, arms the chaos failpoints: the façade's own
 	// SiteShardRoute site plus whatever sites the shards expose.
@@ -199,20 +186,15 @@ func (s *Sharded) boundary(i int) int64 {
 	return b
 }
 
-// route is the façade's own failpoint site plus the per-shard load
-// accounting: a delay/yield/pause between computing v's owning shard
-// and entering it widens the window in which a concurrent operation on
-// a seam key can overtake, the interleaving the seam-fault conformance
-// tests hammer.
+// route is the façade's own failpoint site: a delay/yield/pause
+// between computing v's owning shard and entering it widens the window
+// in which a concurrent operation on a seam key can overtake, the
+// interleaving the seam-fault conformance tests hammer.
 func (s *Sharded) route(v int64) Set {
 	if fp := s.fps; failpoint.On(fp) {
 		fp.Do(failpoint.SiteShardRoute, v)
 	}
-	i := s.shardOf(v)
-	if ls := s.loads; ls != nil {
-		ls[i].n.Add(1)
-	}
-	return s.slots[i].set
+	return s.slots[s.shardOf(v)].set
 }
 
 // Insert adds v and reports whether v was absent. It is executed
@@ -304,41 +286,6 @@ func (s *Sharded) RetryStats() obs.RetryStats {
 		}
 	}
 	return sum
-}
-
-// SetShardBackoffs attaches one try-lock backoff policy per shard (the
-// adaptive controller's per-shard actuator): policy i governs shard i.
-// len(bs) must equal Shards(); call before sharing the set (retuning
-// the attached policies afterwards is safe — their fields are atomic).
-func (s *Sharded) SetShardBackoffs(bs []*trylock.Backoff) {
-	if len(bs) != len(s.slots) {
-		panic(fmt.Sprintf("shard: SetShardBackoffs with %d policies for %d shards", len(bs), len(s.slots)))
-	}
-	for i := range s.slots {
-		trylock.AttachBackoff(s.slots[i].set, bs[i])
-	}
-}
-
-// EnableLoadStats turns on per-shard operation counting, the load
-// histogram the adaptive controller reads. Call before sharing the set.
-func (s *Sharded) EnableLoadStats() {
-	if s.loads == nil {
-		s.loads = make([]loadSlot, len(s.slots))
-	}
-}
-
-// LoadCounts returns the cumulative routed-operation count per shard
-// (nil unless EnableLoadStats was called). Counts are monotone for the
-// set's life; diff two reads for an interval's weights.
-func (s *Sharded) LoadCounts() []uint64 {
-	if s.loads == nil {
-		return nil
-	}
-	out := make([]uint64, len(s.loads))
-	for i := range s.loads {
-		out[i] = s.loads[i].n.Load()
-	}
-	return out
 }
 
 var (

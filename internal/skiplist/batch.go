@@ -210,7 +210,7 @@ func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 				s.countInjectedFail(obs.EvValFailSucc, v)
 			}
 		}
-		if injected || !preds[0].lockNextAt(0, succs[0], s.probes, s.backoff) {
+		if injected || !preds[0].lockNextAt(0, succs[0], s.probes) {
 			s.restartBatch(&esc, v)
 			continue
 		}
@@ -280,7 +280,7 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 				s.countInjectedFail(obs.EvValFailValue, v)
 			}
 		}
-		if injected || !preds[0].lockNextAtValue(v, s.probes, s.backoff) {
+		if injected || !preds[0].lockNextAtValue(v, s.probes) {
 			s.restartBatch(&esc, v)
 			continue
 		}
@@ -291,7 +291,7 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 				s.countInjectedFail(obs.EvValFailSucc, v)
 			}
 		}
-		if injected || !curr.lockNextAt(0, next, s.probes, s.backoff) {
+		if injected || !curr.lockNextAt(0, next, s.probes) {
 			preds[0].lock.Unlock()
 			s.restartBatch(&esc, v)
 			continue

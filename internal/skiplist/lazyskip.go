@@ -28,15 +28,11 @@ type Lazy struct {
 	fps *failpoint.Set
 
 	// budget is the failed-validation retry budget K (0 = unbounded),
-	// atomic so the adaptive controller can retune it mid-run; retry
+	// atomic so it may be set mid-run; retry
 	// aggregates what the escalators saw. Lazy's restart is always the
 	// full descent from head, so the ladder is head-native.
 	budget atomic.Int32
 	retry  obs.RetryCounter
-
-	// backoff, when non-nil, supplies the per-set spin bounds for
-	// contended predecessor-lock acquisitions; nil = package defaults.
-	backoff *trylock.Backoff
 }
 
 // lazyNode is a tower. marked is the logical-deletion flag;
@@ -94,10 +90,6 @@ func (s *Lazy) SetFailpoints(fp *failpoint.Set) { s.fps = fp }
 // retries.
 func (s *Lazy) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
 
-// SetBackoff attaches (or with nil detaches) the per-set backoff policy
-// for contended predecessor-lock acquisitions.
-func (s *Lazy) SetBackoff(b *trylock.Backoff) { s.backoff = b }
-
 // RetryStats reports the aggregated restart/escalation tallies.
 func (s *Lazy) RetryStats() obs.RetryStats { return s.retry.Stats() }
 
@@ -146,12 +138,12 @@ func (s *Lazy) Contains(v int64) bool {
 // are attached.
 func (s *Lazy) acquire(n *lazyNode) {
 	if p := s.probes; obs.On(p) {
-		if n.lock.LockContendedWith(s.backoff) {
+		if n.lock.LockContended() {
 			p.Inc(obs.EvTryLockContended, n.val)
 		}
 		return
 	}
-	n.lock.LockWith(s.backoff)
+	n.lock.Lock()
 }
 
 // lockPreds locks the distinct predecessors of levels [0, top] in

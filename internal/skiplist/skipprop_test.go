@@ -66,8 +66,8 @@ func TestRandomHeightGeometricQuick(t *testing.T) {
 
 // TestRandomHeightHonorsLevels pins the configurable cap: a list built
 // with fewer levels never draws a taller tower, so raising
-// DefaultLevels for 66M-key ranges cannot leak tall towers into
-// small-level instances sharing the same array capacity.
+// DefaultLevels past its ~2^18 ≈ 262k-key sizing cannot leak tall
+// towers into small-level instances sharing the same array capacity.
 func TestRandomHeightHonorsLevels(t *testing.T) {
 	for _, levels := range []int{1, 2, 4, DefaultLevels, maxLevel} {
 		s := NewVBLevels(levels)

@@ -20,8 +20,8 @@
 //
 // Both are full citizens of the repository's cross-cutting layers: obs
 // probes at the decision points, chaos failpoints mirroring the flat
-// lists' sites, the bounded-retry escalation ladder, per-set backoff
-// policies, and (for VB) a height-classed arena with epoch-based
+// lists' sites, the bounded-retry escalation ladder, and (for VB) a
+// height-classed arena with epoch-based
 // reclamation. DESIGN.md §15 holds the acceptance and reclamation
 // arguments.
 package skiplist
@@ -44,9 +44,10 @@ const (
 )
 
 // maxLevel is the hard tower-height cap (the head's and tail's height).
-// DefaultLevels is the default working height: 18 levels index ~e^18 ≈
-// 66M expected elements, the million-user key spaces the index exists
-// for; NewVBLevels tunes it per instance within [1, maxLevel].
+// DefaultLevels is the default working height: randomHeight is
+// geometric(1/2), so 18 levels index ~2^18 ≈ 262k expected elements
+// per list (per shard under the sharded façade); NewVBLevels tunes it
+// per instance within [1, maxLevel].
 const (
 	maxLevel      = 20
 	DefaultLevels = 18
@@ -199,16 +200,15 @@ func allocTower(v int64, h int) *vbNode {
 }
 
 // acquire takes n's lock, counting a contended acquisition when probes
-// are attached and drawing the contended path's spin bounds from the
-// list's backoff policy bo (nil = package defaults).
-func (n *vbNode) acquire(p *obs.Probes, bo *trylock.Backoff) {
+// are attached.
+func (n *vbNode) acquire(p *obs.Probes) {
 	if obs.On(p) {
-		if n.lock.LockContendedWith(bo) {
+		if n.lock.LockContended() {
 			p.Inc(obs.EvTryLockContended, n.val)
 		}
 		return
 	}
-	n.lock.LockWith(bo)
+	n.lock.Lock()
 }
 
 // countIdentityFail classifies a failed identity validation for the
@@ -233,14 +233,14 @@ func (n *vbNode) countValueFail(p *obs.Probes) {
 
 // lockNextAt is the identity-validating value-aware try-lock at level
 // l: lock-free pre-validation, acquire, revalidate under the lock.
-func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes, bo *trylock.Backoff) bool {
+func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes) bool {
 	if n.isDeleted() || n.at(l).Load() != succ {
 		if obs.On(p) {
 			n.countIdentityFail(p)
 		}
 		return false
 	}
-	n.acquire(p, bo)
+	n.acquire(p)
 	if n.isDeleted() || n.at(l).Load() != succ {
 		n.lock.Unlock()
 		if obs.On(p) {
@@ -253,14 +253,14 @@ func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes, bo *trylock.Back
 
 // lockNextAtValue is the value-validating try-lock on level 0 — the
 // paper's central novelty, applied verbatim to the membership level.
-func (n *vbNode) lockNextAtValue(v int64, p *obs.Probes, bo *trylock.Backoff) bool {
+func (n *vbNode) lockNextAtValue(v int64, p *obs.Probes) bool {
 	if n.isDeleted() || n.next0.Load().val != v {
 		if obs.On(p) {
 			n.countValueFail(p)
 		}
 		return false
 	}
-	n.acquire(p, bo)
+	n.acquire(p)
 	if n.isDeleted() || n.next0.Load().val != v {
 		n.lock.Unlock()
 		if obs.On(p) {
@@ -310,14 +310,10 @@ type VB struct {
 	arena *mem.Arena[vbNode]
 
 	// budget is the failed-validation retry budget K (0 = unbounded),
-	// atomic so the adaptive controller can retune it while operations
-	// are in flight; retry aggregates what the escalators saw.
+	// atomic so it may be set while operations are in flight; retry
+	// aggregates what the escalators saw.
 	budget atomic.Int32
 	retry  obs.RetryCounter
-
-	// backoff, when non-nil, supplies the per-set spin bounds for
-	// contended node-lock acquisitions; nil means package defaults.
-	backoff *trylock.Backoff
 }
 
 // NewVB returns an empty value-aware skip list with DefaultLevels
@@ -385,11 +381,6 @@ func (s *VB) SetFailpoints(fp *failpoint.Set) {
 // ladder is head-native: past K restarts an operation backs off between
 // attempts. 0 restores unbounded retries.
 func (s *VB) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
-
-// SetBackoff attaches (or with nil detaches) the per-set backoff policy
-// for contended node-lock acquisitions. Call before sharing the set;
-// retuning the attached policy's ceiling afterwards is safe.
-func (s *VB) SetBackoff(b *trylock.Backoff) { s.backoff = b }
 
 // RetryStats reports the aggregated restart/escalation tallies.
 func (s *VB) RetryStats() obs.RetryStats { return s.retry.Stats() }
@@ -618,7 +609,7 @@ func (s *VB) Insert(v int64) bool {
 				s.countInjectedFail(obs.EvValFailSucc, v)
 			}
 		}
-		if injected || !preds[0].lockNextAt(0, succs[0], s.probes, s.backoff) {
+		if injected || !preds[0].lockNextAt(0, succs[0], s.probes) {
 			s.restart(&esc, v)
 			continue
 		}
@@ -656,7 +647,7 @@ index:
 			if fp := s.fps; failpoint.On(fp) {
 				injected = fp.Fail(failpoint.SiteSkipIndexLink, v)
 			}
-			if !injected && preds[l].lockNextAt(l, succs[l], s.probes, s.backoff) {
+			if !injected && preds[l].lockNextAt(l, succs[l], s.probes) {
 				n.setLinked(l)
 				preds[l].at(l).Store(n)
 				preds[l].lock.Unlock()
@@ -698,9 +689,9 @@ index:
 }
 
 // countInjectedFail mirrors a chaos-injected validation failure into
-// the probe counters, so consumers of the valfail signal (the adaptive
-// controller, the flight recorder) see an injected storm exactly as
-// they would a real one.
+// the probe counters, so consumers of the valfail signal (the report's
+// events, the flight recorder) see an injected storm exactly as they
+// would a real one.
 func (s *VB) countInjectedFail(ev obs.Event, v int64) {
 	if p := s.probes; obs.On(p) {
 		p.Inc(ev, v)
@@ -733,7 +724,7 @@ func (s *VB) Remove(v int64) bool {
 				s.countInjectedFail(obs.EvValFailValue, v)
 			}
 		}
-		if injected || !preds[0].lockNextAtValue(v, s.probes, s.backoff) {
+		if injected || !preds[0].lockNextAtValue(v, s.probes) {
 			s.restart(&esc, v)
 			continue
 		}
@@ -747,7 +738,7 @@ func (s *VB) Remove(v int64) bool {
 				s.countInjectedFail(obs.EvValFailSucc, v)
 			}
 		}
-		if injected || !curr.lockNextAt(0, next, s.probes, s.backoff) {
+		if injected || !curr.lockNextAt(0, next, s.probes) {
 			preds[0].lock.Unlock()
 			s.restart(&esc, v)
 			continue
@@ -791,7 +782,7 @@ func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
 					break
 				}
 			}
-			if pred.lockNextAt(l, n, s.probes, s.backoff) {
+			if pred.lockNextAt(l, n, s.probes) {
 				pred.at(l).Store(n.at(l).Load())
 				pred.lock.Unlock()
 				n.clearLinked(l)

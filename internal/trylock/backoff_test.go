@@ -145,80 +145,74 @@ func TestBackoffEventuallyAcquiresAfterLongHold(t *testing.T) {
 	<-done
 }
 
-// TestBackoffPerInstance pins the satellite fix of PR 9: backoff
-// bounds are per-policy, not process-wide, so two sets (or two shards)
-// tuned independently never observe each other's ceilings.
+// TestBackoffPerInstance: backoff state lives in each waiter, not in
+// the lock or the package, so a waiter escalated to the ceiling on one
+// lock never slows or flags acquisitions of another. While a is held
+// and its waiter backs off, b must still be taken uncontended.
 func TestBackoffPerInstance(t *testing.T) {
-	a, b := NewBackoff(), NewBackoff()
-	a.SetCeiling(1 << 12)
-	if got := a.Ceiling(); got != 1<<12 {
-		t.Fatalf("a.Ceiling() = %d, want %d", got, 1<<12)
+	var a, b SpinLock
+	a.Lock()
+	done := make(chan struct{})
+	go func() {
+		a.Lock()
+		a.Unlock()
+		close(done)
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+		if b.LockContended() {
+			t.Fatalf("round %d: b.LockContended() reported contention while only a was held", i)
+		}
+		b.Unlock()
 	}
-	if got := b.Ceiling(); got != DefaultMaxSpin {
-		t.Fatalf("b.Ceiling() = %d after tuning a, want the default %d (policies share state)", got, DefaultMaxSpin)
-	}
-	// Clamping: below the floor and above the hard limit.
-	a.SetCeiling(0)
-	if got := a.Ceiling(); got != DefaultMinSpin {
-		t.Fatalf("SetCeiling(0) => Ceiling() = %d, want clamp to %d", got, DefaultMinSpin)
-	}
-	a.SetCeiling(1 << 30)
-	if got := a.Ceiling(); got != CeilingLimit {
-		t.Fatalf("SetCeiling(1<<30) => Ceiling() = %d, want clamp to %d", got, CeilingLimit)
-	}
-	// Nil and zero-value policies behave as the defaults.
-	var nilB *Backoff
-	min, max := nilB.bounds()
-	if min != DefaultMinSpin || max != DefaultMaxSpin {
-		t.Fatalf("nil policy bounds = (%d, %d), want defaults (%d, %d)", min, max, DefaultMinSpin, DefaultMaxSpin)
-	}
-	var zero Backoff
-	min, max = zero.bounds()
-	if min != DefaultMinSpin || max != DefaultMaxSpin {
-		t.Fatalf("zero policy bounds = (%d, %d), want defaults (%d, %d)", min, max, DefaultMinSpin, DefaultMaxSpin)
+	a.Unlock()
+	<-done
+	if a.Locked() || b.Locked() {
+		t.Fatal("a lock is left held after every holder released it")
 	}
 }
 
-// TestLockWithMutualExclusion re-proves mutual exclusion through the
-// policy-taking acquisition path while a concurrent tuner retunes the
-// ceiling — the exact interleaving the adaptive controller produces.
+// TestLockWithMutualExclusion re-proves mutual exclusion on the
+// default contended path with Lock and LockContended callers mixed on
+// one lock, the spin path forced on (as TestBackoffSpinPathMutualExclusion
+// does) and critical sections that yield, so waiters run through the
+// whole doubling range into the yield regime.
 func TestLockWithMutualExclusion(t *testing.T) {
+	old := uniprocessor
+	uniprocessor = false
+	defer func() { uniprocessor = old }()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	var (
-		l       SpinLock
-		counter int // protected by l
-		wg      sync.WaitGroup
-		stop    atomic.Bool
+		l         SpinLock
+		counter   int // protected by l
+		contended atomic.Int64
+		wg        sync.WaitGroup
 	)
-	bo := NewBackoff()
 	const (
 		goroutines = 4
 		increments = 3000
 	)
-	go func() {
-		for i := 0; !stop.Load(); i++ {
-			bo.SetCeiling(DefaultMinSpin << (i % 8))
-			runtime.Gosched()
-		}
-	}()
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < increments; i++ {
 				if id%2 == 0 {
-					l.LockWith(bo)
-				} else if l.LockContendedWith(bo) {
-					_ = id // contended signal exercised; value irrelevant here
+					l.Lock()
+				} else if l.LockContended() {
+					contended.Add(1)
 				}
 				counter++
+				if i%64 == 0 {
+					runtime.Gosched() // hold across a yield
+				}
 				l.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
-	stop.Store(true)
 	if want := goroutines * increments; counter != want {
-		t.Fatalf("counter = %d, want %d (lost increments under live retuning)", counter, want)
+		t.Fatalf("counter = %d, want %d (lost increments on the contended path)", counter, want)
 	}
+	t.Logf("%d contended LockContended acquisitions", contended.Load())
 }

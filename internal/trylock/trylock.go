@@ -50,7 +50,7 @@ func (l *SpinLock) TryLock() bool {
 // Lock yields immediately instead of spinning.
 var uniprocessor = runtime.GOMAXPROCS(0) == 1
 
-// Default bounds of the contended path's exponential backoff. A waiter
+// Bounds of the contended path's exponential backoff. A waiter
 // that loses the acquisition CAS watches the lock word for up to its
 // current spin budget, doubling the budget each contended round from
 // DefaultMinSpin loads up to the ceiling; once the budget is maxed the
@@ -65,114 +65,26 @@ var uniprocessor = runtime.GOMAXPROCS(0) == 1
 const (
 	// DefaultMinSpin is the first contended round's spin budget.
 	DefaultMinSpin int32 = 4
-	// DefaultMaxSpin is the default spin ceiling: the budget at which a
-	// waiter stops doubling and starts yielding to the scheduler.
+	// DefaultMaxSpin is the spin ceiling: the budget at which a waiter
+	// stops doubling and starts yielding to the scheduler.
 	DefaultMaxSpin int32 = 1 << 9
-	// CeilingLimit is the hard upper bound SetCeiling clamps to, so a
-	// runaway tuner can never park waiters in a near-unbounded spin.
-	CeilingLimit int32 = 1 << 14
 )
-
-// Backoff is a per-instance, runtime-tunable backoff policy: the spin
-// bounds a SpinLock's contended path uses when acquired through
-// LockWith/LockContendedWith. Historically these bounds were package
-// constants — process-wide, so two independent sharded sets in one
-// process shared backoff state and per-shard tuning was impossible.
-// A Backoff is owned by one list (hence one shard); its fields are
-// atomics, so a controller (internal/adapt) may retune the ceiling
-// while operations are in flight. A nil *Backoff means the package
-// defaults; the zero value also behaves as the defaults.
-type Backoff struct {
-	min atomic.Int32
-	max atomic.Int32
-}
-
-// NewBackoff returns a policy initialized to the package defaults.
-func NewBackoff() *Backoff {
-	b := &Backoff{}
-	b.min.Store(DefaultMinSpin)
-	b.max.Store(DefaultMaxSpin)
-	return b
-}
-
-// bounds returns the current (min, ceiling) spin bounds, substituting
-// the package defaults for a nil policy or unset (zero) fields.
-func (b *Backoff) bounds() (int32, int32) {
-	if b == nil {
-		return DefaultMinSpin, DefaultMaxSpin
-	}
-	min, max := b.min.Load(), b.max.Load()
-	if min <= 0 {
-		min = DefaultMinSpin
-	}
-	if max <= 0 {
-		max = DefaultMaxSpin
-	}
-	return min, max
-}
-
-// Ceiling returns the current spin ceiling.
-func (b *Backoff) Ceiling() int32 {
-	_, max := b.bounds()
-	return max
-}
-
-// SetCeiling sets the spin ceiling, clamped to [DefaultMinSpin,
-// CeilingLimit]. Safe to call concurrently with lock operations; a
-// waiter mid-backoff picks the new ceiling up on its next round.
-func (b *Backoff) SetCeiling(max int32) {
-	if max < DefaultMinSpin {
-		max = DefaultMinSpin
-	}
-	if max > CeilingLimit {
-		max = CeilingLimit
-	}
-	b.max.Store(max)
-	if b.min.Load() <= 0 {
-		b.min.Store(DefaultMinSpin)
-	}
-}
-
-// Tunable is implemented by sets whose node locks draw their contended
-// backoff bounds from a per-set Backoff policy. SetBackoff(nil)
-// restores the package defaults; call it before sharing the set (the
-// policy's own fields are atomic, so retuning an attached policy is
-// safe mid-run).
-type Tunable interface {
-	SetBackoff(*Backoff)
-}
-
-// AttachBackoff connects b to set if the algorithm supports per-
-// instance backoff tuning and reports whether it did.
-func AttachBackoff(set any, b *Backoff) bool {
-	if tu, ok := set.(Tunable); ok {
-		tu.SetBackoff(b)
-		return true
-	}
-	return false
-}
 
 // Lock acquires l, spinning with bounded exponential backoff until it
 // is available.
-func (l *SpinLock) Lock() {
-	chaosPoint()
-	l.lockSlow(DefaultMinSpin, DefaultMaxSpin)
-}
+func (l *SpinLock) Lock() { l.LockContended() }
 
-// LockWith is Lock drawing its spin bounds from b (nil = defaults).
-func (l *SpinLock) LockWith(b *Backoff) {
+// LockContended acquires l like Lock and additionally reports whether
+// the immediate first attempt failed — the "try-lock acquisition
+// failure" signal the observability layer (internal/obs) counts. The
+// extra return is the only difference from Lock; use it at probe-
+// enabled call sites and plain Lock everywhere else.
+func (l *SpinLock) LockContended() (contended bool) {
 	chaosPoint()
-	min, max := b.bounds()
-	l.lockSlow(min, max)
-}
-
-// lockSlow is the shared contended-acquisition loop.
-func (l *SpinLock) lockSlow(minSpin, maxSpin int32) {
-	spin := minSpin
-	for {
-		if l.TryLock() {
-			return
-		}
+	if l.TryLock() {
+		return false
+	}
+	for spin := DefaultMinSpin; !l.TryLock(); {
 		// On a uniprocessor the holder cannot run while we spin —
 		// yield straight away.
 		if uniprocessor {
@@ -186,37 +98,12 @@ func (l *SpinLock) lockSlow(minSpin, maxSpin int32) {
 				break
 			}
 		}
-		if spin < maxSpin {
+		if spin < DefaultMaxSpin {
 			spin <<= 1
 		} else {
 			runtime.Gosched()
 		}
 	}
-}
-
-// LockContended acquires l like Lock and additionally reports whether
-// the immediate first attempt failed — the "try-lock acquisition
-// failure" signal the observability layer (internal/obs) counts. The
-// extra return is the only difference from Lock; use it at probe-
-// enabled call sites and plain Lock everywhere else.
-func (l *SpinLock) LockContended() (contended bool) {
-	chaosPoint()
-	if l.TryLock() {
-		return false
-	}
-	l.lockSlow(DefaultMinSpin, DefaultMaxSpin)
-	return true
-}
-
-// LockContendedWith is LockContended drawing its spin bounds from b
-// (nil = defaults).
-func (l *SpinLock) LockContendedWith(b *Backoff) (contended bool) {
-	chaosPoint()
-	if l.TryLock() {
-		return false
-	}
-	min, max := b.bounds()
-	l.lockSlow(min, max)
 	return true
 }
 

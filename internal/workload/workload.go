@@ -62,7 +62,7 @@ const (
 	// [HotLo, HotLo+HotWidth) and the rest uniformly over the range —
 	// the adversarial shape for a range partitioner, because unlike
 	// Zipf the hot mass can be parked on an arbitrary point of the key
-	// space (a shard seam, say) and moved between phases.
+	// space (a shard seam, say).
 	DistHotspot = "hotspot"
 )
 
@@ -88,9 +88,7 @@ type Config struct {
 	// Zero means the DefaultScanWidth.
 	ScanWidth int64
 	// InsertShare is the percentage of update operations that are
-	// inserts; 0 means the paper's even 50/50 split. Phase presets use
-	// it to shape write bursts (inserts dominate) and delete churn
-	// (removes dominate).
+	// inserts; 0 means the paper's even 50/50 split.
 	InsertShare int
 	// HotPercent is the share of traffic drawn from the hot window,
 	// consulted only when Dist is DistHotspot; 0 means
@@ -197,11 +195,11 @@ func (c Config) String() string {
 	return s
 }
 
-// genState is the compiled sampling state for one Config: thresholds
-// and distribution tables precomputed so Next is a few arithmetic ops.
-// A phased generator holds one genState per phase and swaps them
-// wholesale when the shared clock advances.
-type genState struct {
+// Generator produces the operation stream for one worker goroutine. It
+// is NOT safe for concurrent use: give each goroutine its own Generator.
+// Its thresholds and distribution tables are precomputed from the
+// Config so Next is a few arithmetic ops.
+type Generator struct {
 	cfg       Config
 	updateCut uint64 // thresholds over a 0..9999 roll
 	insertCut uint64
@@ -212,79 +210,34 @@ type genState struct {
 	hotCut    uint64 // hot-window share of a 0..9999 roll
 	hotLo     int64
 	hotWidth  int64
-}
-
-// compile precomputes cfg's sampling state.
-func compile(cfg Config) genState {
-	share := uint64(cfg.InsertShare)
-	if share == 0 {
-		share = 50
-	}
-	st := genState{
-		cfg:       cfg,
-		updateCut: uint64(cfg.UpdatePercent) * 100, // out of 10000
-		insertCut: uint64(cfg.UpdatePercent) * share,
-	}
-	st.scanCut = st.updateCut + uint64(cfg.ScanPercent)*100
-	switch cfg.Dist {
-	case DistZipf:
-		st.zipf = newZipf(cfg.Range, cfg.Theta)
-		st.useZipf = true
-	case DistHotspot:
-		st.useHot = true
-		st.hotCut = uint64(cfg.HotShare()) * 100
-		st.hotLo = cfg.HotLo
-		st.hotWidth = cfg.HotSpan()
-	}
-	return st
-}
-
-// Generator produces the operation stream for one worker goroutine. It
-// is NOT safe for concurrent use: give each goroutine its own Generator.
-type Generator struct {
-	genState
-	rng XorShift
-
-	// Phased operation (NewPhasedGenerator): states holds one compiled
-	// genState per phase and sched's clock says which is current.
-	sched     *Schedule
-	states    []genState
-	lastPhase int32
+	rng       XorShift
 }
 
 // NewGenerator returns a generator for cfg seeded with seed. Two
 // generators with equal seeds produce identical streams.
 func NewGenerator(cfg Config, seed uint64) *Generator {
-	return &Generator{genState: compile(cfg), rng: NewXorShift(seed)}
-}
-
-// NewPhasedGenerator returns a generator that follows sched's clock:
-// each draw samples from the phase the clock currently names. The
-// phase check is one atomic load per draw; recompiling on a phase
-// switch is O(1) because every phase was compiled up front.
-func NewPhasedGenerator(sched *Schedule, seed uint64) *Generator {
-	states := make([]genState, len(sched.Phases))
-	for i, ph := range sched.Phases {
-		states[i] = compile(ph.Cfg)
+	share := uint64(cfg.InsertShare)
+	if share == 0 {
+		share = 50
 	}
-	return &Generator{
-		genState: states[0],
-		rng:      NewXorShift(seed),
-		sched:    sched,
-		states:   states,
+	g := &Generator{
+		cfg:       cfg,
+		updateCut: uint64(cfg.UpdatePercent) * 100, // out of 10000
+		insertCut: uint64(cfg.UpdatePercent) * share,
+		rng:       NewXorShift(seed),
 	}
-}
-
-// syncPhase swaps in the current phase's compiled state if the shared
-// clock moved since the last draw.
-func (g *Generator) syncPhase() {
-	if g.sched == nil {
-		return
+	g.scanCut = g.updateCut + uint64(cfg.ScanPercent)*100
+	switch cfg.Dist {
+	case DistZipf:
+		g.zipf = newZipf(cfg.Range, cfg.Theta)
+		g.useZipf = true
+	case DistHotspot:
+		g.useHot = true
+		g.hotCut = uint64(cfg.HotShare()) * 100
+		g.hotLo = cfg.HotLo
+		g.hotWidth = cfg.HotSpan()
 	}
-	if ph := g.sched.Clock.Phase(); ph != g.lastPhase {
-		g.lastPhase = ph
-		g.genState = g.states[ph]
-	}
+	return g
 }
 
 // Key draws one key from the configured distribution.
@@ -301,7 +254,6 @@ func (g *Generator) Key() int64 {
 // Next draws the next operation and key. For Scan ops the key is the
 // scan's lower bound; the width is Config.ScanSpan().
 func (g *Generator) Next() (Op, int64) {
-	g.syncPhase()
 	roll := g.rng.Next() % 10000
 	key := g.Key()
 	switch {

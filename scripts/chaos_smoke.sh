@@ -60,50 +60,45 @@ for impl in vbl lazy vbskip; do
   }
 done
 
-# Adaptive storm: a 50% validation-failure storm on the sharded VBL
-# with the controller armed. The controller must absorb the storm —
-# tighten the retry budget (injected failures mirror into the valfail
-# counters, so the controller sees the storm exactly as a real one) —
-# and the run must complete WITHOUT the watchdog firing. The whole
-# control history must be auditable offline: tracecat -dump over the
-# flight-recorder capture shows the controller's decisions interleaved
-# with the failures that caused them. (Zero warmup so the first tick,
-# where the tightening lands, falls inside the traced interval; the
-# deep rings keep the one decision record from being overwritten by
-# the storm's restart records.)
-echo "chaos_smoke: adaptive storm (controller must tighten, watchdog must stay quiet)"
+# Storm legs: a 50% validation-failure storm on the sharded VBL and on
+# the sharded skip list, with the static retry ladder at budget 8. The
+# ladder must absorb the storm — escalate ops that keep losing
+# (head-restart, then backoff) — and the run must complete WITHOUT the
+# watchdog firing. The VBL leg also records the flight recorder, and
+# tracecat -dump must show escalation records among the failures that
+# caused them.
 cat=$tmp/tracecat
 go build -o "$cat" ./cmd/tracecat
-storm_trace=$tmp/chaos-adapt.trace
+escalated='"retry_escalate_(head|backoff)": [1-9]'
+echo "chaos_smoke: vbl-sharded storm (ladder must escalate, watchdog must stay quiet)"
+storm_trace=$tmp/chaos-storm.trace
 out=$("$bin" -impl vbl-sharded -shards 16 -threads 4 -update-ratio 60 \
   -range 256 -duration 150ms -warmup 0s -runs 1 \
   -chaos vbl-lock-next-at:fail:0.5 -retry-budget 8 -watchdog 5s \
-  -adapt -adapt-interval 20ms -trace-depth 524288 -trace "$storm_trace" -json)
-grep -q '"budget_tighten": [1-9]' <<<"$out" || {
-  echo "chaos_smoke: adaptive storm did not tighten the retry budget" >&2
-  echo "$out" | grep -A12 '"adapt"' | head -14 >&2 || true
+  -trace "$storm_trace" -json)
+grep -Eq "$escalated" <<<"$out" || {
+  echo "chaos_smoke: vbl-sharded storm did not escalate the retry ladder" >&2
+  echo "$out" | grep -A6 '"retry"' | head -8 >&2 || true
   exit 1
 }
 # Plain grep, not -q: under pipefail an early-exiting grep -q would
 # kill tracecat with SIGPIPE and fail the pipeline on a found match.
-"$cat" -dump "$storm_trace" | grep 'adapt_budget_tighten' >/dev/null || {
-  echo "chaos_smoke: tracecat dump shows no adapt_budget_tighten decision record" >&2
+"$cat" -dump "$storm_trace" | grep -E 'retry_escalate_(head|backoff)' >/dev/null || {
+  echo "chaos_smoke: tracecat dump shows no retry escalation record" >&2
   exit 1
 }
 rm -f "$storm_trace"
 
-# The same storm on the sharded skip list: the skip sites mirror their
-# injected failures into the valfail counters too, so the controller
-# must see a level-0 lock storm on the log-time structure exactly as a
-# flat-list one and tighten the budget without a watchdog fire.
-echo "chaos_smoke: adaptive skip storm (controller must tighten on vbskip-sharded)"
+# The skip sites mirror their injected failures the same way, so the
+# ladder must see a level-0 lock storm on the log-time structure exactly
+# as a flat-list one.
+echo "chaos_smoke: vbskip -shards 16 storm (ladder must escalate, watchdog must stay quiet)"
 out=$("$bin" -impl vbskip -shards 16 -threads 4 -update-ratio 60 \
   -range 256 -duration 150ms -warmup 0s -runs 1 \
-  -chaos skip-lock-next-at:fail:0.5 -retry-budget 8 -watchdog 5s \
-  -adapt -adapt-interval 20ms -json)
-grep -q '"budget_tighten": [1-9]' <<<"$out" || {
-  echo "chaos_smoke: adaptive skip storm did not tighten the retry budget" >&2
-  echo "$out" | grep -A12 '"adapt"' | head -14 >&2 || true
+  -chaos skip-lock-next-at:fail:0.5 -retry-budget 8 -watchdog 5s -json)
+grep -Eq "$escalated" <<<"$out" || {
+  echo "chaos_smoke: vbskip storm did not escalate the retry ladder" >&2
+  echo "$out" | grep -A6 '"retry"' | head -8 >&2 || true
   exit 1
 }
 

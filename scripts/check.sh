@@ -56,9 +56,6 @@ go run ./cmd/synchrobench -gate smoke
 step "batch amortization gate (batch surface, per-key accounting)"
 go run ./cmd/synchrobench -gate batch
 
-step "adaptive contention gate (controller vs static under skew)"
-go run ./cmd/synchrobench -gate adapt
-
 step "index dominance gate (log-time structures vs every list)"
 go run ./cmd/synchrobench -gate index
 
