@@ -2,34 +2,33 @@ package core
 
 import (
 	"listset/internal/batch"
-	"listset/internal/failpoint"
 	"listset/internal/obs"
 )
 
 // Batched and ranged operations for VBL: the paper's one-window
-// validation protocol (Section 3.1) generalized to k windows in one
+// validation protocol (Section 3.1) applied to k windows in one
 // ordered pass.
 //
 // The idea: a batch of k keys, sorted and deduplicated, visits its
 // windows in ascending list order. The pass keeps an *anchor* — the
-// last node known to precede every remaining key — and traverses from
-// it instead of from head, so the whole batch costs one O(n) walk plus
-// k window validations instead of k full traversals. Each key is
-// applied with the SAME value-aware try-lock protocol the single-key
-// operations use, so each key linearizes individually at its window's
-// store (there is no whole-batch atomicity — that would demand locking
-// all k windows at once, exactly the coarse serialization the paper
-// proves unnecessary). On a failed validation the pass restarts from
-// the anchor, not from head: the anchor's node may since have been
-// deleted, in which case traverse() falls back to head on its own.
+// last node known to precede every remaining key — and runs each key's
+// insertFrom/removeFrom from it instead of from head, so the whole
+// batch costs one O(n) walk plus k window validations instead of k
+// full traversals. A single-key Insert or Remove IS that per-key step,
+// started from head, so each key linearizes individually at its
+// window's store (there is no whole-batch atomicity — that would
+// demand locking all k windows at once, exactly the coarse
+// serialization the paper proves unnecessary). On a failed validation
+// the step restarts from the anchor, not from head: the anchor's node
+// may since have been deleted, in which case traverse() falls back to
+// head on its own.
 //
 // InsertAll adds one more amortization on top: while prev's lock is
 // held with prev.next == curr validated, every key of the batch that
 // falls strictly inside the open interval (prev.val, curr.val) is
-// provably absent, so the pass builds the whole run as a private chain
-// and publishes it with a single prev.next store — k' inserts for one
-// lock acquisition, all linearizing (in ascending order) at that
-// store.
+// provably absent, so insertFrom builds the whole run as a private
+// chain and publishes it with a single prev.next store — k' inserts
+// for one lock acquisition.
 
 // InsertAll adds every key of keys to the set and returns how many
 // were absent (and are now present). The batch is sorted and
@@ -40,59 +39,13 @@ func (s *VBL) InsertAll(keys []int64) int {
 	ks := b.K
 	g := s.arena.Pin()
 	inserted := 0
-	prev := s.head
-	i := 0
-	for i < len(ks) {
-		v := ks[i]
-		esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: s.headRestart}
-		for {
-			if fp := s.fps; failpoint.On(fp) {
-				fp.Do(failpoint.SiteVBLTraverse, v)
-			}
-			var curr *node
-			prev, curr = s.traverse(v, prev)
-			if curr.val == v {
-				// Present: nothing to lock. The node holding v becomes
-				// the anchor — it precedes every remaining (larger) key.
-				esc.Done(&s.retry)
-				prev = curr
-				i++
-				break
-			}
-			injected := false
-			if fp := s.fps; failpoint.On(fp) {
-				if injected = fp.Fail(failpoint.SiteVBLLockNextAt, v); injected {
-					s.countInjectedFail(obs.EvValFailSucc, v)
-				}
-			}
-			if injected || !prev.lockNextAt(curr, !s.noPreValidate, s.probes) {
-				prev = s.restartBatch(prev, &esc, v)
-				continue
-			}
-			// Window (prev, curr) is locked and validated: every batch
-			// key in (prev.val, curr.val) is absent. Build the run as a
-			// private ascending chain and publish it with one store.
-			n := s.newNode(g, v)
-			n.next.Store(curr)
-			chainHead, chainTail := n, n
-			inserted++
-			i++
-			for i < len(ks) && ks[i] < curr.val {
-				m := s.newNode(g, ks[i])
-				m.next.Store(curr)
-				chainTail.next.Store(m)
-				chainTail = m
-				inserted++
-				i++
-			}
-			prev.next.Store(chainHead)
-			prev.lock.Unlock()
-			esc.Done(&s.retry)
-			// The chain's tail precedes every remaining key (its value
-			// is below curr.val <= ks[i]), so it is the next anchor.
-			prev = chainTail
-			break
-		}
+	anchor := s.head
+	for i := 0; i < len(ks); {
+		var n, restarts int
+		anchor, n, restarts = s.insertFrom(g, anchor, ks[i], ks[i+1:])
+		s.countBatchRestarts(ks[i], restarts)
+		inserted += n
+		i += max(n, 1) // a present key consumes itself only
 	}
 	g.Unpin()
 	b.Put()
@@ -108,66 +61,14 @@ func (s *VBL) RemoveAll(keys []int64) int {
 	ks := b.K
 	g := s.arena.Pin()
 	removed := 0
-	prev := s.head
+	anchor := s.head
 	for _, v := range ks {
-		esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: s.headRestart}
-		for {
-			if fp := s.fps; failpoint.On(fp) {
-				fp.Do(failpoint.SiteVBLTraverse, v)
-			}
-			var curr *node
-			prev, curr = s.traverse(v, prev)
-			if curr.val != v {
-				// Absent: prev precedes every remaining key and stays
-				// the anchor.
-				esc.Done(&s.retry)
-				break
-			}
-			// From here this is the single-key Remove window protocol
-			// verbatim: lock prev by value, re-read the successor under
-			// the lock, lock it by identity, then mark and unlink.
-			next := curr.next.Load()
-			injected := false
-			if fp := s.fps; failpoint.On(fp) {
-				if injected = fp.Fail(failpoint.SiteVBLLockNextAtValue, v); injected {
-					s.countInjectedFail(obs.EvValFailValue, v)
-				}
-			}
-			if injected || !prev.lockNextAtValue(v, !s.noPreValidate, s.probes) {
-				prev = s.restartBatch(prev, &esc, v)
-				continue
-			}
-			curr = prev.next.Load()
-			injected = false
-			if fp := s.fps; failpoint.On(fp) {
-				if injected = fp.Fail(failpoint.SiteVBLLockNextAt, v); injected {
-					s.countInjectedFail(obs.EvValFailSucc, v)
-				}
-			}
-			if injected || !curr.lockNextAt(next, !s.noPreValidate, s.probes) {
-				prev.lock.Unlock()
-				prev = s.restartBatch(prev, &esc, v)
-				continue
-			}
-			if fp := s.fps; failpoint.On(fp) {
-				fp.Do(failpoint.SiteUnlink, v)
-			}
-			curr.deleted.Store(true) // logical deletion
-			prev.next.Store(next)    // physical unlink
-			curr.lock.Unlock()
-			prev.lock.Unlock()
-			if p := s.probes; obs.On(p) {
-				p.Inc(obs.EvLogicalDelete, v)
-				p.Inc(obs.EvPhysicalUnlink, v)
-			}
-			if g.Active() {
-				g.Retire(curr)
-			}
+		var ok bool
+		var restarts int
+		anchor, ok, restarts = s.removeFrom(g, anchor, v)
+		s.countBatchRestarts(v, restarts)
+		if ok {
 			removed++
-			esc.Done(&s.retry)
-			// prev still precedes every remaining key: keep it as the
-			// anchor.
-			break
 		}
 	}
 	g.Unpin()
@@ -175,15 +76,15 @@ func (s *VBL) RemoveAll(keys []int64) int {
 	return removed
 }
 
-// restartBatch applies the batch pass's restart policy after a failed
-// window validation: restart from the anchor (traverse falls back to
-// head if the anchor has been deleted), escalating exactly like the
-// single-key restart, and counts the batch-specific event on top.
-func (s *VBL) restartBatch(prev *node, esc *obs.Escalator, v int64) *node {
+// countBatchRestarts counts a batch key's failed window validations as
+// batch-window restarts, on top of the restart events the per-key step
+// itself recorded; single-key operations never count them.
+func (s *VBL) countBatchRestarts(v int64, restarts int) {
 	if p := s.probes; obs.On(p) {
-		p.Inc(obs.EvBatchWindowRestart, v)
+		for ; restarts > 0; restarts-- {
+			p.Inc(obs.EvBatchWindowRestart, v)
+		}
 	}
-	return s.restart(prev, esc, v)
 }
 
 // ContainsAll reports how many of the keys are in the set. One

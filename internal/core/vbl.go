@@ -284,10 +284,34 @@ func (s *VBL) Contains(v int64) bool {
 }
 
 // Insert adds v to the set and reports whether v was absent
-// (Algorithm 2, lines 22-32).
+// (Algorithm 2, lines 22-32): insertFrom started from head.
 func (s *VBL) Insert(v int64) bool {
 	g := s.arena.Pin()
-	prev := s.head
+	_, n, _ := s.insertFrom(g, s.head, v, nil)
+	g.Unpin()
+	return n > 0
+}
+
+// Remove deletes v from the set and reports whether v was present
+// (Algorithm 2, lines 33-48): removeFrom started from head.
+func (s *VBL) Remove(v int64) bool {
+	g := s.arena.Pin()
+	_, ok, _ := s.removeFrom(g, s.head, v)
+	g.Unpin()
+	return ok
+}
+
+// insertFrom is VBL's insert protocol (Algorithm 2, lines 22-32) for
+// key v, traversing from prev: head for Insert, the pass's anchor for
+// InsertAll. While prev's lock is held with the window (prev, curr)
+// validated, every key of rest — ascending, all above v — that falls
+// below curr.val is provably absent too, so it is linked in the same
+// store: k' inserts for one lock acquisition, linearizing in ascending
+// order at that store. It returns the next anchor (a node preceding
+// every key after those consumed), how many keys it inserted — 0 when
+// v was present, in which case only v is consumed — and how many
+// failed validations it restarted after.
+func (s *VBL) insertFrom(g mem.Guard[node], prev *node, v int64, rest []int64) (anchor *node, inserted, restarts int) {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: s.headRestart}
 	// The speculative node is allocated once and reused across failed
 	// validations; it is unpublished until the successful link, so no
@@ -303,13 +327,13 @@ func (s *VBL) Insert(v int64) bool {
 			// Present already: return without touching any metadata.
 			// (The Lazy list would have locked prev first — this early
 			// return is exactly the schedule of Figure 2 that Lazy
-			// rejects and VBL accepts.)
+			// rejects and VBL accepts.) The node holding v precedes
+			// every larger key: it is the next anchor.
 			if n != nil && g.Active() {
 				g.Free(n) // never published: no grace period needed
 			}
 			esc.Done(&s.retry)
-			g.Unpin()
-			return false
+			return curr, 0, esc.Restarts()
 		}
 		if n == nil {
 			n = s.newNode(g, v)
@@ -325,11 +349,24 @@ func (s *VBL) Insert(v int64) bool {
 			prev = s.restart(prev, &esc, v)
 			continue // revalidate from prev (traverse handles deleted prev)
 		}
+		tail := n
+		inserted = 1
+		for _, k := range rest {
+			if k >= curr.val {
+				break
+			}
+			m := s.newNode(g, k)
+			m.next.Store(curr)
+			tail.next.Store(m)
+			tail = m
+			inserted++
+		}
 		prev.next.Store(n)
 		prev.lock.Unlock()
 		esc.Done(&s.retry)
-		g.Unpin()
-		return true
+		// The chain's tail precedes every remaining key (its value is
+		// below curr.val), so it is the next anchor.
+		return tail, inserted, esc.Restarts()
 	}
 }
 
@@ -356,11 +393,12 @@ func (s *VBL) restart(prev *node, esc *obs.Escalator, v int64) *node {
 	return prev
 }
 
-// Remove deletes v from the set and reports whether v was present
-// (Algorithm 2, lines 33-48).
-func (s *VBL) Remove(v int64) bool {
-	g := s.arena.Pin()
-	prev := s.head
+// removeFrom is VBL's remove protocol (Algorithm 2, lines 33-48) for
+// key v, traversing from prev: head for Remove, the pass's anchor for
+// RemoveAll. It returns the next anchor (the final prev, which
+// precedes every larger key), whether v was present, and how many
+// failed validations it restarted after.
+func (s *VBL) removeFrom(g mem.Guard[node], prev *node, v int64) (anchor *node, removed bool, restarts int) {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: s.headRestart}
 	for {
 		if fp := s.fps; failpoint.On(fp) {
@@ -370,8 +408,7 @@ func (s *VBL) Remove(v int64) bool {
 		prev, curr = s.traverse(v, prev)
 		if curr.val != v {
 			esc.Done(&s.retry)
-			g.Unpin()
-			return false
+			return prev, false, esc.Restarts()
 		}
 		next := curr.next.Load()
 		// Lock prev validating BY VALUE: any node holding v will do,
@@ -429,8 +466,7 @@ func (s *VBL) Remove(v int64) bool {
 			g.Retire(curr)
 		}
 		esc.Done(&s.retry)
-		g.Unpin()
-		return true
+		return prev, true, esc.Restarts()
 	}
 }
 

@@ -599,9 +599,20 @@ func drive(set Set, cfg Config, d time.Duration, seedBase uint64, rec *obs.Recor
 			}
 		})
 	}
+	// The interval ends early if the watchdog fires: its onFire has
+	// already stopped the workers, so waiting out d measures nothing.
+	var fired <-chan struct{} // nil, never ready, without a watchdog
+	if wd != nil {
+		fired = wd.done
+	}
+	timer := time.NewTimer(d)
 	begin := time.Now()
 	close(start)
-	time.Sleep(d)
+	select {
+	case <-timer.C:
+	case <-fired:
+		timer.Stop()
+	}
 	stop.Store(true)
 	wg.Wait()
 	elapsed := time.Since(begin)

@@ -74,7 +74,6 @@ type JSONWorkload struct {
 	Theta         float64 `json:"theta,omitempty"`
 	ScanPercent   int     `json:"scan_percent,omitempty"`
 	ScanWidth     int64   `json:"scan_width,omitempty"`
-	InsertShare   int     `json:"insert_share,omitempty"`
 	HotPercent    int     `json:"hot_percent,omitempty"`
 	HotLo         int64   `json:"hot_lo,omitempty"`
 	HotWidth      int64   `json:"hot_width,omitempty"`
@@ -159,7 +158,6 @@ func Report(res Result) JSONReport {
 			Theta:         cfg.Workload.Theta,
 			ScanPercent:   cfg.Workload.ScanPercent,
 			ScanWidth:     cfg.Workload.ScanWidth,
-			InsertShare:   cfg.Workload.InsertShare,
 			HotPercent:    cfg.Workload.HotPercent,
 			HotLo:         cfg.Workload.HotLo,
 			HotWidth:      cfg.Workload.HotWidth,

@@ -7,6 +7,7 @@ import (
 
 	"listset/internal/core"
 	"listset/internal/failpoint"
+	"listset/internal/skiplist"
 	"listset/internal/workload"
 )
 
@@ -93,5 +94,36 @@ func TestChaosArmsAfterPopulate(t *testing.T) {
 	}
 	if res.InitialSize == 0 {
 		t.Fatal("pre-population inserted nothing — the chaos arm hit the setup phase")
+	}
+}
+
+// TestWatchdogEndsIntervalEarly: once the watchdog fires, its onFire
+// has stopped the workers, so the measured interval must end then and
+// not sit out the rest of Duration. A probability-1 failure of the VB
+// skip list's level-0 validation livelocks every update; with a 100 ms
+// deadline and a 2 s interval, Run must return the watchdog error well
+// inside one second.
+func TestWatchdogEndsIntervalEarly(t *testing.T) {
+	cfg := Config{
+		Name:     "vbskip-livelock",
+		New:      func() Set { return skiplist.NewVB() },
+		Threads:  2,
+		Workload: workload.Config{UpdatePercent: 100, Range: 64},
+		Duration: 2 * time.Second,
+		Runs:     1,
+		Seed:     4,
+		Chaos: []failpoint.Scenario{
+			{Site: failpoint.SiteSkipLockNextAt, Action: failpoint.ActFail},
+		},
+		Watchdog: 100 * time.Millisecond,
+	}
+	begin := time.Now()
+	_, err := Run(cfg)
+	took := time.Since(begin)
+	if err == nil || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("want the watchdog error, got %v", err)
+	}
+	if took >= time.Second {
+		t.Fatalf("Run took %v after the watchdog fired, want < 1s", took)
 	}
 }

@@ -2,7 +2,6 @@ package harris
 
 import (
 	"listset/internal/batch"
-	"listset/internal/failpoint"
 	"listset/internal/obs"
 )
 
@@ -11,55 +10,13 @@ import (
 // The lock-based lists batch by holding a window lock while linking a
 // whole run of keys; a lock-free list has no lock to hold, so the
 // batch here is a CAS batch with per-key retry: one sorted pass keeps
-// an anchor node and re-finds each key's window from it, but every key
-// is still applied by its own CAS, and only that key retries on a
-// lost race. Stale anchors are harmless: marking a node rewrites its
-// next pointer (to the marker), so any insert/unlink CAS through a
+// an anchor node and runs each key's insertFrom/removeFrom from it —
+// the very step a single-key Insert or Remove runs from head — so
+// every key is still applied by its own CAS, and only that key retries
+// on a lost race. Stale anchors are harmless: marking a node rewrites
+// its next pointer (to the marker), so any insert/unlink CAS through a
 // deleted anchor fails and the key re-finds from head — the same
 // observation that makes the single-key algorithm safe.
-
-// findFrom is find starting at the anchor instead of head. If the
-// anchor is already deleted (its successor is a marker) the search
-// falls back to head; after the first failed unlink CAS it also
-// restarts from head, like find.
-func (s *Marker) findFrom(anchor *markNode, v int64, esc *obs.Escalator) (prev, curr *markNode) {
-	prev = anchor
-	curr = prev.next.Load()
-	if curr.marker {
-		// The anchor was deleted since the pass last advanced it; its
-		// frozen next points at its marker. Resume from head.
-		prev = s.head
-		curr = prev.next.Load()
-	}
-	for {
-		succ := curr.next.Load()
-		for succ.marker {
-			injected := false
-			if fp := s.fps; failpoint.On(fp) {
-				injected = fp.Fail(failpoint.SiteUnlink, curr.val)
-			}
-			if injected || !prev.next.CompareAndSwap(curr, succ.next.Load()) {
-				if p := s.probes; obs.On(p) {
-					p.Inc(obs.EvCASFail, curr.val)
-					p.Inc(obs.EvRestartHead, curr.val)
-				}
-				esc.Failed(s.probes, curr.val)
-				// Lost the unlink race (or the anchor is stale): fall
-				// back to the head-rooted find.
-				return s.find(v, esc)
-			}
-			if p := s.probes; obs.On(p) {
-				p.Inc(obs.EvHelpedUnlink, curr.val)
-			}
-			curr = succ.next.Load()
-			succ = curr.next.Load()
-		}
-		if curr.val >= v {
-			return prev, curr
-		}
-		prev, curr = curr, succ
-	}
-}
 
 // InsertAll adds every key of keys to the set and returns how many
 // were absent (and are now present). The batch is sorted and
@@ -71,33 +28,12 @@ func (s *Marker) InsertAll(keys []int64) int {
 	inserted := 0
 	anchor := s.head
 	for _, v := range ks {
-		esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-		for {
-			prev, curr := s.findFrom(anchor, v, &esc)
-			if curr.val == v {
-				esc.Done(&s.retry)
-				anchor = curr
-				break
-			}
-			injected := false
-			if fp := s.fps; failpoint.On(fp) {
-				injected = fp.Fail(failpoint.SiteHarrisCAS, v)
-			}
-			if !injected {
-				n := newMarkNode(v, curr)
-				if prev.next.CompareAndSwap(curr, n) {
-					esc.Done(&s.retry)
-					inserted++
-					anchor = n
-					break
-				}
-			}
-			if p := s.probes; obs.On(p) {
-				p.Inc(obs.EvCASFail, v)
-				p.Inc(obs.EvRestartHead, v)
-				p.Inc(obs.EvBatchWindowRestart, v)
-			}
-			esc.Failed(s.probes, v)
+		var ok bool
+		var restarts int
+		anchor, ok, restarts = s.insertFrom(anchor, v)
+		s.countBatchRestarts(v, restarts)
+		if ok {
+			inserted++
 		}
 	}
 	b.Put()
@@ -113,59 +49,27 @@ func (s *Marker) RemoveAll(keys []int64) int {
 	removed := 0
 	anchor := s.head
 	for _, v := range ks {
-		esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-		for {
-			prev, curr := s.findFrom(anchor, v, &esc)
-			if curr.val != v {
-				esc.Done(&s.retry)
-				anchor = prev
-				break
-			}
-			succ := curr.next.Load()
-			if succ.marker {
-				// Lost the race to a competing remove; re-find.
-				if p := s.probes; obs.On(p) {
-					p.Inc(obs.EvRestartHead, v)
-					p.Inc(obs.EvBatchWindowRestart, v)
-				}
-				esc.Failed(s.probes, v)
-				continue
-			}
-			injected := false
-			if fp := s.fps; failpoint.On(fp) {
-				injected = fp.Fail(failpoint.SiteHarrisCAS, v)
-			}
-			//lint:ignore hotalloc the marker node IS the deletion mark in this variant; removal allocates it by design (and recycling would re-introduce ABA)
-			m := &markNode{val: curr.val, marker: true}
-			m.next.Store(succ)
-			if injected || !curr.next.CompareAndSwap(succ, m) {
-				if p := s.probes; obs.On(p) {
-					p.Inc(obs.EvCASFail, v)
-					p.Inc(obs.EvRestartHead, v)
-					p.Inc(obs.EvBatchWindowRestart, v)
-				}
-				esc.Failed(s.probes, v)
-				continue
-			}
-			skipUnlink := false
-			if fp := s.fps; failpoint.On(fp) {
-				skipUnlink = fp.Fail(failpoint.SiteUnlink, v)
-			}
-			unlinked := !skipUnlink && prev.next.CompareAndSwap(curr, succ)
-			if p := s.probes; obs.On(p) {
-				p.Inc(obs.EvLogicalDelete, v)
-				if unlinked {
-					p.Inc(obs.EvPhysicalUnlink, v)
-				}
-			}
+		var ok bool
+		var restarts int
+		anchor, ok, restarts = s.removeFrom(anchor, v)
+		s.countBatchRestarts(v, restarts)
+		if ok {
 			removed++
-			esc.Done(&s.retry)
-			anchor = prev
-			break
 		}
 	}
 	b.Put()
 	return removed
+}
+
+// countBatchRestarts counts a batch key's lost window races as
+// batch-window restarts, on top of the restart events the per-key step
+// itself recorded; single-key operations never count them.
+func (s *Marker) countBatchRestarts(v int64, restarts int) {
+	if p := s.probes; obs.On(p) {
+		for ; restarts > 0; restarts-- {
+			p.Inc(obs.EvBatchWindowRestart, v)
+		}
+	}
 }
 
 // ContainsAll reports how many of the keys are in the set. One

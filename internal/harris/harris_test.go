@@ -69,7 +69,7 @@ func TestMarkerDeletionInstallsMarker(t *testing.T) {
 	s := NewMarker()
 	s.Insert(10)
 	s.Insert(20)
-	_, n10 := s.find(10, &obs.Escalator{})
+	_, n10 := s.findFrom(s.head, 10, &obs.Escalator{})
 	if !s.Remove(10) {
 		t.Fatal("Remove(10) failed")
 	}
@@ -94,7 +94,7 @@ func TestMarkerContainsSkipsMarkers(t *testing.T) {
 	}
 	// Logically delete 20 by hand, leaving it linked: readers must skip
 	// through the marker and still find 30, and report 20 absent.
-	_, n20 := s.find(20, &obs.Escalator{})
+	_, n20 := s.findFrom(s.head, 20, &obs.Escalator{})
 	succ := n20.next.Load()
 	m := &markNode{val: 20, marker: true}
 	m.next.Store(succ)
@@ -117,17 +117,17 @@ func TestMarkerFindUnlinksDeleted(t *testing.T) {
 	for _, v := range []int64{10, 20, 30} {
 		s.Insert(v)
 	}
-	_, n20 := s.find(20, &obs.Escalator{})
+	_, n20 := s.findFrom(s.head, 20, &obs.Escalator{})
 	succ := n20.next.Load()
 	m := &markNode{val: 20, marker: true}
 	m.next.Store(succ)
 	if !n20.next.CompareAndSwap(succ, m) {
 		t.Fatal("manual marker CAS failed")
 	}
-	// find for any key must snip 20 on its way past.
-	prev, curr := s.find(30, &obs.Escalator{})
+	// findFrom for any key must snip 20 on its way past.
+	prev, curr := s.findFrom(s.head, 30, &obs.Escalator{})
 	if prev.val != 10 || curr.val != 30 {
-		t.Fatalf("find(30) = (%d, %d), want (10, 30)", prev.val, curr.val)
+		t.Fatalf("findFrom(head, 30) = (%d, %d), want (10, 30)", prev.val, curr.val)
 	}
 	if got := s.Snapshot(); len(got) != 2 || got[0] != 10 || got[1] != 30 {
 		t.Fatalf("Snapshot = %v, want [10 30]", got)

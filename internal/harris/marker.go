@@ -78,16 +78,22 @@ func NewMarker() *Marker {
 	return &Marker{head: head, tail: tail}
 }
 
-// find locates the window (prev, curr), prev.val < v <= curr.val,
-// unlinking every logically deleted node (one whose successor is a
-// marker) it passes. A failed unlink CAS restarts from head, as in the
-// AMR variant; esc counts those internal restarts against the caller's
-// retry budget.
-func (s *Marker) find(v int64, esc *obs.Escalator) (prev, curr *markNode) {
+// findFrom locates the window (prev, curr), prev.val < v <= curr.val,
+// walking from the anchor — head for Insert and Remove, the pass's
+// anchor for the batches — and unlinking every logically deleted node
+// (one whose successor is a marker) it passes. A deleted anchor falls
+// back to head, and so does a failed unlink CAS, as in the AMR variant;
+// esc counts those internal restarts against the caller's retry budget.
+func (s *Marker) findFrom(anchor *markNode, v int64, esc *obs.Escalator) (prev, curr *markNode) {
 retry:
-	for {
-		prev = s.head
+	for prev = anchor; ; prev = s.head {
 		curr = prev.next.Load()
+		if curr.marker {
+			// The anchor was deleted since the caller last advanced it;
+			// its frozen next points at its marker. Resume from head.
+			prev = s.head
+			curr = prev.next.Load()
+		}
 		for {
 			succ := curr.next.Load()
 			for succ.marker {
@@ -143,14 +149,32 @@ func (s *Marker) Contains(v int64) bool {
 	return curr.val == v && !isDeleted(curr)
 }
 
-// Insert adds v to the set and reports whether v was absent.
+// Insert adds v to the set and reports whether v was absent:
+// insertFrom started from head.
 func (s *Marker) Insert(v int64) bool {
+	_, ok, _ := s.insertFrom(s.head, v)
+	return ok
+}
+
+// Remove deletes v from the set and reports whether v was present:
+// removeFrom started from head.
+func (s *Marker) Remove(v int64) bool {
+	_, ok, _ := s.removeFrom(s.head, v)
+	return ok
+}
+
+// insertFrom is the Harris-Michael insert of key v, locating its window
+// from anchor: head for Insert, the pass's anchor for InsertAll. It
+// returns the next anchor (the node now holding v), whether v was
+// absent, and how many lost link CASes it retried after (findFrom's
+// helping-unlink restarts are not among them).
+func (s *Marker) insertFrom(anchor *markNode, v int64) (next *markNode, inserted bool, restarts int) {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
 	for {
-		prev, curr := s.find(v, &esc)
+		prev, curr := s.findFrom(anchor, v, &esc)
 		if curr.val == v {
 			esc.Done(&s.retry)
-			return false
+			return curr, false, restarts
 		}
 		// An injected CAS failure skips the real CAS (which would
 		// succeed) and takes the same restart path a lost race does.
@@ -162,7 +186,7 @@ func (s *Marker) Insert(v int64) bool {
 			n := newMarkNode(v, curr)
 			if prev.next.CompareAndSwap(curr, n) {
 				esc.Done(&s.retry)
-				return true
+				return n, true, restarts
 			}
 		}
 		if p := s.probes; obs.On(p) {
@@ -170,19 +194,24 @@ func (s *Marker) Insert(v int64) bool {
 			p.Inc(obs.EvRestartHead, v)
 		}
 		esc.Failed(s.probes, v)
+		restarts++
 	}
 }
 
-// Remove deletes v from the set and reports whether v was present. The
+// removeFrom is the Harris-Michael remove of key v, locating its window
+// from anchor: head for Remove, the pass's anchor for RemoveAll. The
 // linearization point of a successful remove is the CAS that installs
-// the marker; the subsequent unlink is best-effort.
-func (s *Marker) Remove(v int64) bool {
+// the marker; the subsequent unlink is best-effort. It returns the next
+// anchor (the window's prev), whether v was present, and how many lost
+// races it retried after (findFrom's helping-unlink restarts are not
+// among them).
+func (s *Marker) removeFrom(anchor *markNode, v int64) (next *markNode, removed bool, restarts int) {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
 	for {
-		prev, curr := s.find(v, &esc)
+		prev, curr := s.findFrom(anchor, v, &esc)
 		if curr.val != v {
 			esc.Done(&s.retry)
-			return false
+			return prev, false, restarts
 		}
 		succ := curr.next.Load()
 		if succ.marker {
@@ -191,6 +220,7 @@ func (s *Marker) Remove(v int64) bool {
 				p.Inc(obs.EvRestartHead, v)
 			}
 			esc.Failed(s.probes, v)
+			restarts++
 			continue
 		}
 		// An injected failure of the marker-install CAS takes the same
@@ -208,6 +238,7 @@ func (s *Marker) Remove(v int64) bool {
 				p.Inc(obs.EvRestartHead, v)
 			}
 			esc.Failed(s.probes, v)
+			restarts++
 			continue
 		}
 		// Best-effort physical removal of curr and its marker; a failed
@@ -225,7 +256,7 @@ func (s *Marker) Remove(v int64) bool {
 			}
 		}
 		esc.Done(&s.retry)
-		return true
+		return prev, true, restarts
 	}
 }
 

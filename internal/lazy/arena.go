@@ -15,7 +15,7 @@ import (
 // drawn from remembered pointer identity without the locks held, so a
 // recycled node reappearing at an old address cannot fool an update
 // the way it fools Harris's unlink CAS. The wait-free traversals
-// (find, Contains, Len, Snapshot) are the remaining hazard: they
+// (findFrom, Contains, Len, Snapshot) are the remaining hazard: they
 // dereference nodes with no locks at all. The epoch pin closes it —
 // every operation pins for its whole duration, and a retired node is
 // recycled only two epochs later, when every pin that could have

@@ -2,7 +2,6 @@ package lazy
 
 import (
 	"listset/internal/batch"
-	"listset/internal/failpoint"
 	"listset/internal/obs"
 )
 
@@ -12,25 +11,11 @@ import (
 // locked BOTH sides (prev and curr) before the validation, and a
 // failed validation restarts from head, because Lazy has no
 // value-aware validation to make a stale anchor safe to re-validate
-// locally. The anchor still pays off on the common success path: after
-// a served key the pass resumes from the still-adjacent window edge
-// instead of from head.
-
-// findFrom traverses from the anchor — or from head if the anchor has
-// been marked since the caller last held it — and returns the window
-// (prev, curr) with prev.val < v <= curr.val.
-func (l *List) findFrom(anchor *node, v int64) (prev, curr *node) {
-	prev = anchor
-	if prev.marked.Load() {
-		prev = l.head
-	}
-	curr = prev.next.Load()
-	for curr.val < v {
-		prev = curr
-		curr = curr.next.Load()
-	}
-	return prev, curr
-}
+// locally. Each key runs insertFrom/removeFrom from the pass's anchor;
+// a single-key Insert or Remove is that same step started from head.
+// The anchor pays off on the common success path: after a served key
+// the pass resumes from the still-adjacent window edge instead of from
+// head.
 
 // InsertAll adds every key of keys to the set and returns how many
 // were absent (and are now present). The batch is sorted and
@@ -42,59 +27,12 @@ func (l *List) InsertAll(keys []int64) int {
 	g := l.arena.Pin()
 	inserted := 0
 	anchor := l.head
-	i := 0
-	for i < len(ks) {
-		v := ks[i]
-		esc := obs.Escalator{Budget: int(l.budget.Load()), HeadNative: true}
-		for {
-			prev, curr := l.findFrom(anchor, v)
-			l.lockWindow(prev, curr)
-			ok := validate(prev, curr)
-			if fp := l.fps; failpoint.On(fp) && ok && fp.Fail(failpoint.SiteLazyValidate, v) {
-				ok = false
-			}
-			if !ok {
-				curr.lock.Unlock()
-				prev.lock.Unlock()
-				l.countValFail(prev, curr, v)
-				if p := l.probes; obs.On(p) {
-					p.Inc(obs.EvBatchWindowRestart, v)
-				}
-				esc.Failed(l.probes, v)
-				anchor = l.head // Lazy's native restart locality
-				continue
-			}
-			if curr.val == v {
-				curr.lock.Unlock()
-				prev.lock.Unlock()
-				esc.Done(&l.retry)
-				anchor = curr
-				i++
-				break
-			}
-			// Window (prev, curr) is locked and validated: every batch
-			// key in (prev.val, curr.val) is absent. Build the run as a
-			// private ascending chain and publish it with one store.
-			n := l.newNode(g, v)
-			n.next.Store(curr)
-			chainHead, chainTail := n, n
-			inserted++
-			i++
-			for i < len(ks) && ks[i] < curr.val {
-				m := l.newNode(g, ks[i])
-				m.next.Store(curr)
-				chainTail.next.Store(m)
-				chainTail = m
-				inserted++
-				i++
-			}
-			prev.next.Store(chainHead)
-			curr.lock.Unlock()
-			prev.lock.Unlock()
-			esc.Done(&l.retry)
-			anchor = chainTail
-			break
-		}
+	for i := 0; i < len(ks); {
+		var n, restarts int
+		anchor, n, restarts = l.insertFrom(g, anchor, ks[i], ks[i+1:])
+		l.countBatchRestarts(ks[i], restarts)
+		inserted += n
+		i += max(n, 1) // a present key consumes itself only
 	}
 	g.Unpin()
 	b.Put()
@@ -112,55 +50,28 @@ func (l *List) RemoveAll(keys []int64) int {
 	removed := 0
 	anchor := l.head
 	for _, v := range ks {
-		esc := obs.Escalator{Budget: int(l.budget.Load()), HeadNative: true}
-		for {
-			prev, curr := l.findFrom(anchor, v)
-			l.lockWindow(prev, curr)
-			ok := validate(prev, curr)
-			if fp := l.fps; failpoint.On(fp) && ok && fp.Fail(failpoint.SiteLazyValidate, v) {
-				ok = false
-			}
-			if !ok {
-				curr.lock.Unlock()
-				prev.lock.Unlock()
-				l.countValFail(prev, curr, v)
-				if p := l.probes; obs.On(p) {
-					p.Inc(obs.EvBatchWindowRestart, v)
-				}
-				esc.Failed(l.probes, v)
-				anchor = l.head
-				continue
-			}
-			if curr.val != v {
-				curr.lock.Unlock()
-				prev.lock.Unlock()
-				esc.Done(&l.retry)
-				anchor = prev
-				break
-			}
-			if fp := l.fps; failpoint.On(fp) {
-				fp.Do(failpoint.SiteUnlink, v)
-			}
-			curr.marked.Store(true)           // logical deletion
-			prev.next.Store(curr.next.Load()) // physical unlink
-			curr.lock.Unlock()
-			prev.lock.Unlock()
-			if p := l.probes; obs.On(p) {
-				p.Inc(obs.EvLogicalDelete, v)
-				p.Inc(obs.EvPhysicalUnlink, v)
-			}
-			if g.Active() {
-				g.Retire(curr)
-			}
+		var ok bool
+		var restarts int
+		anchor, ok, restarts = l.removeFrom(g, anchor, v)
+		l.countBatchRestarts(v, restarts)
+		if ok {
 			removed++
-			esc.Done(&l.retry)
-			anchor = prev
-			break
 		}
 	}
 	g.Unpin()
 	b.Put()
 	return removed
+}
+
+// countBatchRestarts counts a batch key's failed window validations as
+// batch-window restarts, on top of the restart events the per-key step
+// itself recorded; single-key operations never count them.
+func (l *List) countBatchRestarts(v int64, restarts int) {
+	if p := l.probes; obs.On(p) {
+		for ; restarts > 0; restarts-- {
+			p.Inc(obs.EvBatchWindowRestart, v)
+		}
+	}
 }
 
 // ContainsAll reports how many of the keys are in the set. One

@@ -118,10 +118,15 @@ func New() *List {
 	return l
 }
 
-// find traverses from head without locks or mark checks and returns the
-// window (prev, curr) with prev.val < v <= curr.val.
-func (l *List) find(v int64) (prev, curr *node) {
-	prev = l.head
+// findFrom traverses from the anchor — or from head if the anchor has
+// been marked since the caller last held it — without locks or mark
+// checks, and returns the window (prev, curr) with prev.val < v <=
+// curr.val.
+func (l *List) findFrom(anchor *node, v int64) (prev, curr *node) {
+	prev = anchor
+	if prev.marked.Load() {
+		prev = l.head
+	}
 	curr = prev.next.Load()
 	for curr.val < v {
 		prev = curr
@@ -182,15 +187,38 @@ func (l *List) Contains(v int64) bool {
 	return found
 }
 
-// Insert adds v to the set and reports whether v was absent.
+// Insert adds v to the set and reports whether v was absent:
+// insertFrom started from head.
 func (l *List) Insert(v int64) bool {
 	g := l.arena.Pin()
+	_, n, _ := l.insertFrom(g, l.head, v, nil)
+	g.Unpin()
+	return n > 0
+}
+
+// Remove deletes v from the set and reports whether v was present:
+// removeFrom started from head.
+func (l *List) Remove(v int64) bool {
+	g := l.arena.Pin()
+	_, ok, _ := l.removeFrom(g, l.head, v)
+	g.Unpin()
+	return ok
+}
+
+// insertFrom is the Lazy insert protocol for key v, locating its
+// window from anchor: head for Insert, the pass's anchor for
+// InsertAll. While the validated window (prev, curr) is locked, every
+// key of rest — ascending, all above v — that falls below curr.val is
+// provably absent too, so it is linked in the same store. A failed
+// validation restarts from head, Lazy's native restart locality. It
+// returns the next anchor (a node preceding every key after those
+// consumed), how many keys it inserted — 0 when v was present, in
+// which case only v is consumed — and how many failed validations it
+// restarted after.
+func (l *List) insertFrom(g mem.Guard[node], anchor *node, v int64, rest []int64) (next *node, inserted, restarts int) {
 	esc := obs.Escalator{Budget: int(l.budget.Load()), HeadNative: true}
-	// The speculative node is allocated once and reused across failed
-	// validations; it stays unpublished until the successful link.
-	var n *node
 	for {
-		prev, curr := l.find(v)
+		prev, curr := l.findFrom(anchor, v)
 		l.lockWindow(prev, curr)
 		ok := validate(prev, curr)
 		if fp := l.fps; failpoint.On(fp) && ok && fp.Fail(failpoint.SiteLazyValidate, v) {
@@ -201,38 +229,47 @@ func (l *List) Insert(v int64) bool {
 			prev.lock.Unlock()
 			l.countValFail(prev, curr, v)
 			esc.Failed(l.probes, v)
+			anchor = l.head
 			continue
 		}
 		if curr.val == v {
 			// Value already present — but the locks were taken anyway.
 			curr.lock.Unlock()
 			prev.lock.Unlock()
-			if n != nil && g.Active() {
-				g.Free(n) // never published: no grace period needed
-			}
 			esc.Done(&l.retry)
-			g.Unpin()
-			return false
+			return curr, 0, esc.Restarts()
 		}
-		if n == nil {
-			n = l.newNode(g, v)
-		}
+		n := l.newNode(g, v)
 		n.next.Store(curr)
+		tail := n
+		inserted = 1
+		for _, k := range rest {
+			if k >= curr.val {
+				break
+			}
+			m := l.newNode(g, k)
+			m.next.Store(curr)
+			tail.next.Store(m)
+			tail = m
+			inserted++
+		}
 		prev.next.Store(n)
 		curr.lock.Unlock()
 		prev.lock.Unlock()
 		esc.Done(&l.retry)
-		g.Unpin()
-		return true
+		return tail, inserted, esc.Restarts()
 	}
 }
 
-// Remove deletes v from the set and reports whether v was present.
-func (l *List) Remove(v int64) bool {
-	g := l.arena.Pin()
+// removeFrom is the Lazy remove protocol for key v, locating its window
+// from anchor: head for Remove, the pass's anchor for RemoveAll. A
+// failed validation restarts from head. It returns the next anchor
+// (the window's prev, which precedes every larger key), whether v was
+// present, and how many failed validations it restarted after.
+func (l *List) removeFrom(g mem.Guard[node], anchor *node, v int64) (next *node, removed bool, restarts int) {
 	esc := obs.Escalator{Budget: int(l.budget.Load()), HeadNative: true}
 	for {
-		prev, curr := l.find(v)
+		prev, curr := l.findFrom(anchor, v)
 		l.lockWindow(prev, curr)
 		ok := validate(prev, curr)
 		if fp := l.fps; failpoint.On(fp) && ok && fp.Fail(failpoint.SiteLazyValidate, v) {
@@ -243,14 +280,14 @@ func (l *List) Remove(v int64) bool {
 			prev.lock.Unlock()
 			l.countValFail(prev, curr, v)
 			esc.Failed(l.probes, v)
+			anchor = l.head
 			continue
 		}
 		if curr.val != v {
 			curr.lock.Unlock()
 			prev.lock.Unlock()
 			esc.Done(&l.retry)
-			g.Unpin()
-			return false
+			return prev, false, esc.Restarts()
 		}
 		// The mark+unlink run under both locks and must not be skipped,
 		// so the site is Do-only: delays and pauses, never forced failure.
@@ -272,8 +309,7 @@ func (l *List) Remove(v int64) bool {
 			g.Retire(curr)
 		}
 		esc.Done(&l.retry)
-		g.Unpin()
-		return true
+		return prev, true, esc.Restarts()
 	}
 }
 

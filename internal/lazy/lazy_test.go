@@ -10,7 +10,7 @@ import (
 func TestValidateSemantics(t *testing.T) {
 	l := New()
 	l.Insert(10)
-	prev, curr := l.find(10)
+	prev, curr := l.findFrom(l.head, 10)
 	if !validate(prev, curr) {
 		t.Fatal("fresh window failed validation")
 	}
@@ -20,7 +20,7 @@ func TestValidateSemantics(t *testing.T) {
 		t.Fatal("validation passed though a node was inserted into the window")
 	}
 	// Marked curr fails validation even with adjacency restored.
-	prev2, curr2 := l.find(10)
+	prev2, curr2 := l.findFrom(l.head, 10)
 	l.Remove(10)
 	if !curr2.marked.Load() {
 		t.Fatal("removed node not marked")
@@ -34,7 +34,7 @@ func TestLogicalThenPhysicalDeletion(t *testing.T) {
 	l := New()
 	l.Insert(10)
 	l.Insert(20)
-	_, n10 := l.find(10)
+	_, n10 := l.findFrom(l.head, 10)
 	if !l.Remove(10) {
 		t.Fatal("Remove(10) failed")
 	}
@@ -55,7 +55,7 @@ func TestLogicalThenPhysicalDeletion(t *testing.T) {
 func TestContainsChecksMark(t *testing.T) {
 	l := New()
 	l.Insert(10)
-	_, n10 := l.find(10)
+	_, n10 := l.findFrom(l.head, 10)
 	// Simulate the window where a remover has marked but not yet
 	// unlinked: contains must already report absence (the mark is the
 	// linearization point of remove in the Lazy list).
@@ -85,9 +85,9 @@ func TestFindWindow(t *testing.T) {
 		{35, 30, MaxSentinel},
 	}
 	for _, c := range cases {
-		p, cu := l.find(c.v)
+		p, cu := l.findFrom(l.head, c.v)
 		if p.val != c.prev || cu.val != c.curr {
-			t.Fatalf("find(%d) = (%d, %d), want (%d, %d)", c.v, p.val, cu.val, c.prev, c.curr)
+			t.Fatalf("findFrom(head, %d) = (%d, %d), want (%d, %d)", c.v, p.val, cu.val, c.prev, c.curr)
 		}
 	}
 }

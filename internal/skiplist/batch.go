@@ -1,13 +1,6 @@
 package skiplist
 
-import (
-	"runtime"
-
-	"listset/internal/batch"
-	"listset/internal/failpoint"
-	"listset/internal/mem"
-	"listset/internal/obs"
-)
+import "listset/internal/batch"
 
 // Batched and ranged operations for the skip lists: the one-pass
 // multi-window discipline of DESIGN.md §13 lifted to log-time.
@@ -28,22 +21,23 @@ import (
 // so the lanes' loads overlap their misses (AMAC-style interleaving,
 // applied to navigation only). The lanes' per-level predecessors then
 // seed each key's own pass, key by key in ascending order: InsertAll
-// and RemoveAll hand them to findFrom as fingers, ContainsAll to its
-// level-0 walk (containsFrom).
+// and RemoveAll hand them to insertFrom and removeFrom as fingers,
+// ContainsAll to its level-0 walk (containsFrom).
 //
-// Fingers obey the same adoption rule as find(): a finger is only
-// trusted if it was observed LIVE (not deleted/marked) during this
-// pinned pass and still precedes the key — otherwise the descent for
-// that level falls back to wherever the level above landed, exactly as
-// if the finger had never been recorded. Deleted fingers therefore cost
-// speed, never correctness. On a failed level-0 validation the pass
-// restarts from the fingers (the skip-list analogue of PR 8's
-// anchor-restart), counting obs.EvBatchWindowRestart on top of the
-// usual restart events.
+// Fingers obey findFrom's adoption rule: a finger is only trusted if
+// it was observed LIVE (not deleted/marked) during this pinned pass and
+// still precedes the key — otherwise the descent for that level falls
+// back to wherever the level above landed, exactly as if the finger had
+// never been recorded. Deleted fingers therefore cost speed, never
+// correctness. On a failed level-0 validation a key restarts from the
+// fingers its last descent left (the skip-list analogue of the flat
+// lists' anchor-restart); the VB list counts obs.EvBatchWindowRestart
+// for a batch key's restarts on top of the usual restart events.
 //
 // There is no whole-batch atomicity: each key linearizes individually,
-// in ascending key order, with the very same per-key window protocol
-// the single-key operations use.
+// in ascending key order. A single-key Insert or Remove is the same
+// per-key step, insertFrom or removeFrom, run from zeroed fingers —
+// that is, from head.
 
 // batchLanes is the lane-group width: how many consecutive keys of a
 // sorted batch descend the index together.
@@ -63,52 +57,6 @@ func (s *VB) laneFingers(lanes *vbLanes, i int, fingers *[maxLevel]*vbNode) {
 	for l := range s.levels {
 		fingers[l] = lanes[l][i]
 	}
-}
-
-// adoptFinger returns the descent start for one level: the finger when
-// it is live and strictly precedes v (and does not sit behind the
-// position inherited from the level above), else the inherited pred.
-func adoptVBFinger(pred, f *vbNode, v int64) *vbNode {
-	if f != nil && f.val >= pred.val && f.val < v && !f.isDeleted() {
-		return f
-	}
-	return pred
-}
-
-// findFrom is find() with finger search: fingers[l], when valid, seeds
-// the level-l walk. It updates fingers to the new per-level preds.
-func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) (preds, succs [maxLevel]*vbNode) {
-	pred := s.head
-	for l := s.levels - 1; l >= 0; l-- {
-		pred = adoptVBFinger(pred, fingers[l], v)
-		curr := pred.at(l).Load()
-		for curr.val < v {
-			if l > 0 && curr.isDeleted() {
-				if s.tryUnlinkLevel(g, pred, curr, l) {
-					curr = pred.at(l).Load()
-				} else {
-					curr = curr.at(l).Load() // route through, don't adopt
-				}
-				continue
-			}
-			pred = curr
-			curr = pred.at(l).Load()
-		}
-		preds[l], succs[l] = pred, curr
-		fingers[l] = pred
-	}
-	return preds, succs
-}
-
-// restartBatch counts a batch-window restart on top of the usual
-// level-0 restart accounting. The fingers stay as they are: adoption
-// re-validates them on the next descent, falling back to head exactly
-// when they died.
-func (s *VB) restartBatch(esc *obs.Escalator, v int64) {
-	if p := s.probes; obs.On(p) {
-		p.Inc(obs.EvBatchWindowRestart, v)
-	}
-	s.restart(esc, v)
 }
 
 // descendLanes descends the lane group ks — at most batchLanes
@@ -174,60 +122,6 @@ func (s *VB) InsertAll(keys []int64) int {
 	return inserted
 }
 
-// insertFrom is one key of InsertAll: the single-key Insert protocol
-// with a finger-seeded findFrom descent. It reports whether v was
-// absent.
-func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-	var n *vbNode
-	var h int
-	for {
-		if fp := s.fps; failpoint.On(fp) {
-			fp.Do(failpoint.SiteSkipTraverse, v)
-		}
-		preds, succs := s.findFrom(g, v, fingers)
-		if succs[0].val == v && succs[0].isDeleted() {
-			s.restartBatch(&esc, v) // marked, not yet unlinked: see Insert
-			continue
-		}
-		if succs[0].val == v {
-			if n != nil && g.Active() {
-				g.FreeClass(n, towerClass(h)) // never published
-			}
-			esc.Done(&s.retry)
-			return false
-		}
-		if n == nil {
-			h = s.randomHeight()
-			n = s.newTower(g, v, h)
-		}
-		for l := 0; l < h; l++ {
-			n.at(l).Store(succs[l])
-		}
-		injected := false
-		if fp := s.fps; failpoint.On(fp) {
-			if injected = fp.Fail(failpoint.SiteSkipLockNextAt, v); injected {
-				s.countInjectedFail(obs.EvValFailSucc, v)
-			}
-		}
-		if injected || !preds[0].lockNextAt(0, succs[0], s.probes) {
-			s.restartBatch(&esc, v)
-			continue
-		}
-		n.setLinked(0)
-		preds[0].next0.Store(n)
-		preds[0].lock.Unlock()
-		s.linkIndex(g, n, h, preds, succs)
-		// The new tower precedes every remaining (larger) key: it is
-		// the tightest finger for every level it was linked at.
-		for l := 0; l < h; l++ {
-			fingers[l] = n
-		}
-		esc.Done(&s.retry)
-		return true
-	}
-}
-
 // RemoveAll deletes every key of keys from the set and returns how
 // many were present (and are now absent). The batch is sorted and
 // deduplicated first; each key's remove linearizes individually, in
@@ -253,66 +147,6 @@ func (s *VB) RemoveAll(keys []int64) int {
 	g.Unpin()
 	b.Put()
 	return removed
-}
-
-// removeFrom is one key of RemoveAll: the single-key Remove protocol
-// with a finger-seeded findFrom descent. It reports whether v was
-// present.
-func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-	for {
-		if fp := s.fps; failpoint.On(fp) {
-			fp.Do(failpoint.SiteSkipTraverse, v)
-		}
-		preds, succs := s.findFrom(g, v, fingers)
-		if succs[0].val != v {
-			esc.Done(&s.retry)
-			return false
-		}
-		// From here this is the single-key Remove window protocol
-		// verbatim: value-lock the predecessor, identity-lock the
-		// victim, mark, unlink, sweep the index.
-		curr := succs[0]
-		next := curr.next0.Load()
-		injected := false
-		if fp := s.fps; failpoint.On(fp) {
-			if injected = fp.Fail(failpoint.SiteSkipLockNextAt, v); injected {
-				s.countInjectedFail(obs.EvValFailValue, v)
-			}
-		}
-		if injected || !preds[0].lockNextAtValue(v, s.probes) {
-			s.restartBatch(&esc, v)
-			continue
-		}
-		curr = preds[0].next0.Load()
-		injected = false
-		if fp := s.fps; failpoint.On(fp) {
-			if injected = fp.Fail(failpoint.SiteSkipLockNextAt, v); injected {
-				s.countInjectedFail(obs.EvValFailSucc, v)
-			}
-		}
-		if injected || !curr.lockNextAt(0, next, s.probes) {
-			preds[0].lock.Unlock()
-			s.restartBatch(&esc, v)
-			continue
-		}
-		if fp := s.fps; failpoint.On(fp) {
-			fp.Do(failpoint.SiteUnlink, v)
-		}
-		curr.markDeleted()
-		preds[0].next0.Store(next)
-		curr.clearLinked(0) // after the unlink store: linked==0 now implies unreachable
-		curr.lock.Unlock()
-		preds[0].lock.Unlock()
-		if p := s.probes; obs.On(p) {
-			p.Inc(obs.EvLogicalDelete, v)
-			p.Inc(obs.EvPhysicalUnlink, v)
-		}
-		s.sweep(g, curr)
-		s.maybeRetire(g, curr)
-		esc.Done(&s.retry)
-		return true
-	}
 }
 
 // ContainsAll reports how many of the keys are in the set. Wait-free:
@@ -477,35 +311,6 @@ func (s *VB) Load(keys []int64) int {
 
 // ---- Lazy skip list ----
 
-// adoptLazyFinger is the Lazy twin of adoptVBFinger: a finger is
-// trusted while unmarked (marked towers may already be unlinked).
-func adoptLazyFinger(pred, f *lazyNode, v int64) *lazyNode {
-	if f != nil && f.val >= pred.val && f.val < v && !f.marked.Load() {
-		return f
-	}
-	return pred
-}
-
-// findFrom is Lazy's find() with finger search.
-func (s *Lazy) findFrom(v int64, fingers *[maxLevel]*lazyNode) (preds, succs [maxLevel]*lazyNode, lFound int) {
-	lFound = -1
-	pred := s.head
-	for l := s.levels - 1; l >= 0; l-- {
-		pred = adoptLazyFinger(pred, fingers[l], v)
-		curr := pred.next[l].Load()
-		for curr.val < v {
-			pred = curr
-			curr = pred.next[l].Load()
-		}
-		if lFound == -1 && curr.val == v {
-			lFound = l
-		}
-		preds[l], succs[l] = pred, curr
-		fingers[l] = pred
-	}
-	return preds, succs, lFound
-}
-
 // InsertAll adds every key of keys and returns how many were absent.
 // Each key runs the full Lazy insert protocol (lock every distinct
 // predecessor, validate, link) — only the descent is amortized.
@@ -523,53 +328,6 @@ func (s *Lazy) InsertAll(keys []int64) int {
 	return inserted
 }
 
-// insertFrom is Insert with a finger-seeded descent.
-func (s *Lazy) insertFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-	h := s.randomHeight()
-	for {
-		if fp := s.fps; failpoint.On(fp) {
-			fp.Do(failpoint.SiteSkipTraverse, v)
-		}
-		preds, succs, lFound := s.findFrom(v, fingers)
-		if lFound != -1 {
-			found := succs[lFound]
-			if !found.marked.Load() {
-				for !found.fullyLinked.Load() {
-					runtime.Gosched()
-				}
-				esc.Done(&s.retry)
-				return false
-			}
-			s.restart(&esc, v)
-			continue
-		}
-		if !s.lockPreds(&preds, &succs, h-1, nil) {
-			s.restart(&esc, v)
-			continue
-		}
-		if p := s.probes; obs.On(p) {
-			p.Inc(obs.EvNodeAlloc, v)
-			p.Inc(obs.EvSkipTowerHeight, int64(h))
-		}
-		//lint:ignore hotalloc the insert path must materialize the new tower; the Lazy skip list has no arena mode
-		n := &lazyNode{val: v, height: h}
-		for l := 0; l < h; l++ {
-			n.next[l].Store(succs[l])
-		}
-		for l := 0; l < h; l++ {
-			preds[l].next[l].Store(n)
-		}
-		n.fullyLinked.Store(true)
-		unlockPreds(&preds, h-1)
-		for l := 0; l < h; l++ {
-			fingers[l] = n
-		}
-		esc.Done(&s.retry)
-		return true
-	}
-}
-
 // RemoveAll deletes every key of keys and returns how many were
 // present. Each key runs the full Lazy remove protocol; only the
 // descent is amortized.
@@ -579,73 +337,12 @@ func (s *Lazy) RemoveAll(keys []int64) int {
 	removed := 0
 	var fingers [maxLevel]*lazyNode
 	for _, v := range ks {
-		// Remove's retry state (the marked victim) spans find calls;
-		// reuse the single-key protocol, seeding only the first descent.
 		if s.removeFrom(v, &fingers) {
 			removed++
 		}
 	}
 	b.Put()
 	return removed
-}
-
-// removeFrom is Remove with a finger-seeded descent.
-func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-	var victim *lazyNode
-	marked := false
-	for {
-		if fp := s.fps; failpoint.On(fp) {
-			fp.Do(failpoint.SiteSkipTraverse, v)
-		}
-		preds, succs, lFound := s.findFrom(v, fingers)
-		if !marked {
-			if lFound == -1 {
-				esc.Done(&s.retry)
-				return false
-			}
-			victim = succs[lFound]
-			if !victim.fullyLinked.Load() ||
-				victim.marked.Load() ||
-				victim.height-1 != lFound {
-				if victim.marked.Load() {
-					esc.Done(&s.retry)
-					return false
-				}
-				s.restart(&esc, v)
-				continue
-			}
-			//lint:ignore locksafe the victim lock is intentionally held across retry iterations once marked and is released on the success path below
-			s.acquire(victim)
-			if victim.marked.Load() {
-				victim.lock.Unlock()
-				esc.Done(&s.retry)
-				return false
-			}
-			victim.marked.Store(true)
-			marked = true
-			if p := s.probes; obs.On(p) {
-				p.Inc(obs.EvLogicalDelete, v)
-			}
-		}
-		if !s.lockPreds(&preds, &succs, victim.height-1, victim) {
-			s.restart(&esc, v)
-			continue
-		}
-		if fp := s.fps; failpoint.On(fp) {
-			fp.Do(failpoint.SiteUnlink, v)
-		}
-		for l := victim.height - 1; l >= 0; l-- {
-			preds[l].next[l].Store(victim.next[l].Load())
-		}
-		victim.lock.Unlock()
-		unlockPreds(&preds, victim.height-1)
-		if p := s.probes; obs.On(p) {
-			p.Inc(obs.EvPhysicalUnlink, v)
-		}
-		esc.Done(&s.retry)
-		return true
-	}
 }
 
 // ContainsAll reports how many of the keys are in the set: wait-free

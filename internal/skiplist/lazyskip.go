@@ -105,12 +105,17 @@ func (s *Lazy) randomHeight() int {
 	return h
 }
 
-// find fills preds/succs at every level and returns the highest level
-// at which a tower holding v was found (-1 if none). Wait-free.
-func (s *Lazy) find(v int64) (preds, succs [maxLevel]*lazyNode, lFound int) {
+// findFrom fills preds/succs at every level, leaving each level's
+// pred in fingers[l], and returns the highest level at which a tower
+// holding v was found (-1 if none). Wait-free. A finger seeds its
+// level's walk when adoptLazyFinger trusts it, so all-nil fingers —
+// Insert's, Remove's and Contains's — descend from head, and a batch
+// pass's fingers turn the descent into a finger search.
+func (s *Lazy) findFrom(v int64, fingers *[maxLevel]*lazyNode) (preds, succs [maxLevel]*lazyNode, lFound int) {
 	lFound = -1
 	pred := s.head
 	for l := s.levels - 1; l >= 0; l-- {
+		pred = adoptLazyFinger(pred, fingers[l], v)
 		curr := pred.next[l].Load()
 		for curr.val < v {
 			pred = curr
@@ -120,15 +125,26 @@ func (s *Lazy) find(v int64) (preds, succs [maxLevel]*lazyNode, lFound int) {
 			lFound = l
 		}
 		preds[l], succs[l] = pred, curr
+		fingers[l] = pred
 	}
 	return preds, succs, lFound
+}
+
+// adoptLazyFinger is the Lazy twin of adoptVBFinger: a finger is
+// trusted while unmarked (marked towers may already be unlinked).
+func adoptLazyFinger(pred, f *lazyNode, v int64) *lazyNode {
+	if f != nil && f.val >= pred.val && f.val < v && !f.marked.Load() {
+		return f
+	}
+	return pred
 }
 
 // Contains reports whether v is in the set: wait-free, trusting the
 // found tower's fullyLinked and marked flags (Herlihy & Shavit's
 // linearization argument).
 func (s *Lazy) Contains(v int64) bool {
-	_, succs, lFound := s.find(v)
+	var fingers [maxLevel]*lazyNode
+	_, succs, lFound := s.findFrom(v, &fingers)
 	return lFound != -1 &&
 		succs[lFound].fullyLinked.Load() &&
 		!succs[lFound].marked.Load()
@@ -216,15 +232,31 @@ func (s *Lazy) restart(esc *obs.Escalator, v int64) {
 	}
 }
 
-// Insert adds v to the set and reports whether v was absent.
+// Insert adds v to the set and reports whether v was absent:
+// insertFrom from zeroed fingers, that is from head.
 func (s *Lazy) Insert(v int64) bool {
+	var fingers [maxLevel]*lazyNode
+	return s.insertFrom(v, &fingers)
+}
+
+// Remove deletes v from the set and reports whether v was present:
+// removeFrom from zeroed fingers, that is from head.
+func (s *Lazy) Remove(v int64) bool {
+	var fingers [maxLevel]*lazyNode
+	return s.removeFrom(v, &fingers)
+}
+
+// insertFrom is the Lazy skip list's insert of key v, descending from
+// fingers (see findFrom) and leaving them at the new tower, or at v's
+// windows when v was present. It reports whether v was absent.
+func (s *Lazy) insertFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
 	h := s.randomHeight()
 	for {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
-		preds, succs, lFound := s.find(v)
+		preds, succs, lFound := s.findFrom(v, fingers)
 		if lFound != -1 {
 			found := succs[lFound]
 			if !found.marked.Load() {
@@ -258,13 +290,18 @@ func (s *Lazy) Insert(v int64) bool {
 		}
 		n.fullyLinked.Store(true) // linearization point
 		unlockPreds(&preds, h-1)
+		for l := 0; l < h; l++ {
+			fingers[l] = n
+		}
 		esc.Done(&s.retry)
 		return true
 	}
 }
 
-// Remove deletes v from the set and reports whether v was present.
-func (s *Lazy) Remove(v int64) bool {
+// removeFrom is the Lazy skip list's remove of key v, descending from
+// fingers (see findFrom) and leaving them at v's windows. It reports
+// whether v was present.
+func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
 	var victim *lazyNode
 	marked := false
@@ -272,7 +309,7 @@ func (s *Lazy) Remove(v int64) bool {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
-		preds, succs, lFound := s.find(v)
+		preds, succs, lFound := s.findFrom(v, fingers)
 		if !marked {
 			if lFound == -1 {
 				esc.Done(&s.retry)

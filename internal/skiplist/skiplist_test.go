@@ -148,7 +148,7 @@ func TestVBFindWindows(t *testing.T) {
 	for _, v := range []int64{10, 20, 30} {
 		s.Insert(v)
 	}
-	preds, succs := s.find(s.arena.Pin(), 20)
+	preds, succs := s.findFrom(s.arena.Pin(), 20, new([maxLevel]*vbNode))
 	if preds[0].val >= 20 || succs[0].val != 20 {
 		t.Fatalf("level-0 window = (%d, %d)", preds[0].val, succs[0].val)
 	}
@@ -165,7 +165,7 @@ func TestVBFindWindows(t *testing.T) {
 func TestLazyFullyLinkedGatesContains(t *testing.T) {
 	s := NewLazy()
 	s.Insert(10)
-	_, succs, lFound := s.find(10)
+	_, succs, lFound := s.findFrom(10, new([maxLevel]*lazyNode))
 	if lFound == -1 {
 		t.Fatal("inserted tower not found")
 	}
@@ -295,7 +295,7 @@ func TestVBLevelInvariants(t *testing.T) {
 // checkLevels runs the quiescent cleanup and walks every level. The
 // index is best-effort: a concurrent-miss in sweep can leave a deleted
 // tower linked at an upper level, to be collected by later traversals.
-// Run the quiescent cleanup that any traversal performs; find(k)
+// Run the quiescent cleanup that any traversal performs; findFrom(k)
 // unlinks only towers it passes (val < k), so the keys run one past
 // the largest.
 func checkLevels(t *testing.T, s *VB) {
@@ -303,7 +303,7 @@ func checkLevels(t *testing.T, s *VB) {
 	for pass := 0; pass < 2; pass++ {
 		for k := int64(0); k <= 32; k++ {
 			g := s.arena.Pin()
-			s.find(g, k)
+			s.findFrom(g, k, new([maxLevel]*vbNode))
 			g.Unpin()
 		}
 	}

@@ -6,7 +6,7 @@
 //
 //   - VB (vbskip.go): a skip list whose membership level — level 0 — IS
 //     the VBL list: wait-free traversal, logical deletion, and the
-//     value-aware try-lock protocol verbatim. The upper levels are a
+//     value-aware try-lock protocol unchanged. The upper levels are a
 //     best-effort navigation index maintained with single-node
 //     try-locks: an index level is linked or unlinked one lock at a
 //     time, never while holding another node's lock, so the deadlock
@@ -252,7 +252,7 @@ func (n *vbNode) lockNextAt(l int, succ *vbNode, p *obs.Probes) bool {
 }
 
 // lockNextAtValue is the value-validating try-lock on level 0 — the
-// paper's central novelty, applied verbatim to the membership level.
+// paper's central novelty, applied unchanged to the membership level.
 func (n *vbNode) lockNextAtValue(v int64, p *obs.Probes) bool {
 	if n.isDeleted() || n.next0.Load().val != v {
 		if obs.On(p) {
@@ -458,9 +458,13 @@ func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
 	}
 }
 
-// find locates, at every level, the window preds[l].val < v <=
-// succs[l].val, descending from the top. Two disciplines keep the
-// level-0 window sound in the face of deferred index unlinking:
+// findFrom locates, at every level, the window preds[l].val < v <=
+// succs[l].val, descending from the top, and leaves each level's pred
+// in fingers[l]. A finger seeds its level's walk when adoptVBFinger
+// trusts it, so all-nil fingers — Insert's and Remove's — descend from
+// head, and a batch pass's fingers (the previous key's preds) turn the
+// descent into a finger search. Two disciplines keep the level-0
+// window sound in the face of deferred index unlinking:
 //
 //   - only nodes observed LIVE during this call are adopted as pred —
 //     a deleted index tower is routed through but never anchors the
@@ -470,9 +474,10 @@ func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
 //   - deleted towers encountered on upper levels are opportunistically
 //     detached (with a non-blocking try-lock, so navigation never
 //     waits).
-func (s *VB) find(g mem.Guard[vbNode], v int64) (preds, succs [maxLevel]*vbNode) {
+func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) (preds, succs [maxLevel]*vbNode) {
 	pred := s.head
 	for l := s.levels - 1; l >= 0; l-- {
+		pred = adoptVBFinger(pred, fingers[l], v)
 		curr := pred.at(l).Load()
 		for curr.val < v {
 			if l > 0 && curr.isDeleted() {
@@ -487,8 +492,19 @@ func (s *VB) find(g mem.Guard[vbNode], v int64) (preds, succs [maxLevel]*vbNode)
 			curr = pred.at(l).Load()
 		}
 		preds[l], succs[l] = pred, curr
+		fingers[l] = pred
 	}
 	return preds, succs
+}
+
+// adoptVBFinger returns the descent start for one level: the finger
+// when it is live and strictly precedes v (and does not sit behind the
+// position inherited from the level above), else the inherited pred.
+func adoptVBFinger(pred, f *vbNode, v int64) *vbNode {
+	if f != nil && f.val >= pred.val && f.val < v && !f.isDeleted() {
+		return f
+	}
+	return pred
 }
 
 // tryUnlinkLevel detaches the deleted tower curr from level l if pred's
@@ -527,35 +543,41 @@ func (s *VB) tryUnlinkLevel(g mem.Guard[vbNode], pred, curr *vbNode, l int) bool
 // level is NOT trusted — it may be a deleted orphan coexisting with a
 // fresh live tower for the same value); the verdict is delivered by the
 // level-0 walk, where the flat Lazy/VBL linearizability argument
-// applies verbatim. Unlike the flat VBL the deletion mark must be
+// applies as is. Unlike the flat VBL the deletion mark must be
 // consulted, because index unlinking is deferred.
 func (s *VB) Contains(v int64) bool {
 	g := s.arena.Pin()
-	pred := s.head
-	for l := s.levels - 1; l >= 1; l-- {
-		curr := pred.at(l).Load()
-		for curr.val < v {
-			if curr.isDeleted() {
-				curr = curr.at(l).Load() // route through, don't adopt
-				continue
-			}
-			pred = curr
-			curr = pred.at(l).Load()
-		}
-	}
-	curr := pred.next0.Load()
-	for curr.val < v {
-		curr = curr.next0.Load()
-	}
+	curr := s.descendTo(v)
 	found := curr.val == v && !curr.isDeleted()
 	g.Unpin()
 	return found
 }
 
+// Insert adds v to the set and reports whether v was absent:
+// insertFrom from zeroed fingers, that is from head.
+func (s *VB) Insert(v int64) bool {
+	g := s.arena.Pin()
+	var fingers [maxLevel]*vbNode
+	ok := s.insertFrom(g, v, &fingers)
+	g.Unpin()
+	return ok
+}
+
+// Remove deletes v from the set and reports whether v was present:
+// removeFrom from zeroed fingers, that is from head.
+func (s *VB) Remove(v int64) bool {
+	g := s.arena.Pin()
+	var fingers [maxLevel]*vbNode
+	ok := s.removeFrom(g, v, &fingers)
+	g.Unpin()
+	return ok
+}
+
 // restart records one failed level-0 validation. The skip list's native
-// restart locality is the head — the descent re-derives every level's
-// predecessor — so the escalation ladder is head-native and collapses
-// to backoff-at-K.
+// restart is a fresh descent — from the fingers the failed descent left,
+// which adoption re-validates, falling back to head exactly where they
+// died — so the escalation ladder is head-native and collapses to
+// backoff-at-K.
 func (s *VB) restart(esc *obs.Escalator, v int64) {
 	esc.Failed(s.probes, v)
 	if p := s.probes; obs.On(p) {
@@ -563,24 +585,38 @@ func (s *VB) restart(esc *obs.Escalator, v int64) {
 	}
 }
 
-// Insert adds v to the set and reports whether v was absent. The
-// linearization point is the level-0 link performed under the
-// value-aware try-lock — exactly the flat VBL's insert — after which
-// the upper index levels are linked one try-lock at a time.
-func (s *VB) Insert(v int64) bool {
-	g := s.arena.Pin()
+// done folds a finished key's escalator into the retry tally. A key
+// whose descent started from seeded fingers is a key of a batch pass
+// (Insert and Remove start from zeroed ones), so its restarts also
+// count as batch-window restarts.
+func (s *VB) done(esc *obs.Escalator, v int64, seeded bool) {
+	esc.Done(&s.retry)
+	if p := s.probes; seeded && obs.On(p) {
+		for r := esc.Restarts(); r > 0; r-- {
+			p.Inc(obs.EvBatchWindowRestart, v)
+		}
+	}
+}
+
+// insertFrom is the VB insert of key v, descending from fingers (see
+// findFrom) and leaving them at the new tower, or at v's window when v
+// was present. It reports whether v was absent. The linearization point
+// is the level-0 link performed under the value-aware try-lock —
+// exactly the flat VBL's insert — after which the upper index levels
+// are linked one try-lock at a time.
+func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+	seeded := fingers[0] != nil
 	// The speculative tower is allocated once and reused across failed
 	// validations; it is unpublished until the successful level-0 link,
 	// so no traversal can observe the reuse.
 	var n *vbNode
 	var h int
-	var preds, succs [maxLevel]*vbNode
 	for {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
-		preds, succs = s.find(g, v)
+		preds, succs := s.findFrom(g, v, fingers)
 		if succs[0].val == v && succs[0].isDeleted() {
 			// v's tower is marked but its remover has not yet stored the
 			// level-0 unlink: v is already absent (Contains says so), so
@@ -592,8 +628,7 @@ func (s *VB) Insert(v int64) bool {
 			if n != nil && g.Active() {
 				g.FreeClass(n, towerClass(h)) // never published: no grace period needed
 			}
-			esc.Done(&s.retry)
-			g.Unpin()
+			s.done(&esc, v, seeded)
 			return false
 		}
 		if n == nil {
@@ -616,13 +651,15 @@ func (s *VB) Insert(v int64) bool {
 		n.setLinked(0)
 		preds[0].next0.Store(n)
 		preds[0].lock.Unlock()
-		break
+		s.linkIndex(g, n, h, preds, succs)
+		// The new tower precedes every larger key: it is the tightest
+		// finger for every level it was linked at.
+		for l := 0; l < h; l++ {
+			fingers[l] = n
+		}
+		s.done(&esc, v, seeded)
+		return true
 	}
-
-	s.linkIndex(g, n, h, preds, succs)
-	esc.Done(&s.retry)
-	g.Unpin()
-	return true
 }
 
 // linkIndex links n's upper levels best-effort after the level-0 link
@@ -673,7 +710,8 @@ index:
 				n.at(l).Store(s.tail)
 				break
 			}
-			preds, succs = s.find(g, v)
+			var fingers [maxLevel]*vbNode // zeroed: re-find from head
+			preds, succs = s.findFrom(g, v, &fingers)
 			if succs[l] == n {
 				break // someone (a helper) already linked it
 			}
@@ -698,22 +736,22 @@ func (s *VB) countInjectedFail(ev obs.Event, v int64) {
 	}
 }
 
-// Remove deletes v from the set and reports whether v was present. The
-// level-0 protocol is the flat VBL's remove verbatim (value-aware lock
-// on the predecessor, identity-validating lock on the victim, mark then
-// unlink); the index levels are detached afterwards, one try-lock at a
-// time.
-func (s *VB) Remove(v int64) bool {
-	g := s.arena.Pin()
+// removeFrom is the VB remove of key v, descending from fingers (see
+// findFrom) and leaving them at v's window. It reports whether v was
+// present. The level-0 protocol is the flat VBL's remove (value-aware
+// lock on the predecessor, identity-validating lock on the victim, mark
+// then unlink); the index levels are detached afterwards, one try-lock
+// at a time.
+func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+	seeded := fingers[0] != nil
 	for {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
-		preds, succs := s.find(g, v)
+		preds, succs := s.findFrom(g, v, fingers)
 		if succs[0].val != v {
-			esc.Done(&s.retry)
-			g.Unpin()
+			s.done(&esc, v, seeded)
 			return false
 		}
 		curr := succs[0]
@@ -760,8 +798,7 @@ func (s *VB) Remove(v int64) bool {
 		}
 		s.sweep(g, curr)
 		s.maybeRetire(g, curr)
-		esc.Done(&s.retry)
-		g.Unpin()
+		s.done(&esc, v, seeded)
 		return true
 	}
 }

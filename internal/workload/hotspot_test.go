@@ -44,10 +44,11 @@ func TestHotspotConcentration(t *testing.T) {
 	}
 }
 
-// TestInsertShareBias: InsertShare must skew the insert/remove split
-// of the update half without touching the read share.
+// TestInsertShareBias pins the fixed insert/remove split: updates
+// divide evenly between inserts and removes (the paper's workload)
+// without touching the read share.
 func TestInsertShareBias(t *testing.T) {
-	cfg := Config{UpdatePercent: 80, Range: 1000, InsertShare: 20}
+	cfg := Config{UpdatePercent: 80, Range: 1000}
 	g := NewGenerator(cfg, 7)
 	const draws = 100000
 	var ins, rem, rd int
@@ -61,11 +62,11 @@ func TestInsertShareBias(t *testing.T) {
 			rd++
 		}
 	}
-	if f := float64(ins) / draws; f < 0.14 || f > 0.18 {
-		t.Errorf("insert fraction = %.3f, want ≈0.16 (20%% of 80%%)", f)
+	if f := float64(ins) / draws; f < 0.37 || f > 0.43 {
+		t.Errorf("insert fraction = %.3f, want ≈0.40 (half of 80%%)", f)
 	}
-	if f := float64(rem) / draws; f < 0.61 || f > 0.67 {
-		t.Errorf("remove fraction = %.3f, want ≈0.64", f)
+	if f := float64(rem) / draws; f < 0.37 || f > 0.43 {
+		t.Errorf("remove fraction = %.3f, want ≈0.40 (half of 80%%)", f)
 	}
 	if f := float64(rd) / draws; f < 0.17 || f > 0.23 {
 		t.Errorf("read fraction = %.3f, want ≈0.20", f)

@@ -87,9 +87,6 @@ type Config struct {
 	// ScanWidth is the key width of each generated scan [lo, lo+width).
 	// Zero means the DefaultScanWidth.
 	ScanWidth int64
-	// InsertShare is the percentage of update operations that are
-	// inserts; 0 means the paper's even 50/50 split.
-	InsertShare int
 	// HotPercent is the share of traffic drawn from the hot window,
 	// consulted only when Dist is DistHotspot; 0 means
 	// DefaultHotPercent.
@@ -162,9 +159,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("workload: unknown distribution %q (have: %s, %s, %s)", c.Dist, DistUniform, DistZipf, DistHotspot)
 	}
-	if c.InsertShare < 0 || c.InsertShare > 100 {
-		return fmt.Errorf("workload: insert share %d out of [0, 100]", c.InsertShare)
-	}
 	if c.ScanPercent < 0 || c.ScanPercent > 100 {
 		return fmt.Errorf("workload: scan percent %d out of [0, 100]", c.ScanPercent)
 	}
@@ -180,9 +174,6 @@ func (c Config) Validate() error {
 // String renders the config in the paper's notation.
 func (c Config) String() string {
 	s := fmt.Sprintf("%d%%-updates/range=%d", c.UpdatePercent, c.Range)
-	if c.InsertShare > 0 && c.InsertShare != 50 {
-		s += fmt.Sprintf("/insert-share=%d%%", c.InsertShare)
-	}
 	if c.Dist == DistZipf {
 		s += fmt.Sprintf("/zipf=%.2f", c.Theta)
 	}
@@ -216,14 +207,10 @@ type Generator struct {
 // NewGenerator returns a generator for cfg seeded with seed. Two
 // generators with equal seeds produce identical streams.
 func NewGenerator(cfg Config, seed uint64) *Generator {
-	share := uint64(cfg.InsertShare)
-	if share == 0 {
-		share = 50
-	}
 	g := &Generator{
 		cfg:       cfg,
 		updateCut: uint64(cfg.UpdatePercent) * 100, // out of 10000
-		insertCut: uint64(cfg.UpdatePercent) * share,
+		insertCut: uint64(cfg.UpdatePercent) * 50,  // updates split evenly
 		rng:       NewXorShift(seed),
 	}
 	g.scanCut = g.updateCut + uint64(cfg.ScanPercent)*100

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-2 verification gate: build, vet, the vblvet concurrency-invariant
-# suite, and a short race-enabled pass over the lock-based lists.
+# suite, and a short race-enabled pass over every set package.
 #
 # Usage: scripts/check.sh            (from the repo root or anywhere)
 #
@@ -38,8 +38,8 @@ go test -count=1 ./...
 step "perfbench module (its own go.mod, so ./... above never compiles it)"
 (cd perfbench && go vet ./... && go test -count=1 ./...)
 
-step "race gate (short stress, lock-based lists + arena reclamation)"
-go test -race -short -count=1 ./internal/core ./internal/lazy ./internal/harris ./internal/mem ./internal/trylock ./internal/obs ./internal/obs/trace ./internal/stats ./internal/failpoint ./internal/harness ./internal/batch ./internal/shard ./internal/workload ./internal/adapt ./internal/skiplist
+step "race gate (short stress, every set package + arena reclamation)"
+go test -race -short -count=1 ./internal/core ./internal/lazy ./internal/harris ./internal/mem ./internal/trylock ./internal/obs ./internal/obs/trace ./internal/stats ./internal/failpoint ./internal/harness ./internal/batch ./internal/shard ./internal/workload ./internal/adapt ./internal/skiplist ./internal/fomitchev ./internal/optimistic ./internal/hoh ./internal/coarse ./internal/lincheck
 
 step "race gate (batch/scan conformance, root package)"
 go test -race -short -count=1 -run 'TestBatch|TestRangeScan|TestShardSeam|TestLoad|TestCapabilityFlags|FuzzBatchVsOracle|TestChaosSkipShardSeamFaults|FuzzSkipVsOracle' .
