@@ -9,27 +9,31 @@ import "listset/internal/batch"
 // A skip list amortizes by FINGER SEARCH: the per-level predecessors of
 // the previous key are remembered, and the next (strictly larger) key's
 // descent starts its horizontal walk from each remembered finger
-// instead of from head. A finger-seeded descent still visits every
-// level top-down, so a key costs O(L) level steps — cache hits where
-// the fingers sit — plus O(log d) expected tower visits for distance d
-// between consecutive keys.
+// instead of from head, so a key costs O(L) level steps — cache hits
+// where the fingers sit — plus O(log d) expected tower visits for
+// distance d between consecutive keys.
 //
 // Those tower visits are dependent cache misses, one after another
 // within a key but independent across keys. The VB list therefore
 // descends the sorted batch in LANE GROUPS of batchLanes consecutive
 // keys: descendLanes walks the group's keys level by level together,
 // so the lanes' loads overlap their misses (AMAC-style interleaving,
-// applied to navigation only). The lanes' per-level predecessors then
-// seed each key's own pass, key by key in ascending order: InsertAll
-// and RemoveAll hand them to insertFrom and removeFrom as fingers,
-// ContainsAll to its level-0 walk (containsFrom).
+// applied to navigation only). That lane descent is the only one that
+// visits every level. The lanes' per-level predecessors then seed each
+// key's own pass, key by key in ascending order, which walks only the
+// levels the key needs: ContainsAll's level-0 walk (containsFrom);
+// removeFrom's level-0 window, whose sweep then starts each index
+// level's unlink at the lane's predecessor there; and insertFrom's
+// windows below the new tower's height, from the lane's predecessor at
+// its top level down.
 //
 // Fingers obey findFrom's adoption rule: a finger is only trusted if
 // it was observed LIVE (not deleted/marked) during this pinned pass and
 // still precedes the key — otherwise the descent for that level falls
 // back to wherever the level above landed, exactly as if the finger had
-// never been recorded. Deleted fingers therefore cost speed, never
-// correctness. On a failed level-0 validation a key restarts from the
+// never been recorded, and an untrusted finger at a pass's top level
+// sends the pass down every level from head. Deleted fingers therefore
+// cost speed, never correctness. On a failed level-0 validation a key restarts from the
 // fingers its last descent left (the skip-list analogue of the flat
 // lists' anchor-restart); the VB list counts obs.EvBatchWindowRestart
 // for a batch key's restarts on top of the usual restart events.
@@ -281,9 +285,9 @@ func (s *VB) Load(keys []int64) int {
 	ks := b.K
 	g := s.arena.Pin()
 	added := 0
-	var fingers [maxLevel]*vbNode
+	var fingers, preds, succs [maxLevel]*vbNode
 	for _, v := range ks {
-		preds, succs := s.findFrom(g, v, &fingers)
+		s.findFrom(g, v, &fingers, s.levels, &preds, &succs)
 		if succs[0].val == v {
 			continue
 		}

@@ -65,17 +65,7 @@ func BenchmarkVBContainsAll(b *testing.B) {
 			s := mode.mk()
 			s.Load(keys)
 			rng := rand.New(rand.NewSource(1))
-			half := make([]int64, 0, n/2)
-			for _, i := range rng.Perm(n)[:n/2] {
-				half = append(half, keys[i])
-			}
-			for _, k := range half {
-				s.Remove(k)
-			}
-			rng.Shuffle(len(half), func(i, j int) { half[i], half[j] = half[j], half[i] })
-			for _, k := range half {
-				s.Insert(k)
-			}
+			churn(s, keys, rng)
 			ks := make([]int64, batch)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -88,5 +78,64 @@ func BenchmarkVBContainsAll(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 		})
+	}
+}
+
+// churn removes a random half of keys from s and re-inserts them in
+// random order, so that the towers no longer sit in key order, as
+// under a running workload (arena recycling scatters them).
+func churn(s *VB, keys []int64, rng *rand.Rand) {
+	half := make([]int64, 0, len(keys)/2)
+	for _, i := range rng.Perm(len(keys))[:len(keys)/2] {
+		half = append(half, keys[i])
+	}
+	for _, k := range half {
+		s.Remove(k)
+	}
+	rng.Shuffle(len(half), func(i, j int) { half[i], half[j] = half[j], half[i] })
+	for _, k := range half {
+		s.Insert(k)
+	}
+}
+
+// BenchmarkVBUpdateAll prices InsertAll and RemoveAll per key at one
+// thread: 64-key batches drawn from a random 4096-key window of 1<<20
+// loaded keys, in GC and arena mode, on a freshly loaded and on a
+// churned layout (see BenchmarkVBContainsAll). The batch keys fall
+// between the loaded ones, so each is inserted and then removed again:
+// every key does its full update work and the loaded towers keep their
+// layout. It reports ns per batch key and call; it has no gate.
+func BenchmarkVBUpdateAll(b *testing.B) {
+	const (
+		n      = 1 << 20
+		batch  = 64
+		window = 4096
+	)
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i) * 2
+	}
+	for _, mode := range vbModes {
+		for _, layout := range []string{"fresh", "churned"} {
+			b.Run(mode.name+"/"+layout, func(b *testing.B) {
+				s := mode.mk()
+				s.Load(keys)
+				rng := rand.New(rand.NewSource(1))
+				if layout == "churned" {
+					churn(s, keys, rng)
+				}
+				ks := make([]int64, batch)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lo := 2 * rng.Int63n(n-window)
+					for j := range ks {
+						ks[j] = lo + 2*rng.Int63n(window) + 1
+					}
+					benchCount = s.InsertAll(ks) + s.RemoveAll(ks)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*batch), "ns/key")
+			})
+		}
 	}
 }

@@ -148,7 +148,8 @@ func TestVBFindWindows(t *testing.T) {
 	for _, v := range []int64{10, 20, 30} {
 		s.Insert(v)
 	}
-	preds, succs := s.findFrom(s.arena.Pin(), 20, new([maxLevel]*vbNode))
+	var preds, succs [maxLevel]*vbNode
+	s.findFrom(s.arena.Pin(), 20, new([maxLevel]*vbNode), s.levels, &preds, &succs)
 	if preds[0].val >= 20 || succs[0].val != 20 {
 		t.Fatalf("level-0 window = (%d, %d)", preds[0].val, succs[0].val)
 	}
@@ -303,7 +304,7 @@ func checkLevels(t *testing.T, s *VB) {
 	for pass := 0; pass < 2; pass++ {
 		for k := int64(0); k <= 32; k++ {
 			g := s.arena.Pin()
-			s.findFrom(g, k, new([maxLevel]*vbNode))
+			s.findFrom(g, k, new([maxLevel]*vbNode), s.levels, new([maxLevel]*vbNode), new([maxLevel]*vbNode))
 			g.Unpin()
 		}
 	}

@@ -458,12 +458,14 @@ func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
 	}
 }
 
-// findFrom locates, at every level, the window preds[l].val < v <=
-// succs[l].val, descending from the top, and leaves each level's pred
-// in fingers[l]. A finger seeds its level's walk when adoptVBFinger
-// trusts it, so all-nil fingers — Insert's and Remove's — descend from
-// head, and a batch pass's fingers (the previous key's preds) turn the
-// descent into a finger search. Two disciplines keep the level-0
+// findFrom locates, at levels top-1 down to 0, the window preds[l].val
+// < v <= succs[l].val, and leaves each level's pred in fingers[l]. An
+// update walks only the levels it writes: removeFrom passes top = 1,
+// insertFrom its new tower's height, Load every level. The walk starts
+// at fingers[top-1] when adoptVBFinger trusts it; otherwise — all-nil
+// fingers included, as in Insert, Remove and linkIndex's re-find — it
+// descends every level from head, as a finger search that adopts each
+// level's finger where it is trusted. Two disciplines keep the level-0
 // window sound in the face of deferred index unlinking:
 //
 //   - only nodes observed LIVE during this call are adopted as pred —
@@ -474,9 +476,12 @@ func (s *VB) maybeRetire(g mem.Guard[vbNode], n *vbNode) {
 //   - deleted towers encountered on upper levels are opportunistically
 //     detached (with a non-blocking try-lock, so navigation never
 //     waits).
-func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) (preds, succs [maxLevel]*vbNode) {
-	pred := s.head
-	for l := s.levels - 1; l >= 0; l-- {
+func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode, top int, preds, succs *[maxLevel]*vbNode) {
+	l, pred := top-1, fingers[top-1]
+	if top >= s.levels || adoptVBFinger(s.head, pred, v) != pred {
+		l, pred = s.levels-1, s.head
+	}
+	for ; l >= 0; l-- {
 		pred = adoptVBFinger(pred, fingers[l], v)
 		curr := pred.at(l).Load()
 		for curr.val < v {
@@ -494,7 +499,6 @@ func (s *VB) findFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) 
 		preds[l], succs[l] = pred, curr
 		fingers[l] = pred
 	}
-	return preds, succs
 }
 
 // adoptVBFinger returns the descent start for one level: the finger
@@ -603,20 +607,23 @@ func (s *VB) done(esc *obs.Escalator, v int64, seeded bool) {
 // was present. It reports whether v was absent. The linearization point
 // is the level-0 link performed under the value-aware try-lock —
 // exactly the flat VBL's insert — after which the upper index levels
-// are linked one try-lock at a time.
+// are linked one try-lock at a time. The tower's height h is drawn
+// before the walk, which then finds windows only at the h levels the
+// tower will be linked at.
 func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
 	seeded := fingers[0] != nil
+	h := s.randomHeight()
 	// The speculative tower is allocated once and reused across failed
 	// validations; it is unpublished until the successful level-0 link,
 	// so no traversal can observe the reuse.
 	var n *vbNode
-	var h int
+	var preds, succs [maxLevel]*vbNode
 	for {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
-		preds, succs := s.findFrom(g, v, fingers)
+		s.findFrom(g, v, fingers, h, &preds, &succs)
 		if succs[0].val == v && succs[0].isDeleted() {
 			// v's tower is marked but its remover has not yet stored the
 			// level-0 unlink: v is already absent (Contains says so), so
@@ -632,7 +639,6 @@ func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 			return false
 		}
 		if n == nil {
-			h = s.randomHeight()
 			n = s.newTower(g, v, h)
 		}
 		for l := 0; l < h; l++ {
@@ -651,7 +657,7 @@ func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 		n.setLinked(0)
 		preds[0].next0.Store(n)
 		preds[0].lock.Unlock()
-		s.linkIndex(g, n, h, preds, succs)
+		s.linkIndex(g, n, h, &preds, &succs)
 		// The new tower precedes every larger key: it is the tightest
 		// finger for every level it was linked at.
 		for l := 0; l < h; l++ {
@@ -664,12 +670,13 @@ func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 
 // linkIndex links n's upper levels best-effort after the level-0 link
 // published the tower, then finishes the tower's lifecycle
-// bookkeeping. A level that cannot be linked after a re-find is
-// skipped — the tower stays findable through level 0 regardless. The
-// linked bit for a level is set under the predecessor's lock BEFORE
-// the link is stored, so the eventual unlink's clear always
-// happens-after it (see vbNode).
-func (s *VB) linkIndex(g mem.Guard[vbNode], n *vbNode, h int, preds, succs [maxLevel]*vbNode) {
+// bookkeeping. preds and succs hold the insert's windows below h; a
+// re-find overwrites them. A level that cannot be linked after a
+// re-find is skipped — the tower stays findable through level 0
+// regardless. The linked bit for a level is set under the
+// predecessor's lock BEFORE the link is stored, so the eventual
+// unlink's clear always happens-after it (see vbNode).
+func (s *VB) linkIndex(g mem.Guard[vbNode], n *vbNode, h int, preds, succs *[maxLevel]*vbNode) {
 	v := n.val
 index:
 	for l := 1; l < h; l++ {
@@ -711,17 +718,18 @@ index:
 				break
 			}
 			var fingers [maxLevel]*vbNode // zeroed: re-find from head
-			preds, succs = s.findFrom(g, v, &fingers)
+			s.findFrom(g, v, &fingers, h, preds, succs)
 			if succs[l] == n {
 				break // someone (a helper) already linked it
 			}
 		}
 	}
 	n.setState(stIdxDone)
-	// If a remove raced us, sweep our own index entries; whoever of the
+	// If a remove raced us, sweep our own index entries, starting each
+	// level's search at the pred we linked it behind; whoever of the
 	// racers observes the fully-unlinked state retires the tower.
 	if n.isDeleted() {
-		s.sweep(g, n)
+		s.sweep(g, n, preds)
 		s.maybeRetire(g, n)
 	}
 }
@@ -740,16 +748,18 @@ func (s *VB) countInjectedFail(ev obs.Event, v int64) {
 // findFrom) and leaving them at v's window. It reports whether v was
 // present. The level-0 protocol is the flat VBL's remove (value-aware
 // lock on the predecessor, identity-validating lock on the victim, mark
-// then unlink); the index levels are detached afterwards, one try-lock
-// at a time.
+// then unlink), and level 0 is all its walk finds; the index levels are
+// detached afterwards by sweep, one try-lock at a time, each level's
+// search starting from the finger the descent left there.
 func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
 	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
 	seeded := fingers[0] != nil
+	var preds, succs [maxLevel]*vbNode
 	for {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteSkipTraverse, v)
 		}
-		preds, succs := s.findFrom(g, v, fingers)
+		s.findFrom(g, v, fingers, 1, &preds, &succs)
 		if succs[0].val != v {
 			s.done(&esc, v, seeded)
 			return false
@@ -796,7 +806,7 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 			p.Inc(obs.EvLogicalDelete, v)
 			p.Inc(obs.EvPhysicalUnlink, v)
 		}
-		s.sweep(g, curr)
+		s.sweep(g, curr, fingers)
 		s.maybeRetire(g, curr)
 		s.done(&esc, v, seeded)
 		return true
@@ -805,12 +815,15 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 
 // sweep detaches a deleted tower from every index level, one
 // single-node lock at a time (never holding two locks, so no deadlock).
-// An injected SiteSkipIndexLink failure abandons the level — membership
-// is unaffected, the orphan is collected by later traversals.
-func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
+// hints[l] is where the level-l search for n's predecessor starts: the
+// remover's fingers, or the preds linkIndex linked n behind (see
+// findPredAtLevel). An injected SiteSkipIndexLink failure abandons the
+// level — membership is unaffected, the orphan is collected by later
+// traversals.
+func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode, hints *[maxLevel]*vbNode) {
 	for l := n.height() - 1; l >= 1; l-- {
 		for {
-			pred, linked := s.findPredAtLevel(g, n, l)
+			pred, linked := s.findPredAtLevel(g, n, l, hints[l])
 			if !linked {
 				break // not (or no longer) linked at this level
 			}
@@ -834,16 +847,26 @@ func (s *VB) sweep(g mem.Guard[vbNode], n *vbNode) {
 }
 
 // findPredAtLevel locates the node whose level-l successor is exactly
-// n, descending the index from the top (O(log n), not a level scan);
-// it reports false if n is not linked at level l. A deleted tower on
-// the walk is never adopted as pred — its lock can never be taken, so
-// a sweep that adopted it would spin forever once it is the last
-// active thread (the shard façade's pending-writer freeze-out makes
-// that state reachable). Instead the walk helps detach it, and when
-// the help fails (lost try-lock race, injected failure) it reports
-// false: sweep abandons the level and traversals' opportunistic
-// unlinking collects the orphan.
-func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bool) {
+// n; it reports false if n is not linked at level l. It first walks
+// level l from hint when adoptVBFinger trusts it (live, below n): a
+// hint was reached at level l or handed down from above it, so its
+// level l is linked — and stays linked while it lives — or parked on
+// tail. Only when that walk does not reach n does it descend the index
+// from head (O(log n), not a level scan). The hint only chooses where
+// the walk starts; the caller's lockNextAt validates the window either
+// way. A deleted tower on the walk is never adopted as pred — its lock
+// can never be taken, so a sweep that adopted it would spin forever
+// once it is the last active thread (the shard façade's pending-writer
+// freeze-out makes that state reachable). Instead the walk helps detach
+// it, and when the help fails (lost try-lock race, injected failure)
+// it reports false: sweep abandons the level and traversals'
+// opportunistic unlinking collects the orphan.
+func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int, hint *vbNode) (*vbNode, bool) {
+	if adoptVBFinger(s.head, hint, n.val) == hint {
+		if pred, ok := s.walkToAtLevel(g, hint, n, l); ok {
+			return pred, true
+		}
+	}
 	pred := s.head
 	for lev := s.levels - 1; lev > l; lev-- {
 		curr := pred.at(lev).Load()
@@ -853,7 +876,7 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 				// down to the level-l walk would be returned with its
 				// lock forever untakeable, and sweep's retry loop would
 				// spin on it (fatal when sweep is the only runnable
-				// thread — see the level-l rule below).
+				// thread — see walkToAtLevel).
 				curr = curr.at(lev).Load()
 				continue
 			}
@@ -861,6 +884,13 @@ func (s *VB) findPredAtLevel(g mem.Guard[vbNode], n *vbNode, l int) (*vbNode, bo
 			curr = pred.at(lev).Load()
 		}
 	}
+	return s.walkToAtLevel(g, pred, n, l)
+}
+
+// walkToAtLevel walks level l from the live pred to n's predecessor,
+// helping detach the deleted towers it passes; it reports false when
+// it passes n's value without meeting n, or when a help fails.
+func (s *VB) walkToAtLevel(g mem.Guard[vbNode], pred, n *vbNode, l int) (*vbNode, bool) {
 	for {
 		curr := pred.at(l).Load()
 		if curr == n {
