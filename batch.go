@@ -4,139 +4,38 @@ import (
 	"listset/internal/batch"
 )
 
-// Batched and ranged operations. The three protagonists (VBL, Lazy,
-// Harris marker) and the sharded façade implement these natively with
-// an amortized one-pass multi-window traversal (see DESIGN.md §13);
-// every other implementation keeps working through the fallback
-// adapters below, which apply the same sorted, deduplicated batch one
-// key at a time. Either way the semantics are identical: batch
-// operations act on the SET of keys (duplicates collapse), each key's
-// operation linearizes individually within the call in ascending key
+// Batched and ranged operations. The batch contract and its fallback
+// live in internal/batch (DESIGN.md §13): a batch behaves exactly like
+// its sorted, deduplicated keys applied one at a time, each key's
+// operation linearizing individually within the call in ascending key
 // order, and the returned count is the number of effective per-key
-// operations. There is no whole-batch atomicity — that would require
-// locking every window at once, the coarse serialization the paper's
-// concurrency-optimality argument exists to avoid.
+// operations. The three protagonists (VBL, Lazy, Harris marker), both
+// skip lists and the sharded façade implement Batcher and Ranger
+// natively with an amortized one-pass traversal; Loader is native only
+// on the VB skip list and the façade. Every other implementation keeps
+// working through the fallback the As* functions return.
 
-// Batcher is the batch surface of a set: apply many keys in one call.
-// Counts are per effective key: InsertAll returns how many keys were
-// absent (and are now present), RemoveAll how many were present,
-// ContainsAll how many are members.
-type Batcher interface {
-	InsertAll(keys []int64) int
-	RemoveAll(keys []int64) int
-	ContainsAll(keys []int64) int
-}
+// Batcher is the batch surface of a set: InsertAll, RemoveAll and
+// ContainsAll, each returning its count of effective keys.
+type Batcher = batch.Batcher
 
-// Ranger is the ordered-read surface of a set. RangeScan returns the
-// keys in the half-open range [lo, hi), ascending, duplicate-free;
-// each key's presence or absence linearizes individually during the
-// scan. Ascend iterates keys >= from in ascending order until yield
-// returns false.
-type Ranger interface {
-	RangeScan(lo, hi int64) []int64
-	Ascend(from int64, yield func(int64) bool)
-}
+// Ranger is the ordered-read surface of a set: RangeScan over [lo, hi)
+// and Ascend from a key, both ascending and duplicate-free.
+type Ranger = batch.Ranger
 
-// Loader is the bulk-population surface of a set: Load inserts the
-// keys in O(n + k) with a single merge walk — O(k) on an empty set —
-// and returns how many were absent. Load is for setup at quiescence:
-// native implementations take no locks and must not race with other
-// operations.
-type Loader interface {
-	Load(keys []int64) int
-}
+// Loader is the bulk-population surface of a set. A native Load is for
+// setup at quiescence and must not race with other operations.
+type Loader = batch.Loader
 
 // AsBatcher returns s's native batch surface when it has one, or a
-// fallback adapter that sorts and deduplicates the batch and applies
-// it one key at a time.
-func AsBatcher(s Set) Batcher {
-	if b, ok := s.(Batcher); ok {
-		return b
-	}
-	return fallback{s}
-}
+// fallback that sorts and deduplicates the batch and applies it one
+// key at a time.
+func AsBatcher(s Set) Batcher { return batch.AsBatcher(s) }
 
 // AsRanger returns s's native range surface when it has one, or a
-// fallback adapter built on Snapshot.
-func AsRanger(s Set) Ranger {
-	if r, ok := s.(Ranger); ok {
-		return r
-	}
-	return fallback{s}
-}
+// fallback built on Snapshot.
+func AsRanger(s Set) Ranger { return batch.AsRanger(s) }
 
 // AsLoader returns s's native bulk-load surface when it has one, or a
-// fallback adapter that inserts one key at a time.
-func AsLoader(s Set) Loader {
-	if l, ok := s.(Loader); ok {
-		return l
-	}
-	return fallback{s}
-}
-
-// fallback adapts any Set to the batch/range/load surfaces with
-// per-key loops over the canonical (sorted, deduplicated) batch. It
-// preserves the batch semantics exactly — ascending per-key
-// application — just without the one-pass amortization.
-type fallback struct{ s Set }
-
-func (f fallback) InsertAll(keys []int64) int {
-	b := batch.Prep(keys)
-	n := 0
-	for _, v := range b.K {
-		if f.s.Insert(v) {
-			n++
-		}
-	}
-	b.Put()
-	return n
-}
-
-func (f fallback) RemoveAll(keys []int64) int {
-	b := batch.Prep(keys)
-	n := 0
-	for _, v := range b.K {
-		if f.s.Remove(v) {
-			n++
-		}
-	}
-	b.Put()
-	return n
-}
-
-func (f fallback) ContainsAll(keys []int64) int {
-	b := batch.Prep(keys)
-	n := 0
-	for _, v := range b.K {
-		if f.s.Contains(v) {
-			n++
-		}
-	}
-	b.Put()
-	return n
-}
-
-func (f fallback) RangeScan(lo, hi int64) []int64 {
-	if hi <= lo {
-		return nil
-	}
-	var out []int64
-	for _, v := range f.s.Snapshot() {
-		if v >= lo && v < hi {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func (f fallback) Ascend(from int64, yield func(int64) bool) {
-	for _, v := range f.s.Snapshot() {
-		if v >= from && !yield(v) {
-			return
-		}
-	}
-}
-
-func (f fallback) Load(keys []int64) int {
-	return f.InsertAll(keys)
-}
+// fallback that loads through s's batch surface (AsBatcher(s).InsertAll).
+func AsLoader(s Set) Loader { return batch.AsLoader(s) }

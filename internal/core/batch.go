@@ -152,36 +152,3 @@ func (s *VBL) Ascend(from int64, yield func(int64) bool) {
 	}
 	g.Unpin()
 }
-
-// Load bulk-inserts keys with a single merge walk: O(n + k) total, and
-// O(k) on an empty set, where each new node is appended at the frozen
-// tail of the walk. It takes no locks and must only be used at
-// quiescence (setup/population), before the set is shared. Returns how
-// many keys were absent.
-func (s *VBL) Load(keys []int64) int {
-	b := batch.Prep(keys)
-	ks := b.K
-	g := s.arena.Pin()
-	added := 0
-	prev := s.head
-	curr := prev.next.Load()
-	for _, v := range ks {
-		for curr.val < v {
-			prev = curr
-			curr = curr.next.Load()
-		}
-		if curr.val == v {
-			prev = curr
-			curr = curr.next.Load()
-			continue
-		}
-		n := s.newNode(g, v)
-		n.next.Store(curr)
-		prev.next.Store(n)
-		prev = n
-		added++
-	}
-	g.Unpin()
-	b.Put()
-	return added
-}

@@ -343,7 +343,7 @@ type arm struct {
 	threshold uint64 // probability as a fixed-point fraction of 2^64
 	delay     time.Duration
 	keys      map[int64]struct{} // nil = every key
-	seed      uint64
+	seed      uint64             // splitmix64 of the scenario's seed
 	hits      atomic.Uint64
 	pause     *pauseGate
 	scenario  Scenario
@@ -390,7 +390,7 @@ func (s *Set) Arm(sc Scenario) error {
 		action:    sc.Action,
 		threshold: probThreshold(sc.effectiveProbability()),
 		delay:     sc.Delay,
-		seed:      uint64(sc.Seed),
+		seed:      splitmix64(uint64(sc.Seed)),
 		scenario:  sc,
 	}
 	if len(sc.Keys) > 0 {
@@ -473,6 +473,10 @@ func probThreshold(p float64) uint64 {
 // splitmix64 is the statelessly seedable generator behind the
 // probability gate: roll k of an arm is splitmix64(seed+k), so a
 // scenario's firing pattern is a pure function of (seed, hit index).
+// Arm mixes the scenario's seed through splitmix64 once first; rolling
+// from the raw seed would make seeds s and s+1 one stream shifted by a
+// hit, and Shipped and ParseScenarios number their sites' seeds
+// consecutively.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

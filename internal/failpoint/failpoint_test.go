@@ -1,6 +1,7 @@
 package failpoint
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,28 @@ func TestFailFiresDeterministically(t *testing.T) {
 	}
 	if same == hits {
 		t.Fatal("different seeds produced identical firing patterns")
+	}
+}
+
+// TestAdjacentSeedsUncorrelated pins that seeds s and s+1 draw
+// unrelated roll streams, not one stream shifted by a hit: Shipped and
+// ParseScenarios arm their sites with consecutive seeds.
+func TestAdjacentSeedsUncorrelated(t *testing.T) {
+	run := func(seed int64, hits int) []bool {
+		s := NewSet()
+		if err := s.Arm(Scenario{Site: SiteUnlink, Action: ActFail, Probability: 0.5, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]bool, hits)
+		for i := range out {
+			out[i] = s.Fail(SiteUnlink, int64(i))
+		}
+		return out
+	}
+	for _, seed := range []int64{0, 1, 42, 1 << 40} {
+		if a, b := run(seed, 65), run(seed+1, 64); slices.Equal(a[1:], b) {
+			t.Errorf("seed %d+1's first 64 firings repeat seed %d's firings 2…65", seed, seed)
+		}
 	}
 }
 

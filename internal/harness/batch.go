@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"listset/internal/batch"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
 	"listset/internal/workload"
@@ -19,74 +20,33 @@ import (
 // an accounting artifact. A scan counts as one operation (its cost is
 // proportional to the width, which the scan_keys tally exposes).
 
-// BatchSet is the batch surface the harness drives in batched mode.
-// The root package's native implementations and the sharded façade
-// satisfy it structurally; sets that do not are driven by an
-// equivalent per-key loop over the same draws, which is exactly the
-// unamortized baseline the batch gate compares against.
-type BatchSet interface {
-	InsertAll(keys []int64) int
-	RemoveAll(keys []int64) int
-	ContainsAll(keys []int64) int
-}
-
-// RangeSet is the ordered-scan surface scan workloads require. There
-// is no per-key emulation — a Contains sweep over the width would
-// measure something else entirely — so runOnce rejects scan workloads
-// on sets without it.
-type RangeSet interface {
-	RangeScan(lo, hi int64) []int64
-}
-
 // batchMode reports whether drive must run the batched worker loop.
 func (c Config) batchMode() bool {
 	return c.BatchSize >= 1 || c.Workload.ScanPercent > 0
 }
 
-// applyBatch applies one batched operation (len(ks) raw draws — the
-// set's batch entry points sort and deduplicate) and tallies per-key:
-// the set reports how many keys took effect; the rest are failures,
-// the same totals a sequential per-key application would produce.
-func applyBatch(set Set, bs BatchSet, op workload.Op, ks []int64, c *Counts) {
+// applyBatch applies one batched operation through bs and tallies
+// it: len(ks) raw draws, of which the batch surface reports how many
+// took effect; every other draw is a failure of the op's kind. The
+// batch surface sorts and deduplicates, so a key drawn twice in one
+// batch takes effect at most once and its repeat counts as a failed
+// insert, a failed remove or a contains miss. That matches one
+// application of each distinct key, native surface and fallback alike.
+func applyBatch(bs batch.Batcher, op workload.Op, ks []int64, c *Counts) {
 	k := int64(len(ks))
-	var n int
 	switch op {
 	case workload.Insert:
-		if bs != nil {
-			n = bs.InsertAll(ks)
-		} else {
-			for _, v := range ks {
-				if set.Insert(v) {
-					n++
-				}
-			}
-		}
-		c.InsertOK += int64(n)
-		c.InsertFail += k - int64(n)
+		n := int64(bs.InsertAll(ks))
+		c.InsertOK += n
+		c.InsertFail += k - n
 	case workload.Remove:
-		if bs != nil {
-			n = bs.RemoveAll(ks)
-		} else {
-			for _, v := range ks {
-				if set.Remove(v) {
-					n++
-				}
-			}
-		}
-		c.RemoveOK += int64(n)
-		c.RemoveFail += k - int64(n)
+		n := int64(bs.RemoveAll(ks))
+		c.RemoveOK += n
+		c.RemoveFail += k - n
 	default: // Contains
-		if bs != nil {
-			n = bs.ContainsAll(ks)
-		} else {
-			for _, v := range ks {
-				if set.Contains(v) {
-					n++
-				}
-			}
-		}
-		c.ContainsHit += int64(n)
-		c.ContainsMiss += k - int64(n)
+		n := int64(bs.ContainsAll(ks))
+		c.ContainsHit += n
+		c.ContainsMiss += k - n
 	}
 }
 
@@ -100,8 +60,8 @@ func batchedLoop(set Set, cfg Config, id int, gen *workload.Generator, stop *ato
 		k = 1
 	}
 	width := cfg.Workload.ScanSpan()
-	rs, _ := set.(RangeSet)
-	bs, _ := set.(BatchSet)
+	rs, _ := set.(batch.Ranger)
+	bs := batch.AsBatcher(set)
 	buf := make([]int64, 0, k)
 	var n uint64
 	for !stop.Load() {
@@ -130,7 +90,7 @@ func batchedLoop(set Set, cfg Config, id int, gen *workload.Generator, stop *ato
 				// "ok" for a traced batch = at least one key took
 				// effect; the per-key detail is in the tallies.
 				before := local.InsertOK + local.RemoveOK + local.ContainsHit
-				applyBatch(set, bs, op, ks, local)
+				applyBatch(bs, op, ks, local)
 				ok = local.InsertOK+local.RemoveOK+local.ContainsHit > before
 			}
 			if shard != nil {

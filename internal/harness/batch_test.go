@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"listset/internal/batch"
 	"listset/internal/core"
 	"listset/internal/obs"
 	"listset/internal/workload"
@@ -59,6 +60,33 @@ func TestBatchedModeFallback(t *testing.T) {
 	}
 	if res.Counts.Total()%8 != 0 {
 		t.Errorf("fallback total %d not a multiple of 8", res.Counts.Total())
+	}
+}
+
+// TestBatchTallyDuplicateDraws pins the batched tally on a fixed draw
+// stream with repeated keys: the batch surface applies each distinct
+// key once, so a repeat counts as a failure of its op's kind, and a
+// native set and a set served by the per-key fallback tally alike.
+func TestBatchTallyDuplicateDraws(t *testing.T) {
+	steps := []struct {
+		op workload.Op
+		ks []int64
+	}{
+		{workload.Contains, []int64{5, 5, 7}},
+		{workload.Insert, []int64{3, 3, 9}},
+		{workload.Remove, []int64{5, 5, 9, 11}},
+	}
+	want := Counts{ContainsHit: 1, ContainsMiss: 2, InsertOK: 2, InsertFail: 1, RemoveOK: 2, RemoveFail: 2}
+	for name, set := range map[string]Set{"native": core.New(), "fallback": newMapSet()} {
+		set.Insert(5)
+		bs := batch.AsBatcher(set)
+		var c Counts
+		for _, st := range steps {
+			applyBatch(bs, st.op, st.ks, &c)
+		}
+		if c != want {
+			t.Errorf("%s: Counts = %+v, want %+v", name, c, want)
+		}
 	}
 }
 

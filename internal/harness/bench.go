@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"listset/internal/batch"
 	"listset/internal/failpoint"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
@@ -58,15 +59,15 @@ type Config struct {
 	// Workload is the operation mix and key range.
 	Workload workload.Config
 	// BatchSize, when >= 1, switches the workers to batched mode: each
-	// step draws BatchSize keys and applies them through the set's
-	// batch surface (BatchSet) in one call — or an equivalent per-key
-	// loop when the set has none. Throughput accounting stays per key
+	// step draws BatchSize keys and applies them in one call through
+	// batch.AsBatcher — the set's native batch surface, or the per-key
+	// fallback when it has none. Throughput accounting stays per key
 	// (a batch of k counts as k operations), so batched and per-key
 	// cells are directly comparable; BatchSize 1 exercises the batch
 	// entry points with single-key batches (the "batch=1 within 10% of
 	// plain" regression cell). 0 means classic per-key mode. Scan
 	// workloads (Workload.ScanPercent > 0) also use the batched loop
-	// and require the set to implement RangeSet.
+	// and require the set to implement batch.Ranger natively.
 	BatchSize int
 	// Duration is the measured interval per run.
 	Duration time.Duration
@@ -284,7 +285,7 @@ func Run(cfg Config) (Result, error) {
 func runOnce(cfg Config, r int, res *Result) (Counts, time.Duration, error) {
 	set := cfg.New()
 	if cfg.Workload.ScanPercent > 0 {
-		if _, ok := set.(RangeSet); !ok {
+		if _, ok := set.(batch.Ranger); !ok {
 			// No per-key emulation: a Contains sweep over the scan
 			// width would measure a different algorithm.
 			return Counts{}, 0, fmt.Errorf("harness: %s has no RangeScan; scan workloads need a native scan surface", cfg.Name)

@@ -144,42 +144,3 @@ func (s *Marker) Ascend(from int64, yield func(int64) bool) {
 		}
 	}
 }
-
-// Load bulk-inserts keys with a single merge walk: O(n + k) total,
-// O(k) on an empty set. It uses plain stores (no CAS) and must only be
-// used at quiescence (setup/population), before the set is shared; any
-// logically deleted nodes left reachable by earlier concurrent use are
-// physically unlinked along the walk. Returns how many keys were
-// absent.
-func (s *Marker) Load(keys []int64) int {
-	b := batch.Prep(keys)
-	ks := b.K
-	added := 0
-	prev := s.head
-	curr := prev.next.Load()
-	for _, v := range ks {
-		for {
-			succ := curr.next.Load()
-			if succ.marker {
-				// curr is deleted; snip curr and its marker (plain
-				// store: quiescence is the contract).
-				curr = succ.next.Load()
-				prev.next.Store(curr)
-				continue
-			}
-			if curr.val >= v {
-				break
-			}
-			prev, curr = curr, succ
-		}
-		if curr.val == v {
-			continue
-		}
-		n := newMarkNode(v, curr)
-		prev.next.Store(n)
-		prev = n
-		added++
-	}
-	b.Put()
-	return added
-}

@@ -137,33 +137,3 @@ func (l *List) Ascend(from int64, yield func(int64) bool) {
 	}
 	g.Unpin()
 }
-
-// Load bulk-inserts keys with a single merge walk: O(n + k) total,
-// O(k) on an empty set. It takes no locks and must only be used at
-// quiescence (setup/population), before the list is shared. Returns
-// how many keys were absent.
-func (l *List) Load(keys []int64) int {
-	b := batch.Prep(keys)
-	ks := b.K
-	g := l.arena.Pin()
-	added := 0
-	prev := l.head
-	curr := prev.next.Load()
-	for _, v := range ks {
-		for curr.val < v {
-			prev = curr
-			curr = curr.next.Load()
-		}
-		if curr.val == v {
-			continue
-		}
-		n := l.newNode(g, v)
-		n.next.Store(curr)
-		prev.next.Store(n)
-		prev = n
-		added++
-	}
-	g.Unpin()
-	b.Put()
-	return added
-}

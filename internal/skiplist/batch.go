@@ -414,50 +414,10 @@ func (s *Lazy) descendTo(v int64) *lazyNode {
 	return curr
 }
 
-// Load bulk-inserts keys with finger-seeded unsynchronized descents.
-// It takes no locks and must only be used at quiescence
-// (setup/population), before the set is shared. Returns how many keys
-// were absent.
-func (s *Lazy) Load(keys []int64) int {
-	b := batch.Prep(keys)
-	ks := b.K
-	added := 0
-	var fingers [maxLevel]*lazyNode
-	for _, v := range ks {
-		preds, succs, lFound := s.findFrom(v, &fingers)
-		if lFound != -1 {
-			continue
-		}
-		h := s.randomHeight()
-		//lint:ignore hotalloc bulk population materializes towers on the heap by design
-		n := &lazyNode{val: v, height: h}
-		for l := 0; l < h; l++ {
-			n.next[l].Store(succs[l])
-			preds[l].next[l].Store(n)
-		}
-		n.fullyLinked.Store(true)
-		for l := 0; l < h; l++ {
-			fingers[l] = n
-		}
-		added++
-	}
-	b.Put()
-	return added
-}
-
-// Guard against interface drift: both skip lists carry the full batch
-// surface (the root package and the shard façade assert these
-// structurally).
-type vbBatchSurface interface {
-	InsertAll([]int64) int
-	RemoveAll([]int64) int
-	ContainsAll([]int64) int
-	RangeScan(lo, hi int64) []int64
-	Ascend(from int64, yield func(int64) bool)
-	Load([]int64) int
-}
-
 var (
-	_ vbBatchSurface = (*VB)(nil)
-	_ vbBatchSurface = (*Lazy)(nil)
+	_ batch.Batcher = (*VB)(nil)
+	_ batch.Ranger  = (*VB)(nil)
+	_ batch.Loader  = (*VB)(nil)
+	_ batch.Batcher = (*Lazy)(nil)
+	_ batch.Ranger  = (*Lazy)(nil)
 )

@@ -4,7 +4,7 @@
 #
 # Usage: scripts/check.sh            (from the repo root or anywhere)
 #
-# Mirrors .github/workflows/ci.yml; keep the two in sync.
+# CI (.github/workflows/ci.yml) runs this script as its one gate step.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
