@@ -112,6 +112,36 @@ func TestBufReuse(t *testing.T) {
 	}
 }
 
+// calls records the keys the fallback hands a Point, in order.
+type calls []int64
+
+func (c *calls) Insert(v int64) bool   { *c = append(*c, v); return true }
+func (c *calls) Remove(v int64) bool   { *c = append(*c, v); return true }
+func (c *calls) Contains(v int64) bool { *c = append(*c, v); return true }
+
+// TestFallbackAppliesCanonicalKeys: the per-key fallback applies each
+// distinct key once, ascending, whether the batch arrives canonical
+// (taken as it is) or not (prepped): a repeat next to its twin, a
+// descent or an unsorted mix.
+func TestFallbackAppliesCanonicalKeys(t *testing.T) {
+	for _, in := range [][]int64{
+		nil, {7}, {1, 2, 5}, {1, 2, 2, 5}, {5, 2, 1}, {5, 1, 5, 2, 1},
+	} {
+		want := slices.Clone(in)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		for name, op := range map[string]func(Batcher, []int64) int{
+			"InsertAll": Batcher.InsertAll, "RemoveAll": Batcher.RemoveAll, "ContainsAll": Batcher.ContainsAll,
+		} {
+			var c calls
+			n := op(AsBatcher(&c), in)
+			if !slices.Equal(c, want) || n != len(want) {
+				t.Errorf("%s(%v) applied %v and returned %d, want %v and %d", name, in, []int64(c), n, want, len(want))
+			}
+		}
+	}
+}
+
 func BenchmarkPrep64(b *testing.B) {
 	keys := make([]int64, 64)
 	rng := rand.New(rand.NewSource(7))

@@ -38,6 +38,7 @@ import (
 	"math/bits"
 	"unsafe"
 
+	"listset/internal/batch"
 	"listset/internal/failpoint"
 	"listset/internal/obs"
 )
@@ -73,14 +74,16 @@ const (
 	cacheLine = 64
 )
 
-// slot is one shard header: the shard's set, padded so adjacent
-// headers never share a cache line. The header itself is read-only
-// after construction, but without padding two neighbouring interface
-// words would sit on one line and pull both shards' metadata into
-// every miss on either.
+// slot is one shard header: the shard's set and its batch surface
+// (batch.AsBatcher, resolved once here so no sub-batch boxes a
+// fallback), padded so adjacent headers never share a cache line. The
+// header itself is read-only after construction, but without padding
+// two neighbouring interface words would sit on one line and pull both
+// shards' metadata into every miss on either.
 type slot struct {
 	set Set
-	_   [(cacheLine - unsafe.Sizeof(Set(nil))%cacheLine) % cacheLine]byte
+	b   batch.Batcher
+	_   [(cacheLine - (unsafe.Sizeof(Set(nil))+unsafe.Sizeof(batch.Batcher(nil)))%cacheLine) % cacheLine]byte
 }
 
 // Sharded is the range-partitioned façade: S independent Sets, each
@@ -128,6 +131,7 @@ func NewRange(shards int, lo, hi int64, newSet func() Set) *Sharded {
 	s := &Sharded{lo: lo, hi: hi, shift: spanShift(lo, hi, n), slots: make([]slot, n)}
 	for i := range s.slots {
 		s.slots[i].set = newSet()
+		s.slots[i].b = batch.AsBatcher(s.slots[i].set)
 	}
 	return s
 }
