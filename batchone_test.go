@@ -87,7 +87,9 @@ func runOneKeyScript(t *testing.T, im Impl, o Options, batched bool) oneKeyRun {
 // the same seeded validation failures, the single-key and the one-key
 // batch entry points must agree on every result, the final contents,
 // the retry tallies and every probe counter — except
-// batch_window_restart, which only batch keys count.
+// batch_window_restart, which only batch keys count: in the one-key
+// batch run it equals the restart events, restart_prev + restart_head +
+// skip_restart_l0, and the retry tally's Restarts.
 func TestBatchOfOneMatchesSingleKey(t *testing.T) {
 	for _, im := range Implementations() {
 		if _, ok := im.New().(Batcher); !ok {
@@ -117,6 +119,12 @@ func TestBatchOfOneMatchesSingleKey(t *testing.T) {
 				}
 				if n := single.events[obs.EvBatchWindowRestart]; n != 0 {
 					t.Errorf("single-key ops counted %d batch_window_restart events, want 0", n)
+				}
+				ev := batched.events
+				if restarts := ev[obs.EvRestartPrev] + ev[obs.EvRestartHead] + ev[obs.EvSkipRestartL0]; obs.Compiled &&
+					(ev[obs.EvBatchWindowRestart] != restarts || restarts != batched.retry.Restarts) {
+					t.Errorf("one-key batch: batch_window_restart %d, restart events %d, RetryStats().Restarts %d; want all equal",
+						ev[obs.EvBatchWindowRestart], restarts, batched.retry.Restarts)
 				}
 				single.events[obs.EvBatchWindowRestart] = batched.events[obs.EvBatchWindowRestart]
 				if single.events != batched.events {

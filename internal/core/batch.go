@@ -1,9 +1,6 @@
 package core
 
-import (
-	"listset/internal/batch"
-	"listset/internal/obs"
-)
+import "listset/internal/batch"
 
 // Batched and ranged operations for VBL: the paper's one-window
 // validation protocol (Section 3.1) applied to k windows in one
@@ -41,9 +38,8 @@ func (s *VBL) InsertAll(keys []int64) int {
 	inserted := 0
 	anchor := s.head
 	for i := 0; i < len(ks); {
-		var n, restarts int
-		anchor, n, restarts = s.insertFrom(g, anchor, ks[i], ks[i+1:])
-		s.countBatchRestarts(ks[i], restarts)
+		var n int
+		anchor, n = s.insertFrom(g, anchor, ks[i], ks[i+1:], true)
 		inserted += n
 		i += max(n, 1) // a present key consumes itself only
 	}
@@ -64,9 +60,7 @@ func (s *VBL) RemoveAll(keys []int64) int {
 	anchor := s.head
 	for _, v := range ks {
 		var ok bool
-		var restarts int
-		anchor, ok, restarts = s.removeFrom(g, anchor, v)
-		s.countBatchRestarts(v, restarts)
+		anchor, ok = s.removeFrom(g, anchor, v, true)
 		if ok {
 			removed++
 		}
@@ -74,17 +68,6 @@ func (s *VBL) RemoveAll(keys []int64) int {
 	g.Unpin()
 	b.Put()
 	return removed
-}
-
-// countBatchRestarts counts a batch key's failed window validations as
-// batch-window restarts, on top of the restart events the per-key step
-// itself recorded; single-key operations never count them.
-func (s *VBL) countBatchRestarts(v int64, restarts int) {
-	if p := s.probes; obs.On(p) {
-		for ; restarts > 0; restarts-- {
-			p.Inc(obs.EvBatchWindowRestart, v)
-		}
-	}
 }
 
 // ContainsAll reports how many of the keys are in the set. One

@@ -114,13 +114,9 @@ func (n *node) lockNextAt(succ *node, preValidate bool, p *obs.Probes) bool {
 // are attached. Like the lock helpers it wraps, it returns holding the
 // lock by contract.
 func (n *node) acquire(p *obs.Probes) {
-	if obs.On(p) {
-		if n.lock.LockContended() {
-			p.Inc(obs.EvTryLockContended, n.val)
-		}
-		return
+	if n.lock.LockContended() && obs.On(p) {
+		p.Inc(obs.EvTryLockContended, n.val)
 	}
-	n.lock.Lock()
 }
 
 // countIdentityFail classifies a failed identity validation for the
@@ -197,11 +193,10 @@ type VBL struct {
 	// grace period (internal/mem). Nil delegates lifetimes to the GC.
 	arena *mem.Arena[node]
 
-	// budget is the failed-validation retry budget K (0 = the paper's
-	// unbounded retries), atomic so it may be set while operations are
-	// in flight; retry aggregates what the escalators saw.
-	budget atomic.Int32
-	retry  obs.RetryCounter
+	// Ladder is the failed-validation retry budget and its tally: past
+	// K restarts an update escalates from the prev-restart to
+	// head-restarts, and past 2K it also backs off between attempts.
+	obs.Ladder
 }
 
 // SetProbes attaches (or with nil detaches) the contention-event
@@ -222,17 +217,6 @@ func (s *VBL) SetFailpoints(fp *failpoint.Set) {
 		a.SetFailpoints(fp)
 	}
 }
-
-// SetRetryBudget sets the failed-validation retry budget K: after K
-// restarts an update escalates from the prev-restart to head-restarts,
-// and after 2K it also backs off between attempts. 0 restores the
-// paper's unbounded retry loop. The budget is atomic: it may be
-// retuned while the set is shared (each in-flight operation keeps the
-// budget it started with).
-func (s *VBL) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
-
-// RetryStats reports the aggregated restart/escalation tallies.
-func (s *VBL) RetryStats() obs.RetryStats { return s.retry.Stats() }
 
 // New returns an empty VBL set.
 func New() *VBL {
@@ -287,7 +271,7 @@ func (s *VBL) Contains(v int64) bool {
 // (Algorithm 2, lines 22-32): insertFrom started from head.
 func (s *VBL) Insert(v int64) bool {
 	g := s.arena.Pin()
-	_, n, _ := s.insertFrom(g, s.head, v, nil)
+	_, n := s.insertFrom(g, s.head, v, nil, false)
 	g.Unpin()
 	return n > 0
 }
@@ -296,7 +280,7 @@ func (s *VBL) Insert(v int64) bool {
 // (Algorithm 2, lines 33-48): removeFrom started from head.
 func (s *VBL) Remove(v int64) bool {
 	g := s.arena.Pin()
-	_, ok, _ := s.removeFrom(g, s.head, v)
+	_, ok := s.removeFrom(g, s.head, v, false)
 	g.Unpin()
 	return ok
 }
@@ -308,11 +292,11 @@ func (s *VBL) Remove(v int64) bool {
 // below curr.val is provably absent too, so it is linked in the same
 // store: k' inserts for one lock acquisition, linearizing in ascending
 // order at that store. It returns the next anchor (a node preceding
-// every key after those consumed), how many keys it inserted — 0 when
-// v was present, in which case only v is consumed — and how many
-// failed validations it restarted after.
-func (s *VBL) insertFrom(g mem.Guard[node], prev *node, v int64, rest []int64) (anchor *node, inserted, restarts int) {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: s.headRestart}
+// every key after those consumed) and how many keys it inserted — 0
+// when v was present, in which case only v is consumed. batch marks a
+// key of a batch pass (see obs.Ladder.Begin).
+func (s *VBL) insertFrom(g mem.Guard[node], prev *node, v int64, rest []int64, batch bool) (anchor *node, inserted int) {
+	esc := s.Begin(s.probes, s.nativeRestart(), batch)
 	// The speculative node is allocated once and reused across failed
 	// validations; it is unpublished until the successful link, so no
 	// traversal can observe the reuse.
@@ -332,8 +316,8 @@ func (s *VBL) insertFrom(g mem.Guard[node], prev *node, v int64, rest []int64) (
 			if n != nil && g.Active() {
 				g.Free(n) // never published: no grace period needed
 			}
-			esc.Done(&s.retry)
-			return curr, 0, esc.Restarts()
+			esc.Done()
+			return curr, 0
 		}
 		if n == nil {
 			n = s.newNode(g, v)
@@ -363,31 +347,28 @@ func (s *VBL) insertFrom(g mem.Guard[node], prev *node, v int64, rest []int64) (
 		}
 		prev.next.Store(n)
 		prev.lock.Unlock()
-		esc.Done(&s.retry)
+		esc.Done()
 		// The chain's tail precedes every remaining key (its value is
 		// below curr.val), so it is the next anchor.
-		return tail, inserted, esc.Restarts()
+		return tail, inserted
 	}
 }
 
-// restart applies the restart policy after a failed validation — the
-// paper's prev-restart, the ablation's head-restart, or the escalation
-// ladder's forced head-restart once the retry budget is spent — and
-// records the restart, split by where the retry resumes (the paper's
+// nativeRestart is the restart event of the set's native policy: the
+// paper's prev-restart, or the ablation's head-restart.
+func (s *VBL) nativeRestart() obs.Event {
+	if s.headRestart {
+		return obs.EvRestartHead
+	}
+	return obs.EvRestartPrev
+}
+
+// restart records a failed validation with esc and returns where the
+// retry resumes: prev under the paper's policy, head under the ablation
+// or once the escalation ladder has spent the retry budget (the paper's
 // locality optimization is exactly the prev-vs-head distinction).
 func (s *VBL) restart(prev *node, esc *obs.Escalator, v int64) *node {
-	head := esc.Failed(s.probes, v)
-	if s.headRestart {
-		head = true
-	}
-	if p := s.probes; obs.On(p) {
-		if head {
-			p.Inc(obs.EvRestartHead, v)
-		} else {
-			p.Inc(obs.EvRestartPrev, v)
-		}
-	}
-	if head {
+	if esc.Failed(v) || s.headRestart {
 		return s.head
 	}
 	return prev
@@ -396,10 +377,10 @@ func (s *VBL) restart(prev *node, esc *obs.Escalator, v int64) *node {
 // removeFrom is VBL's remove protocol (Algorithm 2, lines 33-48) for
 // key v, traversing from prev: head for Remove, the pass's anchor for
 // RemoveAll. It returns the next anchor (the final prev, which
-// precedes every larger key), whether v was present, and how many
-// failed validations it restarted after.
-func (s *VBL) removeFrom(g mem.Guard[node], prev *node, v int64) (anchor *node, removed bool, restarts int) {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: s.headRestart}
+// precedes every larger key) and whether v was present. batch marks a
+// key of a batch pass.
+func (s *VBL) removeFrom(g mem.Guard[node], prev *node, v int64, batch bool) (anchor *node, removed bool) {
+	esc := s.Begin(s.probes, s.nativeRestart(), batch)
 	for {
 		if fp := s.fps; failpoint.On(fp) {
 			fp.Do(failpoint.SiteVBLTraverse, v)
@@ -407,8 +388,8 @@ func (s *VBL) removeFrom(g mem.Guard[node], prev *node, v int64) (anchor *node, 
 		var curr *node
 		prev, curr = s.traverse(v, prev)
 		if curr.val != v {
-			esc.Done(&s.retry)
-			return prev, false, esc.Restarts()
+			esc.Done()
+			return prev, false
 		}
 		next := curr.next.Load()
 		// Lock prev validating BY VALUE: any node holding v will do,
@@ -465,8 +446,8 @@ func (s *VBL) removeFrom(g mem.Guard[node], prev *node, v int64) (anchor *node, 
 			// that may still stand on it stay safe.
 			g.Retire(curr)
 		}
-		esc.Done(&s.retry)
-		return prev, true, esc.Restarts()
+		esc.Done()
+		return prev, true
 	}
 }
 

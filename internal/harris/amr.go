@@ -64,11 +64,10 @@ type AMR struct {
 	// fps, when non-nil, arms the chaos failpoints (internal/failpoint).
 	fps *failpoint.Set
 
-	// budget is the failed-CAS retry budget K (0 = unbounded retries, atomic for mid-run retuning);
-	// retry aggregates what the escalators saw. Harris restarts natively
-	// from head, so the ladder's only live stage is the backoff at K.
-	budget atomic.Int32
-	retry  obs.RetryCounter
+	// Ladder is the failed-CAS retry budget and its tally. Harris
+	// restarts natively from head, so the ladder's only live stage is
+	// the backoff at K.
+	obs.Ladder
 }
 
 // SetProbes attaches (or with nil detaches) the contention-event
@@ -78,14 +77,6 @@ func (s *AMR) SetProbes(p *obs.Probes) { s.probes = p }
 // SetFailpoints attaches (or with nil detaches) the fault-injection
 // layer. Call it before sharing the set between goroutines.
 func (s *AMR) SetFailpoints(fp *failpoint.Set) { s.fps = fp }
-
-// SetRetryBudget sets the failed-CAS retry budget K: past K restarts an
-// update backs off between attempts. 0 restores unbounded retries.
-// Call before sharing the set.
-func (s *AMR) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
-
-// RetryStats reports the aggregated restart/escalation tallies.
-func (s *AMR) RetryStats() obs.RetryStats { return s.retry.Stats() }
 
 // NewAMR returns an empty Harris-Michael (AMR variant) set.
 func NewAMR() *AMR {
@@ -97,8 +88,8 @@ func NewAMR() *AMR {
 // find locates the window (prev, curr) with prev.val < v <= curr.val,
 // physically removing every marked node it encounters on the way
 // (Michael's helping). If a removal CAS fails the traversal restarts
-// from head — esc counts those internal restarts against the caller's
-// retry budget. It returns prev's cell as read, so callers can CAS
+// from head — esc counts those internal restarts like the caller's
+// own. It returns prev's cell as read, so callers can CAS
 // against the exact cell they validated.
 func (s *AMR) find(v int64, esc *obs.Escalator) (prev *amrNode, prevCell *amrCell, curr *amrNode) {
 retry:
@@ -123,9 +114,8 @@ retry:
 				if injected || !prev.cell.CompareAndSwap(prevCell, snipped) {
 					if p := s.probes; obs.On(p) {
 						p.Inc(obs.EvCASFail, curr.val)
-						p.Inc(obs.EvRestartHead, curr.val)
 					}
-					esc.Failed(s.probes, curr.val)
+					esc.Failed(curr.val)
 					continue retry
 				}
 				if p := s.probes; obs.On(p) {
@@ -158,11 +148,11 @@ func (s *AMR) Contains(v int64) bool {
 
 // Insert adds v to the set and reports whether v was absent.
 func (s *AMR) Insert(v int64) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+	esc := s.Begin(s.probes, obs.EvRestartHead, false)
 	for {
 		prev, prevCell, curr := s.find(v, &esc)
 		if curr.val == v {
-			esc.Done(&s.retry)
+			esc.Done()
 			return false
 		}
 		// An injected CAS failure skips the real CAS (which would
@@ -175,15 +165,14 @@ func (s *AMR) Insert(v int64) bool {
 			n := newAMRNode(v, curr)
 			//lint:ignore hotalloc AMR cells are immutable by design; linking allocates the replacement cell
 			if prev.cell.CompareAndSwap(prevCell, &amrCell{next: n}) {
-				esc.Done(&s.retry)
+				esc.Done()
 				return true
 			}
 		}
 		if p := s.probes; obs.On(p) {
 			p.Inc(obs.EvCASFail, v)
-			p.Inc(obs.EvRestartHead, v)
 		}
-		esc.Failed(s.probes, v)
+		esc.Failed(v)
 	}
 }
 
@@ -192,21 +181,18 @@ func (s *AMR) Insert(v int64) bool {
 // physical removal is attempted once and otherwise left to future
 // traversals.
 func (s *AMR) Remove(v int64) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+	esc := s.Begin(s.probes, obs.EvRestartHead, false)
 	for {
 		prev, prevCell, curr := s.find(v, &esc)
 		if curr.val != v {
-			esc.Done(&s.retry)
+			esc.Done()
 			return false
 		}
 		currCell := curr.cell.Load()
 		if currCell.marked {
 			// Deleted by a competitor after find validated it; retry to
 			// settle who removed it.
-			if p := s.probes; obs.On(p) {
-				p.Inc(obs.EvRestartHead, v)
-			}
-			esc.Failed(s.probes, v)
+			esc.Failed(v)
 			continue
 		}
 		// An injected failure of the mark-install CAS takes the same
@@ -220,9 +206,8 @@ func (s *AMR) Remove(v int64) bool {
 		if injected || !curr.cell.CompareAndSwap(currCell, marked) {
 			if p := s.probes; obs.On(p) {
 				p.Inc(obs.EvCASFail, v)
-				p.Inc(obs.EvRestartHead, v)
 			}
-			esc.Failed(s.probes, v)
+			esc.Failed(v)
 			continue
 		}
 		// Best-effort physical removal; failure delegates the unlink.
@@ -241,7 +226,7 @@ func (s *AMR) Remove(v int64) bool {
 				p.Inc(obs.EvPhysicalUnlink, v)
 			}
 		}
-		esc.Done(&s.retry)
+		esc.Done()
 		return true
 	}
 }

@@ -1,9 +1,6 @@
 package harris
 
-import (
-	"listset/internal/batch"
-	"listset/internal/obs"
-)
+import "listset/internal/batch"
 
 // Batched and ranged operations for the Harris-Michael marker list.
 //
@@ -29,9 +26,7 @@ func (s *Marker) InsertAll(keys []int64) int {
 	anchor := s.head
 	for _, v := range ks {
 		var ok bool
-		var restarts int
-		anchor, ok, restarts = s.insertFrom(anchor, v)
-		s.countBatchRestarts(v, restarts)
+		anchor, ok = s.insertFrom(anchor, v, true)
 		if ok {
 			inserted++
 		}
@@ -50,26 +45,13 @@ func (s *Marker) RemoveAll(keys []int64) int {
 	anchor := s.head
 	for _, v := range ks {
 		var ok bool
-		var restarts int
-		anchor, ok, restarts = s.removeFrom(anchor, v)
-		s.countBatchRestarts(v, restarts)
+		anchor, ok = s.removeFrom(anchor, v, true)
 		if ok {
 			removed++
 		}
 	}
 	b.Put()
 	return removed
-}
-
-// countBatchRestarts counts a batch key's lost window races as
-// batch-window restarts, on top of the restart events the per-key step
-// itself recorded; single-key operations never count them.
-func (s *Marker) countBatchRestarts(v int64, restarts int) {
-	if p := s.probes; obs.On(p) {
-		for ; restarts > 0; restarts-- {
-			p.Inc(obs.EvBatchWindowRestart, v)
-		}
-	}
 }
 
 // ContainsAll reports how many of the keys are in the set. One

@@ -46,10 +46,8 @@ type Marker struct {
 	// fps, when non-nil, arms the chaos failpoints (internal/failpoint).
 	fps *failpoint.Set
 
-	// budget is the failed-CAS retry budget K (0 = unbounded retries, atomic for mid-run retuning);
-	// retry aggregates what the escalators saw. See AMR.
-	budget atomic.Int32
-	retry  obs.RetryCounter
+	// Ladder is the failed-CAS retry budget and its tally. See AMR.
+	obs.Ladder
 }
 
 // SetProbes attaches (or with nil detaches) the contention-event
@@ -59,14 +57,6 @@ func (s *Marker) SetProbes(p *obs.Probes) { s.probes = p }
 // SetFailpoints attaches (or with nil detaches) the fault-injection
 // layer. Call it before sharing the set between goroutines.
 func (s *Marker) SetFailpoints(fp *failpoint.Set) { s.fps = fp }
-
-// SetRetryBudget sets the failed-CAS retry budget K: past K restarts an
-// update backs off between attempts. 0 restores unbounded retries.
-// Call before sharing the set.
-func (s *Marker) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
-
-// RetryStats reports the aggregated restart/escalation tallies.
-func (s *Marker) RetryStats() obs.RetryStats { return s.retry.Stats() }
 
 // NewMarker returns an empty Harris-Michael (marker variant) set.
 func NewMarker() *Marker {
@@ -83,7 +73,7 @@ func NewMarker() *Marker {
 // anchor for the batches — and unlinking every logically deleted node
 // (one whose successor is a marker) it passes. A deleted anchor falls
 // back to head, and so does a failed unlink CAS, as in the AMR variant;
-// esc counts those internal restarts against the caller's retry budget.
+// esc counts those internal restarts like the caller's own.
 func (s *Marker) findFrom(anchor *markNode, v int64, esc *obs.Escalator) (prev, curr *markNode) {
 retry:
 	for prev = anchor; ; prev = s.head {
@@ -107,9 +97,8 @@ retry:
 				if injected || !prev.next.CompareAndSwap(curr, succ.next.Load()) {
 					if p := s.probes; obs.On(p) {
 						p.Inc(obs.EvCASFail, curr.val)
-						p.Inc(obs.EvRestartHead, curr.val)
 					}
-					esc.Failed(s.probes, curr.val)
+					esc.Failed(curr.val)
 					continue retry
 				}
 				if p := s.probes; obs.On(p) {
@@ -152,29 +141,28 @@ func (s *Marker) Contains(v int64) bool {
 // Insert adds v to the set and reports whether v was absent:
 // insertFrom started from head.
 func (s *Marker) Insert(v int64) bool {
-	_, ok, _ := s.insertFrom(s.head, v)
+	_, ok := s.insertFrom(s.head, v, false)
 	return ok
 }
 
 // Remove deletes v from the set and reports whether v was present:
 // removeFrom started from head.
 func (s *Marker) Remove(v int64) bool {
-	_, ok, _ := s.removeFrom(s.head, v)
+	_, ok := s.removeFrom(s.head, v, false)
 	return ok
 }
 
 // insertFrom is the Harris-Michael insert of key v, locating its window
 // from anchor: head for Insert, the pass's anchor for InsertAll. It
-// returns the next anchor (the node now holding v), whether v was
-// absent, and how many lost link CASes it retried after (findFrom's
-// helping-unlink restarts are not among them).
-func (s *Marker) insertFrom(anchor *markNode, v int64) (next *markNode, inserted bool, restarts int) {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+// returns the next anchor (the node now holding v) and whether v was
+// absent. batch marks a key of a batch pass (see obs.Ladder.Begin).
+func (s *Marker) insertFrom(anchor *markNode, v int64, batch bool) (next *markNode, inserted bool) {
+	esc := s.Begin(s.probes, obs.EvRestartHead, batch)
 	for {
 		prev, curr := s.findFrom(anchor, v, &esc)
 		if curr.val == v {
-			esc.Done(&s.retry)
-			return curr, false, restarts
+			esc.Done()
+			return curr, false
 		}
 		// An injected CAS failure skips the real CAS (which would
 		// succeed) and takes the same restart path a lost race does.
@@ -185,16 +173,14 @@ func (s *Marker) insertFrom(anchor *markNode, v int64) (next *markNode, inserted
 		if !injected {
 			n := newMarkNode(v, curr)
 			if prev.next.CompareAndSwap(curr, n) {
-				esc.Done(&s.retry)
-				return n, true, restarts
+				esc.Done()
+				return n, true
 			}
 		}
 		if p := s.probes; obs.On(p) {
 			p.Inc(obs.EvCASFail, v)
-			p.Inc(obs.EvRestartHead, v)
 		}
-		esc.Failed(s.probes, v)
-		restarts++
+		esc.Failed(v)
 	}
 }
 
@@ -202,25 +188,20 @@ func (s *Marker) insertFrom(anchor *markNode, v int64) (next *markNode, inserted
 // from anchor: head for Remove, the pass's anchor for RemoveAll. The
 // linearization point of a successful remove is the CAS that installs
 // the marker; the subsequent unlink is best-effort. It returns the next
-// anchor (the window's prev), whether v was present, and how many lost
-// races it retried after (findFrom's helping-unlink restarts are not
-// among them).
-func (s *Marker) removeFrom(anchor *markNode, v int64) (next *markNode, removed bool, restarts int) {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+// anchor (the window's prev) and whether v was present. batch marks a
+// key of a batch pass.
+func (s *Marker) removeFrom(anchor *markNode, v int64, batch bool) (next *markNode, removed bool) {
+	esc := s.Begin(s.probes, obs.EvRestartHead, batch)
 	for {
 		prev, curr := s.findFrom(anchor, v, &esc)
 		if curr.val != v {
-			esc.Done(&s.retry)
-			return prev, false, restarts
+			esc.Done()
+			return prev, false
 		}
 		succ := curr.next.Load()
 		if succ.marker {
 			// Lost the race to a competing remove; re-find.
-			if p := s.probes; obs.On(p) {
-				p.Inc(obs.EvRestartHead, v)
-			}
-			esc.Failed(s.probes, v)
-			restarts++
+			esc.Failed(v)
 			continue
 		}
 		// An injected failure of the marker-install CAS takes the same
@@ -235,10 +216,8 @@ func (s *Marker) removeFrom(anchor *markNode, v int64) (next *markNode, removed 
 		if injected || !curr.next.CompareAndSwap(succ, m) {
 			if p := s.probes; obs.On(p) {
 				p.Inc(obs.EvCASFail, v)
-				p.Inc(obs.EvRestartHead, v)
 			}
-			esc.Failed(s.probes, v)
-			restarts++
+			esc.Failed(v)
 			continue
 		}
 		// Best-effort physical removal of curr and its marker; a failed
@@ -255,8 +234,8 @@ func (s *Marker) removeFrom(anchor *markNode, v int64) (next *markNode, removed 
 				p.Inc(obs.EvPhysicalUnlink, v)
 			}
 		}
-		esc.Done(&s.retry)
-		return prev, true, restarts
+		esc.Done()
+		return prev, true
 	}
 }
 

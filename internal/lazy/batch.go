@@ -1,9 +1,6 @@
 package lazy
 
-import (
-	"listset/internal/batch"
-	"listset/internal/obs"
-)
+import "listset/internal/batch"
 
 // Batched and ranged operations for the Lazy list: the same one-pass
 // multi-window protocol as core's VBL batch (see core/batch.go for the
@@ -28,9 +25,8 @@ func (l *List) InsertAll(keys []int64) int {
 	inserted := 0
 	anchor := l.head
 	for i := 0; i < len(ks); {
-		var n, restarts int
-		anchor, n, restarts = l.insertFrom(g, anchor, ks[i], ks[i+1:])
-		l.countBatchRestarts(ks[i], restarts)
+		var n int
+		anchor, n = l.insertFrom(g, anchor, ks[i], ks[i+1:], true)
 		inserted += n
 		i += max(n, 1) // a present key consumes itself only
 	}
@@ -51,9 +47,7 @@ func (l *List) RemoveAll(keys []int64) int {
 	anchor := l.head
 	for _, v := range ks {
 		var ok bool
-		var restarts int
-		anchor, ok, restarts = l.removeFrom(g, anchor, v)
-		l.countBatchRestarts(v, restarts)
+		anchor, ok = l.removeFrom(g, anchor, v, true)
 		if ok {
 			removed++
 		}
@@ -61,17 +55,6 @@ func (l *List) RemoveAll(keys []int64) int {
 	g.Unpin()
 	b.Put()
 	return removed
-}
-
-// countBatchRestarts counts a batch key's failed window validations as
-// batch-window restarts, on top of the restart events the per-key step
-// itself recorded; single-key operations never count them.
-func (l *List) countBatchRestarts(v int64, restarts int) {
-	if p := l.probes; obs.On(p) {
-		for ; restarts > 0; restarts-- {
-			p.Inc(obs.EvBatchWindowRestart, v)
-		}
-	}
 }
 
 // ContainsAll reports how many of the keys are in the set. One

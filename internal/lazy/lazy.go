@@ -72,13 +72,10 @@ type List struct {
 	// grace period (internal/mem). Nil delegates lifetimes to the GC.
 	arena *mem.Arena[node]
 
-	// budget is the failed-validation retry budget K (0 = unbounded
-	// retries), atomic so it may be set mid-run; retry aggregates what
-	// the escalators saw.
+	// Ladder is the failed-validation retry budget and its tally.
 	// Lazy's native restart already goes to head, so the ladder's only
 	// live stage is the backoff, which begins at K.
-	budget atomic.Int32
-	retry  obs.RetryCounter
+	obs.Ladder
 }
 
 // SetProbes attaches (or with nil detaches) the contention-event
@@ -98,15 +95,6 @@ func (l *List) SetFailpoints(fp *failpoint.Set) {
 		a.SetFailpoints(fp)
 	}
 }
-
-// SetRetryBudget sets the failed-validation retry budget K: past K
-// restarts an update backs off between attempts. 0 restores unbounded
-// retries. The budget is atomic and may be retuned while the list is
-// shared; in-flight operations keep the budget they started with.
-func (l *List) SetRetryBudget(k int) { l.budget.Store(int32(k)) }
-
-// RetryStats reports the aggregated restart/escalation tallies.
-func (l *List) RetryStats() obs.RetryStats { return l.retry.Stats() }
 
 // New returns an empty Lazy list.
 func New() *List {
@@ -146,32 +134,25 @@ func validate(prev, curr *node) bool {
 // when probes are attached. It returns holding both locks by contract;
 // the callers release them on every path.
 func (l *List) lockWindow(prev, curr *node) {
-	if p := l.probes; obs.On(p) {
-		if prev.lock.LockContended() {
-			p.Inc(obs.EvTryLockContended, prev.val)
-		}
-		if curr.lock.LockContended() {
-			p.Inc(obs.EvTryLockContended, curr.val)
-		}
-		return
+	p := l.probes
+	if prev.lock.LockContended() && obs.On(p) {
+		p.Inc(obs.EvTryLockContended, prev.val)
 	}
-	prev.lock.Lock()
-	curr.lock.Lock()
+	if curr.lock.LockContended() && obs.On(p) {
+		p.Inc(obs.EvTryLockContended, curr.val)
+	}
 }
 
 // countValFail classifies a failed window validation for the probe
 // report: a marked node (logical deletion won the race) or a changed
-// successor. The re-read is racy; a counter tolerates that. Every Lazy
-// validation failure restarts from head — the locality the paper's VBL
-// recovers with its prev-restart.
-func (l *List) countValFail(prev, curr *node, v int64) {
+// successor. The re-read is racy; a counter tolerates that.
+func (l *List) countValFail(prev, curr *node) {
 	if p := l.probes; obs.On(p) {
 		if prev.marked.Load() || curr.marked.Load() {
 			p.Inc(obs.EvValFailDeleted, curr.val)
 		} else {
 			p.Inc(obs.EvValFailSucc, curr.val)
 		}
-		p.Inc(obs.EvRestartHead, v)
 	}
 }
 
@@ -191,7 +172,7 @@ func (l *List) Contains(v int64) bool {
 // insertFrom started from head.
 func (l *List) Insert(v int64) bool {
 	g := l.arena.Pin()
-	_, n, _ := l.insertFrom(g, l.head, v, nil)
+	_, n := l.insertFrom(g, l.head, v, nil, false)
 	g.Unpin()
 	return n > 0
 }
@@ -200,7 +181,7 @@ func (l *List) Insert(v int64) bool {
 // removeFrom started from head.
 func (l *List) Remove(v int64) bool {
 	g := l.arena.Pin()
-	_, ok, _ := l.removeFrom(g, l.head, v)
+	_, ok := l.removeFrom(g, l.head, v, false)
 	g.Unpin()
 	return ok
 }
@@ -210,13 +191,14 @@ func (l *List) Remove(v int64) bool {
 // InsertAll. While the validated window (prev, curr) is locked, every
 // key of rest — ascending, all above v — that falls below curr.val is
 // provably absent too, so it is linked in the same store. A failed
-// validation restarts from head, Lazy's native restart locality. It
-// returns the next anchor (a node preceding every key after those
-// consumed), how many keys it inserted — 0 when v was present, in
-// which case only v is consumed — and how many failed validations it
-// restarted after.
-func (l *List) insertFrom(g mem.Guard[node], anchor *node, v int64, rest []int64) (next *node, inserted, restarts int) {
-	esc := obs.Escalator{Budget: int(l.budget.Load()), HeadNative: true}
+// validation restarts from head, Lazy's native restart locality — the
+// locality the paper's VBL recovers with its prev-restart. It returns
+// the next anchor (a node preceding every key after those consumed)
+// and how many keys it inserted — 0 when v was present, in which case
+// only v is consumed. batch marks a key of a batch pass (see
+// obs.Ladder.Begin).
+func (l *List) insertFrom(g mem.Guard[node], anchor *node, v int64, rest []int64, batch bool) (next *node, inserted int) {
+	esc := l.Begin(l.probes, obs.EvRestartHead, batch)
 	for {
 		prev, curr := l.findFrom(anchor, v)
 		l.lockWindow(prev, curr)
@@ -227,8 +209,8 @@ func (l *List) insertFrom(g mem.Guard[node], anchor *node, v int64, rest []int64
 		if !ok {
 			curr.lock.Unlock()
 			prev.lock.Unlock()
-			l.countValFail(prev, curr, v)
-			esc.Failed(l.probes, v)
+			l.countValFail(prev, curr)
+			esc.Failed(v)
 			anchor = l.head
 			continue
 		}
@@ -236,8 +218,8 @@ func (l *List) insertFrom(g mem.Guard[node], anchor *node, v int64, rest []int64
 			// Value already present — but the locks were taken anyway.
 			curr.lock.Unlock()
 			prev.lock.Unlock()
-			esc.Done(&l.retry)
-			return curr, 0, esc.Restarts()
+			esc.Done()
+			return curr, 0
 		}
 		n := l.newNode(g, v)
 		n.next.Store(curr)
@@ -256,18 +238,18 @@ func (l *List) insertFrom(g mem.Guard[node], anchor *node, v int64, rest []int64
 		prev.next.Store(n)
 		curr.lock.Unlock()
 		prev.lock.Unlock()
-		esc.Done(&l.retry)
-		return tail, inserted, esc.Restarts()
+		esc.Done()
+		return tail, inserted
 	}
 }
 
 // removeFrom is the Lazy remove protocol for key v, locating its window
 // from anchor: head for Remove, the pass's anchor for RemoveAll. A
 // failed validation restarts from head. It returns the next anchor
-// (the window's prev, which precedes every larger key), whether v was
-// present, and how many failed validations it restarted after.
-func (l *List) removeFrom(g mem.Guard[node], anchor *node, v int64) (next *node, removed bool, restarts int) {
-	esc := obs.Escalator{Budget: int(l.budget.Load()), HeadNative: true}
+// (the window's prev, which precedes every larger key) and whether v
+// was present. batch marks a key of a batch pass.
+func (l *List) removeFrom(g mem.Guard[node], anchor *node, v int64, batch bool) (next *node, removed bool) {
+	esc := l.Begin(l.probes, obs.EvRestartHead, batch)
 	for {
 		prev, curr := l.findFrom(anchor, v)
 		l.lockWindow(prev, curr)
@@ -278,16 +260,16 @@ func (l *List) removeFrom(g mem.Guard[node], anchor *node, v int64) (next *node,
 		if !ok {
 			curr.lock.Unlock()
 			prev.lock.Unlock()
-			l.countValFail(prev, curr, v)
-			esc.Failed(l.probes, v)
+			l.countValFail(prev, curr)
+			esc.Failed(v)
 			anchor = l.head
 			continue
 		}
 		if curr.val != v {
 			curr.lock.Unlock()
 			prev.lock.Unlock()
-			esc.Done(&l.retry)
-			return prev, false, esc.Restarts()
+			esc.Done()
+			return prev, false
 		}
 		// The mark+unlink run under both locks and must not be skipped,
 		// so the site is Do-only: delays and pauses, never forced failure.
@@ -308,8 +290,8 @@ func (l *List) removeFrom(g mem.Guard[node], anchor *node, v int64) (next *node,
 		if g.Active() {
 			g.Retire(curr)
 		}
-		esc.Done(&l.retry)
-		return prev, true, esc.Restarts()
+		esc.Done()
+		return prev, true
 	}
 }
 

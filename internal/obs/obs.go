@@ -39,11 +39,15 @@ type Event uint8
 
 const (
 	// EvRestartPrev counts update traversals restarted from prev after
-	// a failed validation (VBL's locality optimization).
+	// a failed validation (VBL's locality optimization). Like every
+	// restart event it is counted by the operation's Escalator (see
+	// Escalator.Failed), once per restart.
 	EvRestartPrev Event = iota
 	// EvRestartHead counts update traversals restarted from head: every
-	// Lazy validation failure, Harris's failed unlink/insert CASes, and
-	// the VBL head-restart ablation.
+	// Lazy and Lazy-skip-list validation failure, Harris's failed
+	// unlink/insert/mark CASes and lost removes, the VBL head-restart
+	// ablation, and VBL's restarts once its retry ladder escalated to
+	// head.
 	EvRestartHead
 	// EvTryLockContended counts lock acquisitions whose immediate
 	// try-lock CAS failed (the lock was held by a competitor).
@@ -94,18 +98,20 @@ const (
 	// arena (internal/mem); the gap between this and EvLimboRetire is
 	// how long retired memory waits.
 	EvEpochAdvance
-	// EvBatchWindowRestart counts windows of a batched multi-window
-	// pass (InsertAll/RemoveAll) whose validation failed and restarted
-	// from the pass's last good anchor — the batch analog of
-	// EvRestartPrev.
+	// EvBatchWindowRestart counts every restart of a key of a batched
+	// multi-window pass (InsertAll/RemoveAll), on every list, on top of
+	// that restart's own restart event: so over batch keys it equals
+	// EvRestartPrev + EvRestartHead + EvSkipRestartL0. Single-key
+	// operations never count it.
 	EvBatchWindowRestart
 	// EvBatchSplit counts per-shard sub-batches the sharded façade
 	// split a batch into (one count per non-empty sub-batch routed).
 	EvBatchSplit
-	// EvSkipRestartL0 counts skip-list update operations restarted after
-	// a failed level-0 validation — the VB-skip analogue of
-	// EvRestartHead (the skip list's native restart locality is the head,
-	// since the descent re-derives every level's predecessor).
+	// EvSkipRestartL0 counts VB skip-list update operations restarted
+	// after a failed level-0 validation or a tower found mid-removal —
+	// the VB-skip analogue of EvRestartHead (the skip list's native
+	// restart locality is the head, since the descent re-derives every
+	// level's predecessor).
 	EvSkipRestartL0
 	// EvSkipIndexLinkRetry counts retried index-level link attempts: the
 	// per-level predecessor moved (or died) between the descent and the

@@ -3,12 +3,14 @@
 // for the theorems, hostile in production, where one adversarial
 // interleaving (or an injected failpoint) can spin an operation
 // forever. This file holds the retry *budget* machinery shared by the
-// instrumented lists: a per-operation Escalator that walks the ladder
+// instrumented lists: a Ladder each set embeds, holding the budget and
+// a RetryCounter that aggregates what its operations saw into per-run
+// RetryStats, and a per-operation Escalator that counts every restart
+// and walks the ladder
 //
 //	native restart policy  →  head-restart  →  head-restart + backoff
 //
-// after K and 2K failed-validation restarts, and a RetryCounter that
-// aggregates what the escalators saw into per-run RetryStats.
+// after K and 2K failed-validation restarts.
 package obs
 
 import (
@@ -123,86 +125,117 @@ func AttachRetryBudget(set any, k int) bool {
 	return false
 }
 
-// Escalator tracks one operation's failed-validation restarts against
-// the list's retry budget K. Restarts [0, K) keep the list's native
-// restart policy; [K, 2K) escalate the restart locality to head (a
-// no-op for lists whose native policy already is the head-restart —
-// construct those with HeadNative and the ladder collapses to
+// Ladder is a set's bounded-retry ladder: the retry budget K and the
+// tally of what its operations' escalators saw. A set embeds one and
+// so implements RetryBudgeted; each update operation begins an
+// Escalator from it. The zero value has budget 0 (the paper's
+// unbounded retries) and is ready to use; it must not be copied after
+// first use.
+type Ladder struct {
+	budget atomic.Int32
+	retry  RetryCounter
+}
+
+// SetRetryBudget sets the retry budget K: past K restarts a
+// prev-native operation escalates its restarts to head, and past 2K
+// (K for head-native ones) it also backs off between attempts. 0
+// restores the paper's unbounded retry loop. The budget is atomic, so
+// it may be retuned while the set is shared; each in-flight operation
+// keeps the budget it began with.
+func (l *Ladder) SetRetryBudget(k int) { l.budget.Store(int32(k)) }
+
+// RetryStats reports the aggregated restart and escalation tallies.
+func (l *Ladder) RetryStats() RetryStats { return l.retry.Stats() }
+
+// Begin starts one operation's escalator. native is the set's native
+// restart event — EvRestartPrev for VBL's prev-restart, EvRestartHead
+// or EvSkipRestartL0 for the lists that natively restart from head —
+// and batch marks a key of a batch pass, whose restarts also count as
+// EvBatchWindowRestart. p (nil when detached) receives the events.
+func (l *Ladder) Begin(p *Probes, native Event, batch bool) Escalator {
+	return Escalator{ladder: l, p: p, budget: int(l.budget.Load()), native: native, batch: batch}
+}
+
+// Escalator tracks one operation's restarts against the ladder's
+// retry budget K and counts each of them. Restarts [0, K) keep the
+// list's native restart policy; [K, 2K) escalate the restart locality
+// to head (a no-op for head-native lists, whose ladder collapses to
 // "backoff after K"); from the backoff threshold on, every restart
 // also yields to the scheduler with a budget that grows with the
 // overshoot, so a stampede of doomed retries degrades into polite
 // polling instead of a cache-line war.
 //
-// The zero value (Budget 0) never escalates, reproducing the paper's
-// unbounded retry loop exactly.
+// Budget 0 never escalates, reproducing the paper's unbounded retry
+// loop exactly.
 type Escalator struct {
-	// Budget is the list's retry budget K; 0 disables escalation.
-	Budget int
-	// HeadNative marks lists whose native restart policy is already
-	// the head-restart (Lazy, Harris): stage one of the ladder is
-	// skipped and backoff begins at K instead of 2K.
-	HeadNative bool
-
-	n int
+	ladder *Ladder
+	p      *Probes
+	budget int
+	native Event
+	batch  bool
+	n      int
 }
 
-// Restarts returns the number of failed-validation restarts so far.
-func (e *Escalator) Restarts() int { return e.n }
+// headNative reports whether the list's native restart is already the
+// head-restart, so the ladder has no head stage.
+func (e *Escalator) headNative() bool { return e.native != EvRestartPrev }
 
 // escalatedHead reports whether the op crossed into the head-restart
 // stage (never for head-native lists, whose ladder has no such stage).
 func (e *Escalator) escalatedHead() bool {
-	return e.Budget > 0 && !e.HeadNative && e.n >= e.Budget
+	return e.budget > 0 && !e.headNative() && e.n >= e.budget
 }
 
 // backoffAt returns the restart count at which backoff begins.
 func (e *Escalator) backoffAt() int {
-	if e.HeadNative {
-		return e.Budget
+	if e.headNative() {
+		return e.budget
 	}
-	return 2 * e.Budget
+	return 2 * e.budget
 }
 
-// Failed records one failed-validation restart and reports whether the
-// operation must now restart from head rather than its native restart
-// point. It performs the backoff itself once the op is past the
-// backoff threshold, and counts the two escalation transitions into p
-// (which may be nil).
-func (e *Escalator) Failed(p *Probes, key int64) (headRestart bool) {
+// Failed records one restart of the operation on key and reports
+// whether it must now restart from head rather than its native restart
+// point. It counts the restart — the native event, or EvRestartHead
+// once the ladder has escalated to head — plus EvBatchWindowRestart for
+// a batch key and the two escalation transitions, and performs the
+// backoff itself once the op is past the backoff threshold.
+func (e *Escalator) Failed(key int64) (headRestart bool) {
 	e.n++
-	if e.Budget <= 0 {
-		return false
-	}
-	if !e.HeadNative && e.n == e.Budget {
-		if On(p) {
+	head := e.escalatedHead()
+	if p := e.p; On(p) {
+		ev := e.native
+		if head {
+			ev = EvRestartHead
+		}
+		p.Inc(ev, key)
+		if e.batch {
+			p.Inc(EvBatchWindowRestart, key)
+		}
+		if e.n == e.budget && !e.headNative() {
 			p.Inc(EvRetryEscalateHead, key)
 		}
-	}
-	if at := e.backoffAt(); e.n >= at {
-		if e.n == at {
-			if On(p) {
-				p.Inc(EvRetryEscalateBackoff, key)
-			}
+		if e.n == e.backoffAt() {
+			p.Inc(EvRetryEscalateBackoff, key)
 		}
+	}
+	if at := e.backoffAt(); e.budget > 0 && e.n >= at {
 		// Brief backoff, linear in the overshoot and capped: enough to
 		// let the competitors the op keeps losing to drain, bounded so
 		// a single unlucky op never parks for long.
-		rounds := e.n - at + 1
-		if rounds > 8 {
-			rounds = 8
-		}
+		rounds := min(e.n-at+1, 8)
 		for i := 0; i < rounds; i++ {
 			runtime.Gosched()
 		}
 	}
-	return e.escalatedHead()
+	return head
 }
 
-// Done folds the finished operation into c (nil-safe); call it once on
-// every return path of an op that may have restarted.
-func (e *Escalator) Done(c *RetryCounter) {
-	if e.n == 0 || c == nil {
+// Done folds the finished operation into the ladder's tally; call it
+// once on every return path of an op that may have restarted.
+func (e *Escalator) Done() {
+	if e.n == 0 {
 		return
 	}
-	c.observe(uint64(e.n), e.escalatedHead(), e.n >= e.backoffAt() && e.Budget > 0)
+	e.ladder.retry.observe(uint64(e.n), e.escalatedHead(), e.budget > 0 && e.n >= e.backoffAt())
 }

@@ -35,8 +35,8 @@ import "listset/internal/batch"
 // sends the pass down every level from head. Deleted fingers therefore
 // cost speed, never correctness. On a failed level-0 validation a key restarts from the
 // fingers its last descent left (the skip-list analogue of the flat
-// lists' anchor-restart); the VB list counts obs.EvBatchWindowRestart
-// for a batch key's restarts on top of the usual restart events.
+// lists' anchor-restart); every restart of a batch key also counts
+// obs.EvBatchWindowRestart, on top of the usual restart event.
 //
 // There is no whole-batch atomicity: each key linearizes individually,
 // in ascending key order. A single-key Insert or Remove is the same
@@ -116,7 +116,7 @@ func (s *VB) InsertAll(keys []int64) int {
 		s.descendLanes(grp, &fingers, &lanes)
 		for i, v := range grp {
 			s.laneFingers(&lanes, i, &fingers)
-			if s.insertFrom(g, v, &fingers) {
+			if s.insertFrom(g, v, &fingers, true) {
 				inserted++
 			}
 		}
@@ -143,7 +143,7 @@ func (s *VB) RemoveAll(keys []int64) int {
 		s.descendLanes(grp, &fingers, &lanes)
 		for i, v := range grp {
 			s.laneFingers(&lanes, i, &fingers)
-			if s.removeFrom(g, v, &fingers) {
+			if s.removeFrom(g, v, &fingers, true) {
 				removed++
 			}
 		}
@@ -324,7 +324,7 @@ func (s *Lazy) InsertAll(keys []int64) int {
 	inserted := 0
 	var fingers [maxLevel]*lazyNode
 	for _, v := range ks {
-		if s.insertFrom(v, &fingers) {
+		if s.insertFrom(v, &fingers, true) {
 			inserted++
 		}
 	}
@@ -341,7 +341,7 @@ func (s *Lazy) RemoveAll(keys []int64) int {
 	removed := 0
 	var fingers [maxLevel]*lazyNode
 	for _, v := range ks {
-		if s.removeFrom(v, &fingers) {
+		if s.removeFrom(v, &fingers, true) {
 			removed++
 		}
 	}

@@ -42,12 +42,12 @@ func TestVBBatchLaneStartDied(t *testing.T) {
 			{"InsertAll", false, func(s *VB, tn *laneTurn) bool {
 				var fingers [maxLevel]*vbNode
 				s.laneFingers(&tn.lanes, tn.i, &fingers)
-				return s.insertFrom(tn.g, tn.v, &fingers)
+				return s.insertFrom(tn.g, tn.v, &fingers, true)
 			}},
 			{"RemoveAll", true, func(s *VB, tn *laneTurn) bool {
 				var fingers [maxLevel]*vbNode
 				s.laneFingers(&tn.lanes, tn.i, &fingers)
-				return s.removeFrom(tn.g, tn.v, &fingers)
+				return s.removeFrom(tn.g, tn.v, &fingers, true)
 			}},
 		} {
 			t.Run(mode.name+"/"+pass.name, func(t *testing.T) {

@@ -27,12 +27,10 @@ type Lazy struct {
 	// fps, when non-nil, arms the chaos failpoints (internal/failpoint).
 	fps *failpoint.Set
 
-	// budget is the failed-validation retry budget K (0 = unbounded),
-	// atomic so it may be set mid-run; retry
-	// aggregates what the escalators saw. Lazy's restart is always the
-	// full descent from head, so the ladder is head-native.
-	budget atomic.Int32
-	retry  obs.RetryCounter
+	// Ladder is the failed-validation retry budget and its tally.
+	// Lazy's restart is always the full descent from head, so the
+	// ladder is head-native.
+	obs.Ladder
 }
 
 // lazyNode is a tower. marked is the logical-deletion flag;
@@ -84,14 +82,6 @@ func (s *Lazy) SetProbes(p *obs.Probes) { s.probes = p }
 // SetFailpoints attaches (or with nil detaches) the fault-injection
 // layer. Call it before sharing the set between goroutines.
 func (s *Lazy) SetFailpoints(fp *failpoint.Set) { s.fps = fp }
-
-// SetRetryBudget sets the failed-validation retry budget K: past K
-// restarts an update backs off between attempts. 0 restores unbounded
-// retries.
-func (s *Lazy) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
-
-// RetryStats reports the aggregated restart/escalation tallies.
-func (s *Lazy) RetryStats() obs.RetryStats { return s.retry.Stats() }
 
 func (s *Lazy) randomHeight() int {
 	z := s.seed.Add(0x9E3779B97F4A7C15)
@@ -153,13 +143,9 @@ func (s *Lazy) Contains(v int64) bool {
 // acquire takes n's lock, counting a contended acquisition when probes
 // are attached.
 func (s *Lazy) acquire(n *lazyNode) {
-	if p := s.probes; obs.On(p) {
-		if n.lock.LockContended() {
-			p.Inc(obs.EvTryLockContended, n.val)
-		}
-		return
+	if p := s.probes; n.lock.LockContended() && obs.On(p) {
+		p.Inc(obs.EvTryLockContended, n.val)
 	}
-	n.lock.Lock()
 }
 
 // lockPreds locks the distinct predecessors of levels [0, top] in
@@ -223,34 +209,27 @@ func unlockPreds(preds *[maxLevel]*lazyNode, top int) {
 	}
 }
 
-// restart records one failed validation; the Lazy skip list always
-// restarts with a full descent from head.
-func (s *Lazy) restart(esc *obs.Escalator, v int64) {
-	esc.Failed(s.probes, v)
-	if p := s.probes; obs.On(p) {
-		p.Inc(obs.EvRestartHead, v)
-	}
-}
-
 // Insert adds v to the set and reports whether v was absent:
 // insertFrom from zeroed fingers, that is from head.
 func (s *Lazy) Insert(v int64) bool {
 	var fingers [maxLevel]*lazyNode
-	return s.insertFrom(v, &fingers)
+	return s.insertFrom(v, &fingers, false)
 }
 
 // Remove deletes v from the set and reports whether v was present:
 // removeFrom from zeroed fingers, that is from head.
 func (s *Lazy) Remove(v int64) bool {
 	var fingers [maxLevel]*lazyNode
-	return s.removeFrom(v, &fingers)
+	return s.removeFrom(v, &fingers, false)
 }
 
 // insertFrom is the Lazy skip list's insert of key v, descending from
 // fingers (see findFrom) and leaving them at the new tower, or at v's
-// windows when v was present. It reports whether v was absent.
-func (s *Lazy) insertFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+// windows when v was present. It reports whether v was absent. A failed
+// validation restarts with a full descent from head; batch marks a key
+// of a batch pass (see obs.Ladder.Begin).
+func (s *Lazy) insertFrom(v int64, fingers *[maxLevel]*lazyNode, batch bool) bool {
+	esc := s.Begin(s.probes, obs.EvRestartHead, batch)
 	h := s.randomHeight()
 	for {
 		if fp := s.fps; failpoint.On(fp) {
@@ -265,15 +244,15 @@ func (s *Lazy) insertFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 				for !found.fullyLinked.Load() {
 					runtime.Gosched()
 				}
-				esc.Done(&s.retry)
+				esc.Done()
 				return false
 			}
 			// Found a marked tower mid-removal: retry until it is gone.
-			s.restart(&esc, v)
+			esc.Failed(v)
 			continue
 		}
 		if !s.lockPreds(&preds, &succs, h-1, nil) {
-			s.restart(&esc, v)
+			esc.Failed(v)
 			continue
 		}
 		if p := s.probes; obs.On(p) {
@@ -293,16 +272,16 @@ func (s *Lazy) insertFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 		for l := 0; l < h; l++ {
 			fingers[l] = n
 		}
-		esc.Done(&s.retry)
+		esc.Done()
 		return true
 	}
 }
 
 // removeFrom is the Lazy skip list's remove of key v, descending from
 // fingers (see findFrom) and leaving them at v's windows. It reports
-// whether v was present.
-func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
+// whether v was present. It restarts like insertFrom.
+func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode, batch bool) bool {
+	esc := s.Begin(s.probes, obs.EvRestartHead, batch)
 	var victim *lazyNode
 	marked := false
 	for {
@@ -312,7 +291,7 @@ func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 		preds, succs, lFound := s.findFrom(v, fingers)
 		if !marked {
 			if lFound == -1 {
-				esc.Done(&s.retry)
+				esc.Done()
 				return false
 			}
 			victim = succs[lFound]
@@ -324,17 +303,17 @@ func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 				// Harris analysis would call this an extra
 				// synchronization constraint).
 				if victim.marked.Load() {
-					esc.Done(&s.retry)
+					esc.Done()
 					return false
 				}
-				s.restart(&esc, v)
+				esc.Failed(v)
 				continue
 			}
 			//lint:ignore locksafe the victim lock is intentionally held across retry iterations once marked (the `marked` flag guards re-locking) and is released on the success path below
 			s.acquire(victim)
 			if victim.marked.Load() {
 				victim.lock.Unlock()
-				esc.Done(&s.retry)
+				esc.Done()
 				return false
 			}
 			victim.marked.Store(true) // linearization point
@@ -344,7 +323,7 @@ func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 			}
 		}
 		if !s.lockPreds(&preds, &succs, victim.height-1, victim) {
-			s.restart(&esc, v)
+			esc.Failed(v)
 			continue
 		}
 		// The unlink runs under every predecessor lock and must not be
@@ -361,7 +340,7 @@ func (s *Lazy) removeFrom(v int64, fingers *[maxLevel]*lazyNode) bool {
 		if p := s.probes; obs.On(p) {
 			p.Inc(obs.EvPhysicalUnlink, v)
 		}
-		esc.Done(&s.retry)
+		esc.Done()
 		return true
 	}
 }

@@ -202,13 +202,9 @@ func allocTower(v int64, h int) *vbNode {
 // acquire takes n's lock, counting a contended acquisition when probes
 // are attached.
 func (n *vbNode) acquire(p *obs.Probes) {
-	if obs.On(p) {
-		if n.lock.LockContended() {
-			p.Inc(obs.EvTryLockContended, n.val)
-		}
-		return
+	if n.lock.LockContended() && obs.On(p) {
+		p.Inc(obs.EvTryLockContended, n.val)
 	}
-	n.lock.Lock()
 }
 
 // countIdentityFail classifies a failed identity validation for the
@@ -309,11 +305,11 @@ type VB struct {
 	// delegates lifetimes to the GC.
 	arena *mem.Arena[vbNode]
 
-	// budget is the failed-validation retry budget K (0 = unbounded),
-	// atomic so it may be set while operations are in flight; retry
-	// aggregates what the escalators saw.
-	budget atomic.Int32
-	retry  obs.RetryCounter
+	// Ladder is the failed-validation retry budget and its tally. The
+	// skip list's native restart is already the full descent from head,
+	// so the ladder is head-native: past K restarts an operation backs
+	// off between attempts.
+	obs.Ladder
 }
 
 // NewVB returns an empty value-aware skip list with DefaultLevels
@@ -375,15 +371,6 @@ func (s *VB) SetFailpoints(fp *failpoint.Set) {
 		a.SetFailpoints(fp)
 	}
 }
-
-// SetRetryBudget sets the failed-validation retry budget K. The skip
-// list's native restart is already the full descent from head, so the
-// ladder is head-native: past K restarts an operation backs off between
-// attempts. 0 restores unbounded retries.
-func (s *VB) SetRetryBudget(k int) { s.budget.Store(int32(k)) }
-
-// RetryStats reports the aggregated restart/escalation tallies.
-func (s *VB) RetryStats() obs.RetryStats { return s.retry.Stats() }
 
 // ArenaStats reports the arena's reclamation counters; ok is false when
 // the set is GC-backed.
@@ -562,7 +549,7 @@ func (s *VB) Contains(v int64) bool {
 func (s *VB) Insert(v int64) bool {
 	g := s.arena.Pin()
 	var fingers [maxLevel]*vbNode
-	ok := s.insertFrom(g, v, &fingers)
+	ok := s.insertFrom(g, v, &fingers, false)
 	g.Unpin()
 	return ok
 }
@@ -572,34 +559,9 @@ func (s *VB) Insert(v int64) bool {
 func (s *VB) Remove(v int64) bool {
 	g := s.arena.Pin()
 	var fingers [maxLevel]*vbNode
-	ok := s.removeFrom(g, v, &fingers)
+	ok := s.removeFrom(g, v, &fingers, false)
 	g.Unpin()
 	return ok
-}
-
-// restart records one failed level-0 validation. The skip list's native
-// restart is a fresh descent — from the fingers the failed descent left,
-// which adoption re-validates, falling back to head exactly where they
-// died — so the escalation ladder is head-native and collapses to
-// backoff-at-K.
-func (s *VB) restart(esc *obs.Escalator, v int64) {
-	esc.Failed(s.probes, v)
-	if p := s.probes; obs.On(p) {
-		p.Inc(obs.EvSkipRestartL0, v)
-	}
-}
-
-// done folds a finished key's escalator into the retry tally. A key
-// whose descent started from seeded fingers is a key of a batch pass
-// (Insert and Remove start from zeroed ones), so its restarts also
-// count as batch-window restarts.
-func (s *VB) done(esc *obs.Escalator, v int64, seeded bool) {
-	esc.Done(&s.retry)
-	if p := s.probes; seeded && obs.On(p) {
-		for r := esc.Restarts(); r > 0; r-- {
-			p.Inc(obs.EvBatchWindowRestart, v)
-		}
-	}
 }
 
 // insertFrom is the VB insert of key v, descending from fingers (see
@@ -610,9 +572,13 @@ func (s *VB) done(esc *obs.Escalator, v int64, seeded bool) {
 // are linked one try-lock at a time. The tower's height h is drawn
 // before the walk, which then finds windows only at the h levels the
 // tower will be linked at.
-func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-	seeded := fingers[0] != nil
+//
+// A failed level-0 validation restarts with a fresh descent — from the
+// fingers the failed descent left, which adoption re-validates, falling
+// back to head exactly where they died — so the escalator is
+// head-native. batch marks a key of a batch pass (see obs.Ladder.Begin).
+func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode, batch bool) bool {
+	esc := s.Begin(s.probes, obs.EvSkipRestartL0, batch)
 	h := s.randomHeight()
 	// The speculative tower is allocated once and reused across failed
 	// validations; it is unpublished until the successful level-0 link,
@@ -628,14 +594,14 @@ func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 			// v's tower is marked but its remover has not yet stored the
 			// level-0 unlink: v is already absent (Contains says so), so
 			// reporting it present would not linearize. Re-find.
-			s.restart(&esc, v)
+			esc.Failed(v)
 			continue
 		}
 		if succs[0].val == v {
 			if n != nil && g.Active() {
 				g.FreeClass(n, towerClass(h)) // never published: no grace period needed
 			}
-			s.done(&esc, v, seeded)
+			esc.Done()
 			return false
 		}
 		if n == nil {
@@ -651,7 +617,7 @@ func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 			}
 		}
 		if injected || !preds[0].lockNextAt(0, succs[0], s.probes) {
-			s.restart(&esc, v)
+			esc.Failed(v)
 			continue
 		}
 		n.setLinked(0)
@@ -663,7 +629,7 @@ func (s *VB) insertFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 		for l := 0; l < h; l++ {
 			fingers[l] = n
 		}
-		s.done(&esc, v, seeded)
+		esc.Done()
 		return true
 	}
 }
@@ -750,10 +716,10 @@ func (s *VB) countInjectedFail(ev obs.Event, v int64) {
 // lock on the predecessor, identity-validating lock on the victim, mark
 // then unlink), and level 0 is all its walk finds; the index levels are
 // detached afterwards by sweep, one try-lock at a time, each level's
-// search starting from the finger the descent left there.
-func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode) bool {
-	esc := obs.Escalator{Budget: int(s.budget.Load()), HeadNative: true}
-	seeded := fingers[0] != nil
+// search starting from the finger the descent left there. It restarts
+// like insertFrom.
+func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode, batch bool) bool {
+	esc := s.Begin(s.probes, obs.EvSkipRestartL0, batch)
 	var preds, succs [maxLevel]*vbNode
 	for {
 		if fp := s.fps; failpoint.On(fp) {
@@ -761,7 +727,7 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 		}
 		s.findFrom(g, v, fingers, 1, &preds, &succs)
 		if succs[0].val != v {
-			s.done(&esc, v, seeded)
+			esc.Done()
 			return false
 		}
 		curr := succs[0]
@@ -773,7 +739,7 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 			}
 		}
 		if injected || !preds[0].lockNextAtValue(v, s.probes) {
-			s.restart(&esc, v)
+			esc.Failed(v)
 			continue
 		}
 		// Re-read the successor under pred's lock: it is the (possibly
@@ -788,7 +754,7 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 		}
 		if injected || !curr.lockNextAt(0, next, s.probes) {
 			preds[0].lock.Unlock()
-			s.restart(&esc, v)
+			esc.Failed(v)
 			continue
 		}
 		// The level-0 unlink runs under both locks and must not be
@@ -808,7 +774,7 @@ func (s *VB) removeFrom(g mem.Guard[vbNode], v int64, fingers *[maxLevel]*vbNode
 		}
 		s.sweep(g, curr, fingers)
 		s.maybeRetire(g, curr)
-		s.done(&esc, v, seeded)
+		esc.Done()
 		return true
 	}
 }
