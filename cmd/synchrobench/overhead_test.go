@@ -8,8 +8,8 @@ import "testing"
 // meaningfully slower than one built without them (-tags obsoff and
 // -tags nofailpoint delete the sites at compile time). Each guard is a
 // nil-check branch on a field already in cache, so any real gap means a
-// site leaked onto a hot path unguarded, which the obshygiene and
-// failpointhygiene analyzers should have caught first.
+// site leaked onto a hot path behind the wrong guard (an unguarded one
+// panics on the detached set first).
 //
 // The threshold is deliberately loose (25 %): CI machines are noisy and
 // the comparison interleaves best-of-3 runs of two subprocess binaries.

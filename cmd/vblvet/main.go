@@ -4,31 +4,16 @@
 //
 // Usage:
 //
-//	go run ./cmd/vblvet [-tests=false] [-a locksafe,copylock] [packages...]
+//	go run ./cmd/vblvet [-tests=false] [-a locksafe,lockorder] [packages...]
 //
 // With no package arguments it analyzes ./... . Exit status is 0 when
 // no findings survive suppression, 1 when there are findings, and 2
 // when loading or type-checking fails. See DESIGN.md ("Checked
 // invariants") for what each analyzer enforces and how to suppress a
 // justified false positive with //lint:ignore.
-//
-// Machine-readable output and ratcheting:
-//
-//	vblvet -json ./...                      findings as a JSON array
-//	vblvet -write-baseline FILE ./...       snapshot current findings
-//	vblvet -baseline FILE ./...             fail only on NEW findings
-//
-// A baseline entry is keyed by analyzer, repo-relative file path, and
-// message — deliberately not by line number, so unrelated edits that
-// shift a known finding do not break CI while any new finding (or a
-// changed message) does. The checked-in baseline is
-// scripts/vblvet_baseline.json; keeping it empty is the goal state,
-// and the stale-suppression check keeps the //lint:ignore inventory
-// honest in the same spirit.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,46 +23,10 @@ import (
 	"listset/internal/analysis"
 )
 
-// jsonDiag is the -json / baseline wire form of one finding.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-}
-
-// baselineKey identifies a finding across unrelated line churn.
-func (d jsonDiag) baselineKey() string {
-	return d.Analyzer + "|" + d.File + "|" + d.Message
-}
-
-// toJSON converts a diagnostic, relativizing the path to cwd so the
-// baseline is machine-independent.
-func toJSON(d analysis.Diagnostic, cwd string) jsonDiag {
-	file := d.Pos.Filename
-	if cwd != "" {
-		if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-			file = filepath.ToSlash(rel)
-		}
-	}
-	return jsonDiag{
-		Analyzer: d.Analyzer,
-		File:     file,
-		Line:     d.Pos.Line,
-		Col:      d.Pos.Column,
-		Message:  d.Message,
-	}
-}
-
 func main() {
 	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	only := flag.String("a", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	asJSON := flag.Bool("json", false, "print findings as a JSON array")
-	baseline := flag.String("baseline", "", "baseline file: fail only on findings not in it")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-	timing := flag.Bool("timing", false, "print per-analyzer wall-clock timings to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: vblvet [flags] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the listset concurrency-invariant analyzers. Flags:\n")
@@ -114,83 +63,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vblvet: %v\n", err)
 		os.Exit(2)
 	}
-	diags, timings := analysis.RunTimed(pkgs, analyzers)
-	if *timing {
-		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "vblvet: %-14s %8.1fms\n", t.Name, float64(t.Elapsed.Microseconds())/1000)
-		}
-	}
-
+	diags := analysis.Run(pkgs, analyzers)
 	cwd, _ := os.Getwd()
-	out := make([]jsonDiag, 0, len(diags))
 	for _, d := range diags {
-		out = append(out, toJSON(d, cwd))
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = filepath.ToSlash(rel)
+		}
+		fmt.Println(d)
 	}
-
-	if *writeBaseline != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vblvet: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*writeBaseline, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "vblvet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "vblvet: wrote %d finding(s) to %s\n", len(out), *writeBaseline)
-		return
-	}
-
-	if *baseline != "" {
-		known, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vblvet: %v\n", err)
-			os.Exit(2)
-		}
-		var fresh []jsonDiag
-		for _, d := range out {
-			if !known[d.baselineKey()] {
-				fresh = append(fresh, d)
-			}
-		}
-		suppressed := len(out) - len(fresh)
-		out = fresh
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "vblvet: %d baseline finding(s) suppressed\n", suppressed)
-		}
-	}
-
-	if *asJSON {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vblvet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Println(string(data))
-	} else {
-		for _, d := range out {
-			fmt.Printf("%s:%d:%d: %s: %s\n", d.File, d.Line, d.Col, d.Analyzer, d.Message)
-		}
-	}
-	if len(out) > 0 {
-		fmt.Fprintf(os.Stderr, "vblvet: %d finding(s)\n", len(out))
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "vblvet: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// loadBaseline reads a baseline file into its key set.
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []jsonDiag
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %v", path, err)
-	}
-	known := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		known[e.baselineKey()] = true
-	}
-	return known, nil
 }

@@ -31,6 +31,9 @@ const pauseTimeout = 5 * time.Second
 // VBL must accept the interleaving with ZERO restarts: T2 never
 // conflicts, T1 never revalidates.
 func TestFigure2ScheduleVBLAccepts(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: no pause to pin the schedule with")
+	}
 	s := core.New()
 	fps := failpoint.NewSet()
 	probes := obs.NewProbes()
@@ -97,6 +100,9 @@ func TestFigure2ScheduleVBLAccepts(t *testing.T) {
 // path: with an insert parked mid-operation (at its vbl-traverse
 // anchor), failed updates of other keys run to completion wait-free.
 func TestFigure3ScheduleVBLAccepts(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: no pause to pin the schedule with")
+	}
 	s := core.New()
 	fps := failpoint.NewSet()
 	probes := obs.NewProbes()
@@ -109,7 +115,7 @@ func TestFigure3ScheduleVBLAccepts(t *testing.T) {
 	}
 
 	// Phase 1.
-	base := probes.Snapshot()
+	base, retryBase := probes.Snapshot(), s.RetryStats()
 	pause, err := fps.PauseAt(failpoint.SiteVBLLockNextAtValue, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +137,13 @@ func TestFigure3ScheduleVBLAccepts(t *testing.T) {
 	case <-time.After(pauseTimeout):
 		t.Fatal("Remove(2) did not complete after Resume")
 	}
+	// The ladder's tally counts restarts in every build; the probes,
+	// which -tags obsoff compiles out, also tell prev from head.
+	if r := s.RetryStats().Sub(retryBase); r.Restarts != 1 || r.EscalatedHead != 0 {
+		t.Fatalf("retry tally accepting the Figure 3 schedule = %+v, want exactly 1 restart and no head escalation", r)
+	}
 	events := probes.Snapshot().Sub(base)
-	if got := events[obs.EvRestartPrev]; got != 1 {
+	if got := events[obs.EvRestartPrev]; obs.Compiled && got != 1 {
 		t.Fatalf("prev-restarts accepting the Figure 3 schedule = %d, want exactly 1", got)
 	}
 	if got := events[obs.EvRestartHead]; got != 0 {

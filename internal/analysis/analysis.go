@@ -7,32 +7,22 @@
 //
 //   - locksafe: every successful trylock acquisition is released on
 //     every path through the acquiring function (see locksafe.go);
-//   - copylock: no by-value copies of structs containing trylock or
-//     sync/atomic fields (see copylock.go);
-//   - valimmutable: a concurrent node's val field is written only at
-//     its composite-literal construction site (see valimmutable.go);
 //   - benchhygiene: benchmarks call b.ReportAllocs and b.ResetTimer
 //     after setup (see benchhygiene.go);
-//   - obshygiene: observability probe calls inside traversal loops sit
-//     behind the obs.On enabled-guard (see obshygiene.go);
-//   - failpointhygiene: chaos injection sites sit behind the
-//     failpoint.On enabled-guard everywhere (see failpointhygiene.go);
 //   - hotalloc: no hidden heap allocation (&T{...}, new, capturing
 //     closures) inside traversal/validation hot-path functions (see
 //     hotalloc.go);
-//   - epochpin: every epoch pin is unpinned on all paths, retire
-//     happens while pinned and after unlock (see epochpin.go);
 //   - lockorder: node locks are acquired in ascending list position —
-//     prev before curr (see lockorder.go);
-//   - atomicmix: fields accessed via the function-style sync/atomic
-//     API are never read or written plainly (see atomicmix.go).
+//     prev before curr (see lockorder.go).
 //
-// The lock- and epoch-sensitive analyzers are interprocedural: a
-// whole-program pass (interproc.go) infers per-function summaries —
-// which lock slots a helper acquires or releases, which epoch guards
-// it pins into its results — and a shared symbolic executor (exec.go)
-// applies those summaries at call sites, so helper contracts like
-// lockNextAt's returns-true-holding are verified where they are
+// Each stays because it caught a seeded violation that no other check
+// of scripts/check.sh caught, or found a real one (DESIGN.md §6).
+//
+// The lock analyzers are interprocedural: a whole-program pass
+// (interproc.go) infers per-function summaries — which lock slots a
+// helper acquires or releases — and a shared symbolic executor
+// (exec.go) applies those summaries at call sites, so helper contracts
+// like lockNextAt's returns-true-holding are verified where they are
 // consumed instead of suppressed where they are produced.
 //
 // The engine deliberately uses only go/ast, go/parser, go/types and
@@ -64,7 +54,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // A Diagnostic is one finding, positioned for clickable file:line
@@ -88,9 +77,9 @@ type Analyzer struct {
 }
 
 // A Pass carries one analyzer over one type-checked package. Prog is
-// the whole-program view (call-graph summaries, consumed contracts,
-// atomic-field inventory) shared by every pass of one Run; it is nil
-// only in unit-test scaffolding.
+// the whole-program view (call-graph summaries and consumed contracts)
+// shared by every pass of one Run; it is nil only in unit-test
+// scaffolding.
 type Pass struct {
 	Analyzer   *Analyzer
 	Fset       *token.FileSet
@@ -114,31 +103,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockSafe, CopyLock, ValImmutable, BenchHygiene, ObsHygiene, FailpointHygiene, HotAlloc, EpochPin, LockOrder, AtomicMix}
-}
-
-// An AnalyzerTiming records the wall-clock cost of one analyzer summed
-// over every package of a Run.
-type AnalyzerTiming struct {
-	Name    string
-	Elapsed time.Duration
+	return []*Analyzer{LockSafe, BenchHygiene, HotAlloc, LockOrder}
 }
 
 // Run applies every analyzer to every package, filters suppressed
 // findings, and returns the survivors sorted by position.
 func Run(pkgs []*Pkg, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers)
-	return diags
-}
-
-// RunTimed is Run plus per-analyzer wall-clock timings (in the
-// analyzers' given order; the whole-program summary inference is
-// reported as the pseudo-analyzer "infer").
-func RunTimed(pkgs []*Pkg, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTiming) {
-	t0 := time.Now()
 	prog := BuildProgram(pkgs)
-	timings := []AnalyzerTiming{{Name: "infer", Elapsed: time.Since(t0)}}
-	elapsed := make(map[string]time.Duration)
 	active := make(map[string]bool)
 	for _, a := range analyzers {
 		active[a.Name] = true
@@ -156,15 +127,10 @@ func RunTimed(pkgs []*Pkg, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTimin
 				Prog:       prog,
 				diags:      &diags,
 			}
-			ta := time.Now()
 			a.Run(pass)
-			elapsed[a.Name] += time.Since(ta)
 		}
 		diags = append(diags, suppress(pkg, diags[:0:0])...)
 		diags = filterSuppressed(pkg, diags, active)
-	}
-	for _, a := range analyzers {
-		timings = append(timings, AnalyzerTiming{Name: a.Name, Elapsed: elapsed[a.Name]})
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -179,7 +145,7 @@ func RunTimed(pkgs []*Pkg, analyzers []*Analyzer) ([]Diagnostic, []AnalyzerTimin
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, timings
+	return diags
 }
 
 // A suppression is one parsed //lint:ignore or //lint:file-ignore

@@ -1,5 +1,5 @@
 // The shared symbolic-execution engine behind the protocol analyzers
-// (locksafe, epochpin, lockorder). It generalizes the original
+// (locksafe, lockorder). It generalizes the original
 // locksafe walker: one path-sensitive pass over a function body tracks
 //
 //   - the multiset of held try-locks (acquired by Lock/LockContended,
@@ -7,13 +7,11 @@
 //     inferred summary says it returns holding a lock), keyed by the
 //     canonical syntax of the receiver expression;
 //   - registered deferred unlocks (direct, via deferred closures, and
-//     via deferred calls to helpers whose summary releases locks);
-//   - active epoch pins (mem.Arena.Pin results), unpinned guards, and
-//     deferred unpins — the state the epochpin analyzer checks.
+//     via deferred calls to helpers whose summary releases locks).
 //
 // Call sites are where the interprocedural half (interproc.go) plugs
 // in: a call to a function with an inferred summary applies that
-// summary's lock and pin effects to the caller's abstract state, with
+// summary's lock effects to the caller's abstract state, with
 // the callee's slots (receiver, parameter i, result i) rebound to the
 // caller's argument and binding expressions. Calls without a summary
 // (unloaded packages, functions too irregular to summarize) are
@@ -22,9 +20,9 @@
 // The engine runs in two roles. Summary inference (interproc.go) runs
 // it silently and classifies the exit states into a contract. The
 // analyzers run it with their report flags set and get the immediate
-// findings (self-deadlock, leak-per-iteration, unguarded TryLock,
-// retire-after-unpin, ...) plus the collected exits to check against
-// the already-inferred contract.
+// findings (self-deadlock, leak-per-iteration, unguarded TryLock, ...)
+// plus the collected exits to check against the already-inferred
+// contract.
 package analysis
 
 import (
@@ -42,22 +40,11 @@ type heldLock struct {
 	method string // "Lock", "TryLock", "LockContended" or the callee name
 }
 
-// A pin is one active epoch pin (a mem.Guard obtained from Pin) on the
-// current path, keyed by the syntax of the guard binding ("g").
-type pin struct {
-	key string
-	pos token.Pos
-}
-
 // An absState is the abstract state of one control-flow path.
 type absState struct {
 	held       []heldLock
 	deferred   []string // keys with a registered deferred unlock
 	relForeign []string // keys unlocked without holding them (caller's locks)
-	pins       []pin    // active epoch pins
-	unpinned   []string // guard keys already unpinned on this path
-	unpForeign []string // guard keys unpinned without a local pin (caller's guards)
-	defUnpin   []string // guard keys with a registered deferred unpin
 }
 
 func (s absState) clone() absState {
@@ -65,10 +52,6 @@ func (s absState) clone() absState {
 		held:       append([]heldLock(nil), s.held...),
 		deferred:   append([]string(nil), s.deferred...),
 		relForeign: append([]string(nil), s.relForeign...),
-		pins:       append([]pin(nil), s.pins...),
-		unpinned:   append([]string(nil), s.unpinned...),
-		unpForeign: append([]string(nil), s.unpForeign...),
-		defUnpin:   append([]string(nil), s.defUnpin...),
 	}
 }
 
@@ -90,33 +73,6 @@ func (s absState) isDeferred(key string) bool {
 	return false
 }
 
-func (s absState) pinnedAt(key string) (pin, bool) {
-	for _, p := range s.pins {
-		if p.key == key {
-			return p, true
-		}
-	}
-	return pin{}, false
-}
-
-func (s absState) isUnpinned(key string) bool {
-	for _, u := range s.unpinned {
-		if u == key {
-			return true
-		}
-	}
-	return false
-}
-
-func (s absState) isDeferUnpinned(key string) bool {
-	for _, u := range s.defUnpin {
-		if u == key {
-			return true
-		}
-	}
-	return false
-}
-
 // sig is a canonical signature for state deduplication.
 func (s absState) sig() string {
 	parts := make([]string, 0, len(s.held)+len(s.deferred))
@@ -126,24 +82,9 @@ func (s absState) sig() string {
 	sort.Strings(parts)
 	d := append([]string(nil), s.deferred...)
 	sort.Strings(d)
-	ps := make([]string, 0, len(s.pins)+len(s.unpinned)+len(s.defUnpin))
-	for _, p := range s.pins {
-		ps = append(ps, "p:"+p.key+"@"+itoa(int(p.pos)))
-	}
-	for _, u := range s.unpinned {
-		ps = append(ps, "u:"+u)
-	}
-	for _, u := range s.unpForeign {
-		ps = append(ps, "uf:"+u)
-	}
-	for _, u := range s.defUnpin {
-		ps = append(ps, "du:"+u)
-	}
-	for _, r := range s.relForeign {
-		ps = append(ps, "rf:"+r)
-	}
-	sort.Strings(ps)
-	return strings.Join(parts, ";") + "|" + strings.Join(d, ";") + "|" + strings.Join(ps, ";")
+	rf := append([]string(nil), s.relForeign...)
+	sort.Strings(rf)
+	return strings.Join(parts, ";") + "|" + strings.Join(d, ";") + "|" + strings.Join(rf, ";")
 }
 
 func itoa(n int) string {
@@ -171,16 +112,14 @@ const (
 )
 
 // An exitRec is one path leaving the function: where, with what bool
-// result, holding which locks and pins, and how the return expressions
-// map result indices to canonical keys (for result-slot contracts).
+// result, holding which locks, and how the return expressions map
+// result indices to canonical keys (for result-slot contracts).
 type exitRec struct {
 	pos        token.Pos
 	result     boolResult
 	held       []heldLock
-	pins       []pin
 	resultKeys []string // exprKey of each returned expression ("" if opaque)
 	relForeign []string // locks released without acquiring (release contracts)
-	unpForeign []string // guards unpinned without pinning (unpin contracts)
 }
 
 // maxExecStates caps path explosion; beyond it states are merged by
@@ -194,7 +133,6 @@ type execFrame struct {
 	label     string
 	breaks    []absState
 	entryHeld map[string]bool // key@pos of locks held at loop entry
-	entryPin  map[string]bool // key@pos of pins active at loop entry
 }
 
 // execEngine symbolically executes one function body.
@@ -205,7 +143,6 @@ type execEngine struct {
 	// report flags: which immediate findings to emit. All false during
 	// summary inference.
 	reportLocks bool
-	reportEpoch bool
 
 	// onAcquire, when set, observes every lock acquisition with the
 	// path state as it was BEFORE the acquisition (lockorder's hook).
@@ -262,13 +199,7 @@ func (ex *execEngine) recordExit(s absState, pos token.Pos, ret *ast.ReturnStmt)
 			rec.held = append(rec.held, h)
 		}
 	}
-	for _, p := range s.pins {
-		if !s.isDeferUnpinned(p.key) {
-			rec.pins = append(rec.pins, p)
-		}
-	}
 	rec.relForeign = append(rec.relForeign, s.relForeign...)
-	rec.unpForeign = append(rec.unpForeign, s.unpForeign...)
 	if ret != nil {
 		for _, r := range ret.Results {
 			rec.resultKeys = append(rec.resultKeys, bindableKey(r))
@@ -382,108 +313,19 @@ func release(states []absState, key string) []absState {
 	return out
 }
 
-// addPin registers a fresh epoch pin under key.
-func (ex *execEngine) addPin(states []absState, key string, pos token.Pos) []absState {
-	out := make([]absState, 0, len(states))
-	for _, s := range states {
-		ns := s.clone()
-		if _, ok := ns.pinnedAt(key); ok {
-			if ex.reportEpoch {
-				ex.reportOnce(pos, "guard %s is re-pinned while its previous pin is still active on this path; the first pin leaks", key)
-			}
-		}
-		ns.pins = append(ns.pins, pin{key: key, pos: pos})
-		// A rebinding resurrects the name: it is no longer "unpinned".
-		ns.unpinned = removeString(ns.unpinned, key)
-		out = append(out, ns)
-	}
-	return out
-}
-
-// unpin processes g.Unpin(): drops the active pin, or flags a double
-// unpin (Unpin returns the worker to the pool; a second Unpin corrupts
-// the pool).
-func (ex *execEngine) unpin(states []absState, key string, pos token.Pos) []absState {
-	out := make([]absState, 0, len(states))
-	for _, s := range states {
-		ns := s.clone()
-		if _, ok := ns.pinnedAt(key); ok {
-			for i, p := range ns.pins {
-				if p.key == key {
-					ns.pins = append(ns.pins[:i], ns.pins[i+1:]...)
-					break
-				}
-			}
-			ns.unpinned = append(ns.unpinned, key)
-		} else if ns.isUnpinned(key) {
-			if ex.reportEpoch {
-				ex.reportOnce(pos, "guard %s is unpinned twice on this path; Unpin returns the worker to the pool, so a double Unpin hands one worker to two goroutines", key)
-			}
-		} else {
-			// Foreign guard (parameter, receiver field): record the
-			// unpin so later uses on this path are flagged, and
-			// separately as contract raw material.
-			ns.unpinned = append(ns.unpinned, key)
-			ns.unpForeign = append(ns.unpForeign, key)
-		}
-		out = append(out, ns)
-	}
-	return out
-}
-
-// useGuard checks a Retire/Free/Get call against the guard's state.
-func (ex *execEngine) useGuard(states []absState, key, method string, pos token.Pos, retired ast.Expr) {
-	if !ex.reportEpoch {
+// checkIterEnd verifies that a loop iteration ends without holding a
+// lock it acquired itself.
+func (ex *execEngine) checkIterEnd(s absState, frame *execFrame, at token.Pos) {
+	if !ex.reportLocks {
 		return
 	}
-	for _, s := range states {
-		if s.isUnpinned(key) {
-			ex.reportOnce(pos, "%s called on guard %s after its Unpin on this path; the epoch no longer protects this access", method, key)
+	for _, h := range s.held {
+		if frame.entryHeld[h.key+"@"+itoa(int(h.pos))] || s.isDeferred(h.key) {
 			continue
 		}
-		if method == "Retire" && retired != nil {
-			base := exprKey(retired)
-			for _, h := range s.held {
-				if strings.HasPrefix(h.key, base+".") || h.key == base {
-					ex.reportOnce(pos, "%s is retired while its lock %s is still held on this path; retire only after the unlink is complete and the lock is released, or the node's next life inherits a held lock", base, h.key)
-				}
-			}
-		}
-	}
-}
-
-func removeString(ss []string, key string) []string {
-	out := ss[:0:0]
-	for _, s := range ss {
-		if s != key {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// checkIterEnd verifies that a loop iteration ends without holding a
-// lock (or pin) it acquired itself.
-func (ex *execEngine) checkIterEnd(s absState, frame *execFrame, at token.Pos) {
-	if ex.reportLocks {
-		for _, h := range s.held {
-			if frame.entryHeld[h.key+"@"+itoa(int(h.pos))] || s.isDeferred(h.key) {
-				continue
-			}
-			ex.reportOnce(h.pos,
-				"%s acquired by %s inside this loop is still held when the iteration ends at line %d",
-				h.key, h.method, ex.pass.Fset.Position(at).Line)
-		}
-	}
-	if ex.reportEpoch {
-		for _, p := range s.pins {
-			if frame.entryPin[p.key+"@"+itoa(int(p.pos))] || s.isDeferUnpinned(p.key) {
-				continue
-			}
-			ex.reportOnce(p.pos,
-				"epoch pin %s taken inside this loop is still active when the iteration ends at line %d; pin once around the retry loop or unpin before the next round",
-				p.key, ex.pass.Fset.Position(at).Line)
-		}
+		ex.reportOnce(h.pos,
+			"%s acquired by %s inside this loop is still held when the iteration ends at line %d",
+			h.key, h.method, ex.pass.Fset.Position(at).Line)
 	}
 }
 
@@ -565,25 +407,6 @@ func (ex *execEngine) applyCallEffects(call *ast.CallExpr, sum *funcSummary, key
 			states = release(states, k)
 		}
 	}
-	// Pin effects.
-	for _, idx := range sum.unpinsParams {
-		if k, ok := bind.resolve(slot{kind: slotParam, index: idx}); ok {
-			states = ex.unpin(states, k, call.Pos())
-		}
-	}
-	for _, idx := range sum.pinsResults {
-		k, ok := bind.resolve(slot{kind: slotResult, index: idx})
-		if !ok {
-			if ex.reportEpoch && lhs == nil {
-				ex.reportOnce(call.Pos(), "%s returns a pinned epoch guard that is discarded; the pin can never be released", calleeName(call))
-			}
-			continue
-		}
-		if ex.noteConsume {
-			ex.prog.consumed[key] = true
-		}
-		states = ex.addPin(states, k, call.Pos())
-	}
 	return states
 }
 
@@ -610,33 +433,6 @@ func (ex *execEngine) execCall(call *ast.CallExpr, lhs []ast.Expr, in []absState
 			return release(in, exprKey(recv)), true
 		case "TryLock":
 			return in, true // bare TryLock: flagged by flagUnguardedTryLocks
-		}
-	}
-	// Epoch intrinsics.
-	if recv, method, isMem := memMethod(ex.pass.Info, call); isMem {
-		switch method {
-		case "Pin":
-			if len(lhs) == 1 {
-				if key := bindableKey(lhs[0]); key != "" && key != "_" {
-					return ex.addPin(in, key, call.Pos()), true
-				}
-			}
-			if lhs == nil && ex.reportEpoch {
-				ex.reportOnce(call.Pos(), "Pin result is discarded; the epoch pin can never be released")
-			}
-			return in, true
-		case "Unpin":
-			return ex.unpin(in, exprKey(recv), call.Pos()), true
-		case "Retire":
-			var arg ast.Expr
-			if len(call.Args) == 1 {
-				arg = call.Args[0]
-			}
-			ex.useGuard(in, exprKey(recv), method, call.Pos(), arg)
-			return in, true
-		case "Free", "Get":
-			ex.useGuard(in, exprKey(recv), method, call.Pos(), nil)
-			return in, true
 		}
 	}
 	if isNoReturn(ex.pass.Info, call) {
@@ -809,18 +605,14 @@ func innermost(frames []*execFrame, label string, loopOnly bool) *execFrame {
 	return nil
 }
 
-func entrySigs(states []absState) (held, pins map[string]bool) {
-	held = make(map[string]bool)
-	pins = make(map[string]bool)
+func entrySigs(states []absState) map[string]bool {
+	held := make(map[string]bool)
 	for _, s := range states {
 		for _, h := range s.held {
 			held[h.key+"@"+itoa(int(h.pos))] = true
 		}
-		for _, p := range s.pins {
-			pins[p.key+"@"+itoa(int(p.pos))] = true
-		}
 	}
-	return held, pins
+	return held
 }
 
 // exec symbolically executes one statement, returning the states that
@@ -853,36 +645,26 @@ func (ex *execEngine) exec(stmt ast.Stmt, in []absState, frames []*execFrame) []
 			}
 			return out
 		}
-		if recv, method, isMem := memMethod(ex.pass.Info, s.Call); isMem && method == "Unpin" {
-			out := make([]absState, 0, len(in))
-			for _, st := range in {
-				ns := st.clone()
-				ns.defUnpin = append(ns.defUnpin, exprKey(recv))
-				out = append(out, ns)
-			}
-			return out
-		}
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// A deferred closure that unlocks or unpins on behalf of
-			// the enclosing function registers those keys as deferred.
-			unlockKeys, unpinKeys := deferredReleaseKeys(ex.pass, lit)
+			// A deferred closure that unlocks on behalf of the
+			// enclosing function registers those keys as deferred.
+			unlockKeys := deferredReleaseKeys(ex.pass, lit)
 			ex.queue = append(ex.queue, lit)
-			if len(unlockKeys) > 0 || len(unpinKeys) > 0 {
+			if len(unlockKeys) > 0 {
 				out := make([]absState, 0, len(in))
 				for _, st := range in {
 					ns := st.clone()
 					ns.deferred = append(ns.deferred, unlockKeys...)
-					ns.defUnpin = append(ns.defUnpin, unpinKeys...)
 					out = append(out, ns)
 				}
 				return out
 			}
 			return in
 		}
-		// A deferred call to a helper whose summary releases locks or
-		// unpins guards registers those effects as deferred.
+		// A deferred call to a helper whose summary releases locks
+		// registers those releases as deferred.
 		if ex.prog != nil {
-			if sum, _ := ex.prog.summaryAndKey(ex.pass, s.Call); sum != nil && (len(sum.releases) > 0 || len(sum.unpinsParams) > 0) {
+			if sum, _ := ex.prog.summaryAndKey(ex.pass, s.Call); sum != nil && len(sum.releases) > 0 {
 				bind := newSlotBinding(s.Call, nil)
 				out := make([]absState, 0, len(in))
 				for _, st := range in {
@@ -890,11 +672,6 @@ func (ex *execEngine) exec(stmt ast.Stmt, in []absState, frames []*execFrame) []
 					for _, sl := range sum.releases {
 						if key, ok := bind.resolve(sl); ok {
 							ns.deferred = append(ns.deferred, key)
-						}
-					}
-					for _, idx := range sum.unpinsParams {
-						if key, ok := bind.resolve(slot{kind: slotParam, index: idx}); ok {
-							ns.defUnpin = append(ns.defUnpin, key)
 						}
 					}
 					out = append(out, ns)
@@ -922,7 +699,7 @@ func (ex *execEngine) exec(stmt ast.Stmt, in []absState, frames []*execFrame) []
 			in = ex.exec(s.Init, in, frames)
 		}
 		frame := &execFrame{isLoop: true}
-		frame.entryHeld, frame.entryPin = entrySigs(in)
+		frame.entryHeld = entrySigs(in)
 		bodyIn, exit := in, []absState(nil)
 		if s.Cond != nil {
 			bodyIn, exit = ex.evalCond(s.Cond, in)
@@ -939,7 +716,7 @@ func (ex *execEngine) exec(stmt ast.Stmt, in []absState, frames []*execFrame) []
 	case *ast.RangeStmt:
 		ex.collectFuncLits(s.X)
 		frame := &execFrame{isLoop: true}
-		frame.entryHeld, frame.entryPin = entrySigs(in)
+		frame.entryHeld = entrySigs(in)
 		bodyOut := ex.execBlock(s.Body, in, append(frames, frame))
 		for _, st := range bodyOut {
 			ex.checkIterEnd(st, frame, s.Body.End())
@@ -1054,7 +831,7 @@ func (ex *execEngine) execLabeled(s *ast.LabeledStmt, in []absState, frames []*e
 			in = ex.exec(inner.Init, in, frames)
 		}
 		frame := &execFrame{isLoop: true, label: s.Label.Name}
-		frame.entryHeld, frame.entryPin = entrySigs(in)
+		frame.entryHeld = entrySigs(in)
 		bodyIn, exit := in, []absState(nil)
 		if inner.Cond != nil {
 			bodyIn, exit = ex.evalCond(inner.Cond, in)
@@ -1070,7 +847,7 @@ func (ex *execEngine) execLabeled(s *ast.LabeledStmt, in []absState, frames []*e
 	case *ast.RangeStmt:
 		ex.collectFuncLits(inner.X)
 		frame := &execFrame{isLoop: true, label: s.Label.Name}
-		frame.entryHeld, frame.entryPin = entrySigs(in)
+		frame.entryHeld = entrySigs(in)
 		bodyOut := ex.execBlock(inner.Body, in, append(frames, frame))
 		for _, st := range bodyOut {
 			ex.checkIterEnd(st, frame, inner.Body.End())
@@ -1122,8 +899,8 @@ func (ex *execEngine) execClauses(body *ast.BlockStmt, in []absState, frames []*
 }
 
 // deferredReleaseKeys returns the receiver keys of every trylock
-// Unlock call and every guard Unpin call in a deferred closure body.
-func deferredReleaseKeys(pass *Pass, lit *ast.FuncLit) (unlocks, unpins []string) {
+// Unlock call in a deferred closure body.
+func deferredReleaseKeys(pass *Pass, lit *ast.FuncLit) (unlocks []string) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -1132,10 +909,7 @@ func deferredReleaseKeys(pass *Pass, lit *ast.FuncLit) (unlocks, unpins []string
 		if recv, method, isLock := trylockMethod(pass.Info, call); isLock && method == "Unlock" {
 			unlocks = append(unlocks, exprKey(recv))
 		}
-		if recv, method, isMem := memMethod(pass.Info, call); isMem && method == "Unpin" {
-			unpins = append(unpins, exprKey(recv))
-		}
 		return true
 	})
-	return unlocks, unpins
+	return unlocks
 }

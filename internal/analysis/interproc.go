@@ -2,7 +2,7 @@
 // summaries, the call graph implied by them, and the worklist fixpoint
 // that infers them.
 //
-// A summary abstracts what a function does to locks and epoch pins in
+// A summary abstracts what a function does to locks in
 // terms of its *slots* — receiver, i-th parameter, i-th result — plus a
 // selector path ("" for the slot itself, ".lock" for a field of it):
 //
@@ -12,10 +12,7 @@
 //     every `return true` and on no `return false` — the value-aware
 //     try-lock contract of lockNextAt / lockNextAtValue;
 //   - releases: lock slots the function unlocks on every exit without
-//     having acquired them (unlock helpers);
-//   - pinsResults: result indices that carry a still-pinned epoch
-//     guard; unpinsParams: parameter indices whose guard the function
-//     unpins.
+//     having acquired them (unlock helpers).
 //
 // Summaries are inferred by running the symbolic executor (exec.go)
 // silently and classifying the exit states; since the executor itself
@@ -38,7 +35,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -79,7 +75,7 @@ func describeSlots(slots []slot) string {
 	return strings.Join(parts, " and ")
 }
 
-// A funcSummary is the inferred lock/pin contract of one function.
+// A funcSummary is the inferred lock contract of one function.
 type funcSummary struct {
 	// lockOK reports whether the exits were classifiable at all; when
 	// false the acquire/release slices are nil and locksafe reports the
@@ -88,25 +84,9 @@ type funcSummary struct {
 	acquiresAlways []slot // in acquisition order (lockorder depends on it)
 	acquiresOnTrue []slot
 	releases       []slot
-
-	pinsOK       bool
-	pinsResults  []int
-	unpinsParams []int
 }
 
 func slotsEqual(a, b []slot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intsEqual(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -122,12 +102,10 @@ func sumEqual(a, b *funcSummary) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.lockOK == b.lockOK && a.pinsOK == b.pinsOK &&
+	return a.lockOK == b.lockOK &&
 		slotsEqual(a.acquiresAlways, b.acquiresAlways) &&
 		slotsEqual(a.acquiresOnTrue, b.acquiresOnTrue) &&
-		slotsEqual(a.releases, b.releases) &&
-		intsEqual(a.pinsResults, b.pinsResults) &&
-		intsEqual(a.unpinsParams, b.unpinsParams)
+		slotsEqual(a.releases, b.releases)
 }
 
 // hasLockContract reports whether the summary carries a non-empty
@@ -145,22 +123,13 @@ type progFunc struct {
 
 // A Program is the interprocedural context shared by every analyzer of
 // one Run: the indexed function declarations, their inferred
-// summaries, which contracts are consumed somewhere, and the fields
-// accessed through sync/atomic (for atomicmix).
+// summaries, and which contracts are consumed somewhere.
 type Program struct {
-	pkgs      []*Pkg
 	fns       []*progFunc
 	byKey     map[string]*progFunc
 	summaries map[string]*funcSummary
 	consumed  map[string]bool
-
-	// atomicFields maps "pkg|Type|field" to the position of one
-	// sync/atomic access of that field.
-	atomicFields map[string]token.Position
 }
-
-// memPkgSuffix matches this module's epoch-reclamation package.
-const memPkgSuffix = "internal/mem"
 
 // isIntrinsicLockDecl reports whether fd implements one of the trylock
 // package's acquisition primitives. Their bodies ARE the lock
@@ -323,29 +292,26 @@ const inferRuns = 10
 var inferAnalyzer = &Analyzer{Name: "infer", Doc: "internal summary inference"}
 
 // BuildProgram indexes every function declaration of pkgs, infers
-// lock/pin summaries to a fixpoint, records which contracts are
-// consumed by some call site, and collects the sync/atomic field-access
-// inventory. It is run once per Run, before any analyzer.
+// lock summaries to a fixpoint and records which contracts are
+// consumed by some call site. It is run once per Run, before any
+// analyzer.
 func BuildProgram(pkgs []*Pkg) *Program {
 	prog := &Program{
-		pkgs:         pkgs,
-		byKey:        make(map[string]*progFunc),
-		summaries:    make(map[string]*funcSummary),
-		consumed:     make(map[string]bool),
-		atomicFields: make(map[string]token.Position),
+		byKey:     make(map[string]*progFunc),
+		summaries: make(map[string]*funcSummary),
+		consumed:  make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
-		inMem := strings.HasSuffix(pkg.Types.Path(), memPkgSuffix)
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
 				}
-				// The trylock primitives and the mem package's own
-				// internals are modeled as intrinsics at call sites;
-				// summarizing their bodies would double-count.
-				if isIntrinsicLockDecl(pkg.Types.Path(), fd) || inMem {
+				// The trylock primitives are modeled as intrinsics at
+				// call sites; summarizing their bodies would
+				// double-count.
+				if isIntrinsicLockDecl(pkg.Types.Path(), fd) {
 					continue
 				}
 				pf := &progFunc{pkg: pkg, decl: fd, key: funcKeyOfDecl(pkg.Types.Path(), fd)}
@@ -383,8 +349,6 @@ func BuildProgram(pkgs []*Pkg) *Program {
 			ex.queue = append(ex.queue, sub.queue...)
 		}
 	}
-
-	prog.collectAtomicFields()
 	return prog
 }
 
@@ -609,130 +573,5 @@ func classifyExits(fd *ast.FuncDecl, exits []exitRec) *funcSummary {
 		}
 	}
 
-	// Pin contract: active pins at exits must ride out through results;
-	// foreign unpins must be parameter guards, agreed on by all exits.
-	sum.pinsOK = true
-	if len(exits) > 0 {
-		var pinsRes []int
-		var unpins []int
-		for i, rec := range exits {
-			var thisPins []int
-			for _, p := range rec.pins {
-				matched := -1
-				for ri, rk := range rec.resultKeys {
-					if rk != "" && rk == p.key {
-						matched = ri
-						break
-					}
-				}
-				if matched < 0 {
-					sum.pinsOK = false
-					break
-				}
-				thisPins = append(thisPins, matched)
-			}
-			var thisUnpins []int
-			for _, key := range rec.unpForeign {
-				sl, found := keyToSlot(key, recvName, paramNames, nil)
-				if !found || sl.kind != slotParam || sl.path != "" {
-					sum.pinsOK = false
-					break
-				}
-				thisUnpins = append(thisUnpins, sl.index)
-			}
-			if !sum.pinsOK {
-				break
-			}
-			if i == 0 {
-				pinsRes, unpins = thisPins, thisUnpins
-			} else if !intsEqual(pinsRes, thisPins) || !intsEqual(unpins, thisUnpins) {
-				sum.pinsOK = false
-				break
-			}
-		}
-		if sum.pinsOK {
-			sum.pinsResults = pinsRes
-			sum.unpinsParams = unpins
-		}
-	}
-
 	return sum
-}
-
-// collectAtomicFields records every struct field whose address is
-// passed to a sync/atomic function anywhere in the program, keyed
-// "pkg|Type|field" — the inventory the atomicmix analyzer checks plain
-// accesses against.
-func (prog *Program) collectAtomicFields() {
-	for _, pkg := range prog.pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if !isSyncAtomicCall(pkg.Info, call) {
-					return true
-				}
-				for _, arg := range call.Args {
-					sel, okSel := addressedField(arg)
-					if !okSel {
-						continue
-					}
-					if key := fieldKeyOf(pkg.Info, sel); key != "" {
-						if _, seen := prog.atomicFields[key]; !seen {
-							prog.atomicFields[key] = pkg.Fset.Position(sel.Pos())
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// isSyncAtomicCall reports whether call invokes a package-level
-// function of sync/atomic (the function-style API, e.g.
-// atomic.AddInt64; the typed API's methods need no cross-checking —
-// the field's type already forbids plain access).
-func isSyncAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == "sync/atomic"
-}
-
-// addressedField unwraps &x.f to the field selector.
-func addressedField(arg ast.Expr) (*ast.SelectorExpr, bool) {
-	un, ok := arg.(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return nil, false
-	}
-	sel, ok := un.X.(*ast.SelectorExpr)
-	return sel, ok
-}
-
-// fieldKeyOf identifies the struct field a selector denotes, as
-// "pkg|Type|field", or "" when the selector is not a named struct's
-// field access.
-func fieldKeyOf(info *types.Info, sel *ast.SelectorExpr) string {
-	selection, ok := info.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return ""
-	}
-	t := selection.Recv()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "|" + named.Obj().Name() + "|" + sel.Sel.Name
 }

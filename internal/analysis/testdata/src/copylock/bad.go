@@ -1,4 +1,8 @@
-// Seeded-bad corpus for the copylock analyzer.
+// Seeded-bad corpus for the by-value lock-copy invariant, checked by
+// go vet's copylocks pass: trylock.SpinLock has pointer-receiver
+// Lock/Unlock, and every sync/atomic type carries a noCopy sentinel,
+// so vet treats both as locks. The // want fragments are vet's
+// messages.
 package copylock
 
 import (
@@ -14,6 +18,11 @@ type node struct {
 	lock trylock.SpinLock
 }
 
+// lockOnly carries a try-lock and no atomics.
+type lockOnly struct {
+	lock trylock.SpinLock
+}
+
 // atomicOnly has no lock but still must not be copied: its atomics
 // detach.
 type atomicOnly struct {
@@ -21,38 +30,44 @@ type atomicOnly struct {
 }
 
 // byValueParam receives a detached copy of the node and its lock.
-func byValueParam(n node) int64 { // want "parameter passes lock by value"
+func byValueParam(n node) int64 { // want "byValueParam passes lock by value"
 	return n.val
 }
 
 // byValueResult returns a detached copy.
-func byValueResult(p *node) node { // want "result passes lock by value"
-	return *p // the result declaration is the finding; this read feeds it
+func byValueResult(p *node) node {
+	return *p // want "return copies lock value"
 }
 
 // copyAssign copies through a dereference.
 func copyAssign(p *node) int64 {
-	n := *p // want "assignment copies lock by value"
+	n := *p // want "assignment copies lock value"
 	return n.val
 }
 
 // copyArg passes a copy into a call.
 func copyArg(p *node) int64 {
-	return byValueParam(*p) // want "call passes lock by value"
+	return byValueParam(*p) // want "call of byValueParam copies lock value"
 }
 
 // rangeCopy copies one element per iteration.
 func rangeCopy(ns []node) int64 {
 	var s int64
-	for _, n := range ns { // want "range clause copies lock by value"
+	for _, n := range ns { // want "range var n copies lock"
 		s += n.val
 	}
 	return s
 }
 
+// copyTrylock shows a bare try-lock copy is caught.
+func copyTrylock(l *lockOnly) {
+	c := *l // want "assignment copies lock value"
+	_ = c.lock.TryLock()
+}
+
 // copyAtomic shows the atomic-only case is caught too.
 func copyAtomic(a *atomicOnly) {
-	c := *a // want "assignment copies lock by value"
+	c := *a // want "assignment copies lock value"
 	_ = c.count.Load()
 }
 
@@ -78,10 +93,9 @@ func okIndex(ns []node) int64 {
 	return s
 }
 
-// okUnsafe measures lock-bearing types with the unsafe operators; like
-// the builtins these are compile-time type measurements, not run-time
-// copies (the layout tests of internal/core and internal/lazy rely on
-// this).
+// okUnsafe measures lock-bearing types with the unsafe operators;
+// these are compile-time type measurements, not run-time copies (the
+// layout tests of internal/core and internal/lazy rely on this).
 func okUnsafe(p *node) uintptr {
 	var n node
 	return unsafe.Sizeof(n) + unsafe.Offsetof(p.lock) + unsafe.Alignof(n.lock)

@@ -31,85 +31,6 @@ func isTrylockType(named *types.Named) bool {
 	return false
 }
 
-// isSyncPrimitive reports whether named is a standard-library
-// synchronization primitive that must not be copied (sync and
-// sync/atomic types other than trivially copyable ones).
-func isSyncPrimitive(named *types.Named) bool {
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	switch obj.Pkg().Path() {
-	case "sync":
-		switch obj.Name() {
-		case "Mutex", "RWMutex", "WaitGroup", "Cond", "Once", "Map", "Pool":
-			return true
-		}
-	case "sync/atomic":
-		// Every exported sync/atomic type carries a noCopy sentinel.
-		switch obj.Name() {
-		case "Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value":
-			return true
-		}
-	}
-	return false
-}
-
-// lockPath reports whether t contains (directly, via a struct field,
-// an embedded field, or an array element) a non-copyable
-// synchronization primitive, and if so returns a human-readable path
-// to it, e.g. "node.lock (trylock.SpinLock)".
-func lockPath(t types.Type) (string, bool) {
-	return lockPathRec(t, "", make(map[types.Type]bool))
-}
-
-func lockPathRec(t types.Type, prefix string, seen map[types.Type]bool) (string, bool) {
-	if seen[t] {
-		return "", false
-	}
-	seen[t] = true
-	switch tt := t.(type) {
-	case *types.Named:
-		obj := tt.Obj()
-		if _, isIface := tt.Underlying().(*types.Interface); isIface {
-			// Copying an interface value copies a pointer-sized header,
-			// not the lock behind it (e.g. trylock.TryLocker).
-			return "", false
-		}
-		if isTrylockType(tt) || isSyncPrimitive(tt) {
-			name := obj.Name()
-			if obj.Pkg() != nil {
-				name = obj.Pkg().Name() + "." + name
-			}
-			if prefix == "" {
-				return name, true
-			}
-			return fmt.Sprintf("%s (%s)", prefix, name), true
-		}
-		return lockPathRec(tt.Underlying(), prefix, seen)
-	case *types.Alias:
-		return lockPathRec(types.Unalias(tt), prefix, seen)
-	case *types.Struct:
-		for i := 0; i < tt.NumFields(); i++ {
-			f := tt.Field(i)
-			p := f.Name()
-			if prefix != "" {
-				p = prefix + "." + p
-			}
-			if path, ok := lockPathRec(f.Type(), p, seen); ok {
-				return path, true
-			}
-		}
-	case *types.Array:
-		p := prefix + "[...]"
-		if prefix == "" {
-			p = "[...]"
-		}
-		return lockPathRec(tt.Elem(), p, seen)
-	}
-	return "", false
-}
-
 // trylockMethod reports whether call is a Lock/TryLock/Unlock/
 // LockContended method call whose receiver is one of the trylock
 // package's lock types, and returns the receiver expression and
@@ -137,44 +58,6 @@ func trylockMethod(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method 
 		return nil, "", false
 	}
 	return sel.X, sel.Sel.Name, true
-}
-
-// memMethod reports whether call is a Pin/Unpin/Retire/Free/Get
-// method call whose receiver is the mem package's Arena or Guard
-// type, and returns the receiver expression and method name. The mem
-// package's epoch machinery is modeled as intrinsics at call sites —
-// its own body is exempt from analysis.
-func memMethod(info *types.Info, call *ast.CallExpr) (recv ast.Expr, method string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return nil, "", false
-	}
-	switch sel.Sel.Name {
-	case "Pin", "Unpin", "Retire", "Free", "Get":
-	default:
-		return nil, "", false
-	}
-	selection, isMethod := info.Selections[sel]
-	if !isMethod || selection.Kind() != types.MethodVal {
-		return nil, "", false
-	}
-	recvType := selection.Recv()
-	if ptr, isPtr := recvType.(*types.Pointer); isPtr {
-		recvType = ptr.Elem()
-	}
-	named, isNamed := recvType.(*types.Named)
-	if !isNamed {
-		return nil, "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), memPkgSuffix) {
-		return nil, "", false
-	}
-	switch obj.Name() {
-	case "Arena", "Guard":
-		return sel.X, sel.Sel.Name, true
-	}
-	return nil, "", false
 }
 
 // exprKey renders a canonical, purely syntactic key for a lock

@@ -59,6 +59,9 @@ func TestArenaVBLOracle(t *testing.T) {
 // advance the epoch past pin+1 or recycle anything; releasing the
 // pause lets the grace period expire and recycling resume.
 func TestArenaGraceAcrossPausedTraversal(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: no pause to park the traversal with")
+	}
 	const pauseKey = 1000
 	s := New()
 	s.arena = mem.New[node](mem.Options{AdvanceEvery: 1})

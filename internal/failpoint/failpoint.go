@@ -29,8 +29,8 @@
 //
 // so the disabled cost is one predictable branch. Building with
 // -tags nofailpoint turns On into a constant false and the compiler
-// deletes the sites outright. The failpointhygiene analyzer
-// (internal/analysis) enforces the guard on every site call.
+// deletes the sites outright. An unguarded site call on a detached
+// (nil) set panics, so any test that reaches it fails.
 package failpoint
 
 import (

@@ -50,7 +50,7 @@ func TestRunWithAdaptOnSharded(t *testing.T) {
 	if !res.HasRetry || res.Retry.EscalatedBackoff == 0 {
 		t.Fatalf("retry = %+v (has ladder %v), want backoff escalations under the storm", res.Retry, res.HasRetry)
 	}
-	if res.Events[obs.EvRetryEscalateBackoff] == 0 {
+	if obs.Compiled && res.Events[obs.EvRetryEscalateBackoff] == 0 {
 		t.Fatal("no retry_escalate_backoff event under the storm")
 	}
 	rep := Report(res)

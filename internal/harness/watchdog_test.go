@@ -19,6 +19,9 @@ import (
 // hung process. The fire path disarms the failpoints, which is what
 // lets the stalled workers drain and this test return at all.
 func TestWatchdogFiresOnSeededLivelock(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: no failure to livelock the run with")
+	}
 	cfg := Config{
 		Name:     "vbl-livelock",
 		New:      func() Set { return core.New() },
@@ -104,6 +107,9 @@ func TestChaosArmsAfterPopulate(t *testing.T) {
 // deadline and a 2 s interval, Run must return the watchdog error well
 // inside one second.
 func TestWatchdogEndsIntervalEarly(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: no failure to livelock the run with")
+	}
 	cfg := Config{
 		Name:     "vbskip-livelock",
 		New:      func() Set { return skiplist.NewVB() },

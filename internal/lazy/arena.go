@@ -53,7 +53,6 @@ func (l *List) newNode(g mem.Guard[node], v int64) *node {
 	// writes are unobservable: the node is unreachable until the
 	// successful prev.next store publishes it, and the grace period
 	// guarantees no traversal from its previous life still holds it.
-	//lint:ignore valimmutable re-initializing a recycled node before publication; the arena's two-epoch grace period guarantees exclusivity
 	n.val = v
 	n.marked.Store(false)
 	n.next.Store(nil)

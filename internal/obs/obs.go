@@ -25,9 +25,9 @@
 // so the disabled cost is one predictable branch on a field already in
 // cache. Building with -tags obsoff turns On into a constant false and
 // the compiler deletes the probe sites outright — the probe-free build
-// the overhead regression test compares against. The obshygiene
-// analyzer (internal/analysis) enforces the guard on probe calls in
-// traversal loops.
+// the overhead regression test compares against. An unguarded probe
+// call on a detached (nil) set panics, so any test that reaches it
+// fails.
 package obs
 
 import "sync/atomic"

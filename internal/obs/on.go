@@ -10,6 +10,6 @@ const Compiled = true
 // On is the canonical enabled-guard for probe sites: it reports
 // whether the probe pointer (a *Probes or *Recorder) is attached. It
 // inlines to a nil check — or, under -tags obsoff, to false, deleting
-// the guarded block at compile time. The obshygiene analyzer requires
-// probe calls in traversal loops to sit behind this guard.
+// the guarded block at compile time. An unguarded probe call on a
+// detached (nil) pointer panics.
 func On[T any](p *T) bool { return p != nil }

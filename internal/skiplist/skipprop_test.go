@@ -215,6 +215,9 @@ func TestVBArenaBatchChurn(t *testing.T) {
 // arena variant first churns the keys through insert/remove rounds,
 // so the walked towers are recycled ones reused at new heights.
 func TestGivenUpIndexLevelsParkOnTail(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: the index link site cannot fail")
+	}
 	for name, mk := range map[string]func() *VB{"gc": NewVB, "arena": NewVBArena} {
 		t.Run(name, func(t *testing.T) {
 			s := mk()

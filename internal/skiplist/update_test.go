@@ -193,6 +193,9 @@ func TestVBStormRemoveTail(t *testing.T) {
 		n      = 20000
 		budget = 8
 	)
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: no storm to restart the ops with")
+	}
 	s := NewVB()
 	fps := failpoint.NewSet()
 	if err := fps.Arm(failpoint.Scenario{

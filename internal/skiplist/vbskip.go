@@ -408,7 +408,9 @@ func (s *VB) newTower(g mem.Guard[vbNode], v int64, h int) *vbNode {
 	}
 	if g.Active() {
 		if n := g.ReuseClass(towerClass(h)); n != nil {
-			//lint:ignore valimmutable the tower is recycled: past its grace period no reader holds it, and it is unpublished until the level-0 link after this re-initialization
+			// The tower is recycled: past its grace period no reader
+			// holds it, and it is unpublished until the level-0 link
+			// after this re-initialization.
 			n.val = v
 			n.state.Store(heightBits(h))
 			return n

@@ -11,6 +11,9 @@ import (
 // live: a one-shot pause armed on the global chaos set parks the next
 // Lock before its first CAS, and Resume releases it.
 func TestChaosHookPausesAcquisition(t *testing.T) {
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: the acquisition hook is compiled out")
+	}
 	fp := failpoint.NewSet()
 	SetChaos(fp)
 	defer SetChaos(nil)

@@ -3,7 +3,9 @@ package listset
 import (
 	"testing"
 
+	"listset/internal/failpoint"
 	"listset/internal/lincheck"
+	"listset/internal/obs"
 	"listset/internal/obs/trace"
 	"listset/internal/schedule"
 )
@@ -13,6 +15,9 @@ import (
 // through schedule.Lift under the given algorithm.
 func roundTrip(t *testing.T, replay func(*trace.Tracer) ([]int64, error)) ([]int64, *trace.Capture, schedule.Schedule) {
 	t.Helper()
+	if !failpoint.Compiled {
+		t.Skip("built with -tags nofailpoint: the replays pin their schedules with failpoint pauses")
+	}
 	tr := trace.NewTracer(2, 1<<10)
 	initial, err := replay(tr)
 	if err != nil {
@@ -87,6 +92,9 @@ func TestFigure2TraceRoundTrip(t *testing.T) {
 // restarts and therefore keeps only its WritesAfter constraint — lift
 // to a VBL-accepted schedule.
 func TestFigure3TraceRoundTrip(t *testing.T) {
+	if !obs.Compiled {
+		t.Skip("built with -tags obsoff: the restarted remove's spans need the restart events the probes emit")
+	}
 	_, c, _ := roundTrip(t, ReplayFigure3)
 
 	ops, err := c.ScheduleOps()

@@ -29,11 +29,17 @@ go vet ./...
 step "vblvet corpora self-test (every analyzer fires on its seeded-bad corpus)"
 go test -count=1 -run 'TestAnalyzers|TestEveryAnalyzerFiresOnCorpus|TestCrossPackageContracts' ./internal/analysis
 
-step "vblvet (concurrency-invariant static analysis, ratchet baseline)"
-go run ./cmd/vblvet -timing -baseline scripts/vblvet_baseline.json ./...
+step "vblvet (concurrency-invariant static analysis; any finding fails)"
+go run ./cmd/vblvet ./...
 
 step "unit tests"
 go test -count=1 ./...
+
+step "unit tests, probe-free build (-short -tags obsoff)"
+go test -short -count=1 -tags obsoff ./...
+
+step "unit tests, site-free build (-short -tags nofailpoint)"
+go test -short -count=1 -tags nofailpoint ./...
 
 step "perfbench module (its own go.mod, so ./... above never compiles it)"
 (cd perfbench && go vet ./... && go test -count=1 ./...)
