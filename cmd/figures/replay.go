@@ -7,6 +7,7 @@ import (
 
 	"listset"
 	"listset/internal/lincheck"
+	"listset/internal/obs"
 	"listset/internal/obs/trace"
 	"listset/internal/schedule"
 )
@@ -20,6 +21,9 @@ import (
 // is non-empty, each replay's capture is written there in the compact
 // binary format (figure2.trace, figure3.trace) for cmd/tracecat.
 func figureReplay(traceDir string) error {
+	if !obs.Compiled {
+		return fmt.Errorf("built with -tags obsoff: the captures hold no restart events, which ScheduleOps needs to lift a restarted operation; rebuild without obsoff")
+	}
 	replays := []struct {
 		name string
 		run  func(*trace.Tracer) ([]int64, error)

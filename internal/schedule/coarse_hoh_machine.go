@@ -27,108 +27,33 @@ const (
 
 // Extra program counters for the coarse/hoh machines.
 const (
-	cAcquireGlobal = 1000 + iota // coarse: take the global lock
-	hLockFirst                   // hoh: lock the starting node
-	hLockCurr                    // hoh: lock curr before examining it
-	hAdvanceUnlock               // hoh: release prev after moving on
+	cAcquireGlobal = sReturn + 1 + iota // coarse: take the global lock
+	hLockFirst                          // hoh: lock the starting node
+	hLockCurr                           // hoh: lock curr before examining it
+	hAdvanceUnlock                      // hoh: release prev after moving on
 )
 
-// coarseMachine runs the sequential operation under one global lock
-// (the head node's lock stands in for the global mutex).
-type coarseMachine struct {
-	algBase
-	seq *seqMachine // the sequential op, driven under the lock
-}
-
-func newCoarseMachine(op int, spec OpSpec) *coarseMachine {
-	m := &coarseMachine{algBase: newAlgBase(op, spec)}
-	m.final = true
-	m.finalChosen = true
-	m.pc = cAcquireGlobal
-	m.seq = newSeqMachine(op, spec, false)
-	return m
-}
-
-func (m *coarseMachine) clone() machine {
-	c := *m
-	seqCopy := *m.seq
-	c.seq = &seqCopy
-	return &c
-}
-
-func (m *coarseMachine) needsFinalityChoice() bool { return false }
-
-func (m *coarseMachine) enabled(h *Heap) bool {
-	switch m.pc {
-	case cAcquireGlobal:
-		return h.LockedBy(Head) < 0
-	case aDone, aPoisoned:
-		return false
-	default:
-		return true
-	}
-}
-
-func (m *coarseMachine) done() bool { return m.pc == aDone }
-
-func (m *coarseMachine) step(h *Heap) *Event {
-	switch m.pc {
-	case cAcquireGlobal:
+// coarseStep runs the sequential operation under one global lock (the
+// head node's lock stands in for the global mutex): the lock step, then
+// the sequential machine's steps, releasing the lock with the return.
+func (m *machine) coarseStep(h *Heap) *Event {
+	if m.pc == cAcquireGlobal {
 		if !h.TryLock(Head, m.op) {
 			panic("schedule: coarse lock step while not enabled")
 		}
-		m.pc = aReadNext // marker: "inside the critical section"
+		m.pc = sReadNext
 		return nil
-	case aDone, aPoisoned:
-		panic("schedule: coarse machine stepped in terminal state")
-	default:
-		ev := m.seq.step(h)
-		if m.seq.done() {
-			m.retval = m.seq.result()
-			h.Unlock(Head, m.op)
-			m.pc = aDone
-		}
-		return ev
 	}
+	ev := m.seqStep(h)
+	if m.done() {
+		h.Unlock(Head, m.op)
+	}
+	return ev
 }
 
-// hohMachine is the hand-over-hand locking list: the traversal carries
+// hohStep steps the hand-over-hand locking list: the traversal carries
 // a sliding window of two node locks down the list.
-type hohMachine struct {
-	algBase
-}
-
-func newHOHMachine(op int, spec OpSpec) *hohMachine {
-	m := &hohMachine{algBase: newAlgBase(op, spec)}
-	m.final = true // single attempt: every step is exported
-	m.finalChosen = true
-	m.pc = hLockFirst
-	return m
-}
-
-func (m *hohMachine) clone() machine {
-	c := *m
-	return &c
-}
-
-func (m *hohMachine) needsFinalityChoice() bool { return false }
-
-func (m *hohMachine) enabled(h *Heap) bool {
-	switch m.pc {
-	case hLockFirst:
-		return h.LockedBy(Head) < 0
-	case hLockCurr:
-		return h.LockedBy(m.curr) < 0
-	case aDone, aPoisoned:
-		return false
-	default:
-		return true
-	}
-}
-
-func (m *hohMachine) done() bool { return m.pc == aDone }
-
-func (m *hohMachine) step(h *Heap) *Event {
+func (m *machine) hohStep(h *Heap) *Event {
 	v := m.spec.Arg
 	switch m.pc {
 	case hLockFirst:

@@ -8,59 +8,45 @@ import "fmt"
 // entry names a completed operation or if the order does not run every
 // operation to completion — schedules are complete by definition here.
 func Run(initial []int64, ops []OpSpec, adjusted bool, order []int) (Schedule, error) {
-	h := NewHeap(initial)
-	ms := make([]machine, len(ops))
-	for i, spec := range ops {
-		ms[i] = newSeqMachine(i, spec, adjusted)
-	}
+	sys, c := newSystem(AlgSeq, initial, ops, adjusted)
 	s := Schedule{Initial: append([]int64(nil), initial...), Ops: append([]OpSpec(nil), ops...), Adjusted: adjusted}
 	for step, i := range order {
-		if i < 0 || i >= len(ms) {
-			return Schedule{}, fmt.Errorf("schedule: order step %d names op %d, have %d ops", step, i, len(ms))
+		if i < 0 || i >= len(ops) {
+			return Schedule{}, fmt.Errorf("schedule: order step %d names op %d, have %d ops", step, i, len(ops))
 		}
-		if ms[i].done() {
+		if c.regs[i].pc == aDone {
 			return Schedule{}, fmt.Errorf("schedule: order step %d advances completed op %d", step, i)
 		}
-		if ev := ms[i].step(h); ev != nil {
+		if ev := sys.step(&c, i); ev != nil {
 			s.Events = append(s.Events, *ev)
 		}
 	}
-	for i, m := range ms {
-		if !m.done() {
+	for i := range ops {
+		if c.regs[i].pc != aDone {
 			return Schedule{}, fmt.Errorf("schedule: op %d (%s) incomplete after the order", i, ops[i])
 		}
 	}
 	return s, nil
 }
 
-// RunToCompletion finishes any remaining steps of order round-robin; it
-// is a convenience for building schedules where only a prefix order
-// matters.
+// RunToCompletion runs prefix, then each remaining operation to
+// completion in index order; it is a convenience for building
+// schedules where only a prefix order matters.
 func RunToCompletion(initial []int64, ops []OpSpec, adjusted bool, prefix []int) (Schedule, error) {
-	// Execute the prefix, then let each op run to completion in index
-	// order; compute the full order first, then delegate to Run so the
-	// error handling is shared.
-	counts := make([]int, len(ops))
+	sys, c := newSystem(AlgSeq, initial, ops, adjusted)
 	full := append([]int(nil), prefix...)
-	// Dry-run to find remaining step counts.
-	h := NewHeap(initial)
-	ms := make([]machine, len(ops))
-	for i, spec := range ops {
-		ms[i] = newSeqMachine(i, spec, adjusted)
-	}
 	for step, i := range prefix {
-		if i < 0 || i >= len(ms) {
+		if i < 0 || i >= len(ops) {
 			return Schedule{}, fmt.Errorf("schedule: prefix step %d names op %d, have %d ops", step, i, len(ops))
 		}
-		if ms[i].done() {
+		if c.regs[i].pc == aDone {
 			return Schedule{}, fmt.Errorf("schedule: prefix step %d advances completed op %d", step, i)
 		}
-		ms[i].step(h)
-		counts[i]++
+		sys.step(&c, i)
 	}
-	for i := range ms {
-		for !ms[i].done() {
-			ms[i].step(h)
+	for i := range ops {
+		for c.regs[i].pc != aDone {
+			sys.step(&c, i)
 			full = append(full, i)
 		}
 	}
@@ -69,56 +55,14 @@ func RunToCompletion(initial []int64, ops []OpSpec, adjusted bool, prefix []int)
 
 // GenerateAll enumerates every schedule in § obtainable by interleaving
 // the sequential machines of ops over the initial list — the schedule
-// space the paper quantifies over. Schedules are deduplicated by their
-// canonical key. limit caps the number of *distinct* schedules gathered
-// (0 means no cap); the search stops once reached.
+// space the paper quantifies over — as the explorer's leaves, each
+// schedule once. limit caps the number of schedules gathered (0 means
+// no cap); the walk stops once reached.
 func GenerateAll(initial []int64, ops []OpSpec, adjusted bool, limit int) []Schedule {
-	h := NewHeap(initial)
-	ms := make([]machine, len(ops))
-	for i, spec := range ops {
-		ms[i] = newSeqMachine(i, spec, adjusted)
-	}
-	seen := make(map[string]struct{})
 	var out []Schedule
-	var rec func(h *Heap, ms []machine, events []Event)
-	rec = func(h *Heap, ms []machine, events []Event) {
-		if limit > 0 && len(out) >= limit {
-			return
-		}
-		allDone := true
-		for _, m := range ms {
-			if !m.done() {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			s := Schedule{
-				Initial:  append([]int64(nil), initial...),
-				Ops:      append([]OpSpec(nil), ops...),
-				Adjusted: adjusted,
-				Events:   append([]Event(nil), events...),
-			}
-			key := s.Key()
-			if _, dup := seen[key]; !dup {
-				seen[key] = struct{}{}
-				out = append(out, s)
-			}
-			return
-		}
-		for i, m := range ms {
-			if m.done() {
-				continue
-			}
-			h2, ms2 := cloneState(h, ms)
-			ev := ms2[i].step(h2)
-			if ev != nil {
-				rec(h2, ms2, append(events, *ev))
-			} else {
-				rec(h2, ms2, events)
-			}
-		}
-	}
-	rec(h, ms, nil)
+	explore(initial, ops, adjusted, nil, func(s Schedule, _ []bool) bool {
+		out = append(out, s)
+		return limit <= 0 || len(out) < limit
+	})
 	return out
 }

@@ -1,6 +1,6 @@
 package schedule
 
-// harrisMachine is the abstract Harris-Michael operation, analyzed (as
+// harrisStep steps the abstract Harris-Michael operation, analyzed (as
 // in §2.3) against the *adjusted* sequential implementation: removals
 // are logical marks, and traversing update operations physically unlink
 // the marked nodes they encounter. All pointer updates are CAS-based:
@@ -12,21 +12,7 @@ package schedule
 // and successful logical deletions by removes. A remove's best-effort
 // physical unlink and any helping writes of abandoned traversals mutate
 // the heap silently.
-type harrisMachine struct {
-	algBase
-}
-
-func (m *harrisMachine) clone() machine {
-	c := *m
-	return &c
-}
-
-func (m *harrisMachine) enabled(h *Heap) bool {
-	// Lock-free: every live state is enabled.
-	return m.pc != aDone && m.pc != aPoisoned
-}
-
-func (m *harrisMachine) step(h *Heap) *Event {
+func (m *machine) harrisStep(h *Heap) *Event {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:
@@ -35,7 +21,7 @@ func (m *harrisMachine) step(h *Heap) *Event {
 
 	case aReadNext:
 		// contains does not help; updates check the mark next.
-		next := aCheckMark
+		next := uint8(aCheckMark)
 		if m.spec.Kind == OpContains {
 			next = aReadVal
 		}

@@ -9,18 +9,27 @@
 //
 //   - an abstract heap of list nodes and the event vocabulary
 //     (heap.go, event.go);
-//   - step machines for the sequential code, used to *generate*
-//     schedules by exploring interleavings (seq.go, generate.go);
+//   - step machines for the sequential code and for six algorithms
+//     (VBL, Lazy, Harris-Michael, coarse, hand-over-hand, optimistic),
+//     each a comparable register file over the heap (seq.go,
+//     machines.go, *_machine.go);
+//   - one explorer: a depth-first walk over the tree of schedules that
+//     generates § and judges every algorithm on each schedule in the
+//     same pass, carrying per tree node the set of each algorithm's
+//     configurations that can export the prefix; Accepts is the same
+//     set fold along one schedule (explore.go, generate.go);
 //   - the correctness oracle of Definition 1: local serializability
 //     w.r.t. LL plus linearizability of every extension σ̄(v)
 //     (oracle.go);
-//   - step machines for VBL, the Lazy list and the Harris-Michael list,
-//     and an acceptance search deciding whether an algorithm has an
-//     execution exporting a given schedule (machines.go, accept.go);
 //   - the two counterexample schedules of the paper, Figure 2 (rejected
-//     by Lazy) and Figure 3 (rejected by Harris-Michael), plus the
+//     by Lazy) and Figure 3 (rejected by Harris-Michael), the
 //     small-scope exhaustive check that VBL accepts every correct
-//     schedule (figures.go, enumerate.go).
+//     schedule, the free-running deadlock/livelock check and the
+//     lifting of captured traces into schedules (figures.go,
+//     enumerate.go, progress.go, lift.go).
+//
+// Configurations are fixed-size values: a schedule has at most maxOps
+// operations and its heap at most maxNodes nodes.
 package schedule
 
 import (
@@ -34,14 +43,14 @@ import (
 // during a schedule continue the sequence, so a schedule and any
 // execution matched against it agree on node identities by
 // construction.
-type NodeID int
+type NodeID int8
 
 // Head and Tail are the sentinel nodes of every abstract list.
 const (
 	Head NodeID = 0
 	Tail NodeID = 1
 	// None is the null node reference.
-	None NodeID = -1 << 31
+	None NodeID = -1
 )
 
 // Sentinel values held by head and tail.
@@ -50,36 +59,39 @@ const (
 	MaxVal = math.MaxInt64
 )
 
+// maxNodes bounds a heap: the sentinels, the initial elements and one
+// node per insert. A configuration is a fixed-size value, so a
+// schedule's heap must fit it.
+const maxNodes = 10
+
 // nodeState is the abstract state of one node.
 type nodeState struct {
 	val     int64
 	next    NodeID
 	deleted bool // logical-deletion mark (adjusted model / VBL metadata)
-	lock    int  // owning op id + 1; 0 = free (VBL/Lazy metadata)
+	lock    int8 // owning op id + 1; 0 = free (VBL/Lazy metadata)
 }
 
-// Heap is the abstract shared memory: a collection of list nodes.
-// It is a value-ish type: Clone produces an independent copy, which the
-// acceptance search uses for backtracking.
+// Heap is the abstract shared memory: a fixed array of list nodes. It
+// is a comparable value, so copying it is an assignment and it can be
+// part of a map key.
 type Heap struct {
-	nodes  map[NodeID]*nodeState
-	nextID NodeID // next fresh node id
+	nodes [maxNodes]nodeState
+	n     NodeID // next fresh node id
 }
 
 // NewHeap builds a heap holding a sorted list with the given initial
 // element values (which must be strictly ascending; duplicates panic).
 func NewHeap(initial []int64) *Heap {
-	h := &Heap{nodes: make(map[NodeID]*nodeState), nextID: 2}
-	h.nodes[Head] = &nodeState{val: MinVal}
-	h.nodes[Tail] = &nodeState{val: MaxVal, next: None}
+	h := &Heap{n: 2}
+	h.nodes[Head] = nodeState{val: MinVal}
+	h.nodes[Tail] = nodeState{val: MaxVal, next: None}
 	prev := Head
 	for i, v := range initial {
 		if i > 0 && initial[i-1] >= v {
 			panic(fmt.Sprintf("schedule: initial values not strictly ascending: %v", initial))
 		}
-		id := h.nextID
-		h.nextID++
-		h.nodes[id] = &nodeState{val: v, next: None}
+		id := h.NewNode(v, None)
 		h.nodes[prev].next = id
 		prev = id
 	}
@@ -87,25 +99,20 @@ func NewHeap(initial []int64) *Heap {
 	return h
 }
 
-// Clone returns a deep copy of the heap.
+// Clone returns an independent copy of the heap.
 func (h *Heap) Clone() *Heap {
-	c := &Heap{nodes: make(map[NodeID]*nodeState, len(h.nodes)), nextID: h.nextID}
-	for id, n := range h.nodes {
-		cp := *n
-		c.nodes[id] = &cp
-	}
-	return c
+	c := *h
+	return &c
 }
 
 // node returns the state of id, panicking on dangling references —
 // schedules are closed systems, so a dangling ID is a bug in this
 // package, not an input error.
 func (h *Heap) node(id NodeID) *nodeState {
-	n, ok := h.nodes[id]
-	if !ok {
+	if id < 0 || id >= h.n {
 		panic(fmt.Sprintf("schedule: dangling node id %d", id))
 	}
-	return n
+	return &h.nodes[id]
 }
 
 // Val returns the value stored at id.
@@ -125,9 +132,12 @@ func (h *Heap) SetDeleted(id NodeID) { h.node(id).deleted = true }
 
 // NewNode allocates a fresh exported node.
 func (h *Heap) NewNode(val int64, next NodeID) NodeID {
-	id := h.nextID
-	h.nextID++
-	h.nodes[id] = &nodeState{val: val, next: next}
+	if h.n == maxNodes {
+		panic(fmt.Sprintf("schedule: heap holds at most %d nodes", maxNodes))
+	}
+	id := h.n
+	h.n++
+	h.nodes[id] = nodeState{val: val, next: next}
 	return id
 }
 
@@ -137,17 +147,17 @@ func (h *Heap) TryLock(id NodeID, op int) bool {
 	if n.lock != 0 {
 		return false
 	}
-	n.lock = op + 1
+	n.lock = int8(op + 1)
 	return true
 }
 
 // LockedBy returns the op holding id's lock, or -1 if free.
-func (h *Heap) LockedBy(id NodeID) int { return h.node(id).lock - 1 }
+func (h *Heap) LockedBy(id NodeID) int { return int(h.node(id).lock) - 1 }
 
 // Unlock releases id's lock, which must be held by op.
 func (h *Heap) Unlock(id NodeID, op int) {
 	n := h.node(id)
-	if n.lock != op+1 {
+	if int(n.lock) != op+1 {
 		panic(fmt.Sprintf("schedule: op %d unlocking node %d held by %d", op, id, n.lock-1))
 	}
 	n.lock = 0

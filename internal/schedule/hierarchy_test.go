@@ -124,11 +124,10 @@ func TestConcurrencyHierarchy(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("enumeration skipped in -short and -race modes")
 	}
-	sc := QuickScope()
 	reports := map[Algorithm]OptimalityReport{}
-	for _, alg := range []Algorithm{AlgCoarse, AlgHOH, AlgOptimistic, AlgLazy, AlgVBL} {
-		reports[alg] = CheckOptimality(alg, sc)
-		t.Logf("%s", reports[alg])
+	for _, r := range CheckOptimality(QuickScope(), AlgCoarse, AlgHOH, AlgOptimistic, AlgLazy, AlgVBL) {
+		reports[r.Algorithm] = r
+		t.Logf("%s", r)
 	}
 	if !(reports[AlgCoarse].Accepted < reports[AlgHOH].Accepted) {
 		t.Errorf("hierarchy violated: coarse %d !< hoh %d", reports[AlgCoarse].Accepted, reports[AlgHOH].Accepted)

@@ -1,39 +1,12 @@
 package schedule
 
-// lazyMachine is the abstract Lazy Linked List operation: wait-free
+// lazyStep steps the abstract Lazy Linked List operation: wait-free
 // traversal, then — for updates, whether or not they will modify the
 // list — lock prev AND curr, validate after locking (both unmarked,
 // still adjacent), and only then look at the value. This post-locking
 // validation and the locks-taken-by-read-only-updates are exactly what
 // Figure 2 exploits.
-type lazyMachine struct {
-	algBase
-}
-
-func (m *lazyMachine) clone() machine {
-	c := *m
-	return &c
-}
-
-func (m *lazyMachine) enabled(h *Heap) bool {
-	switch m.pc {
-	case aLockPrev:
-		return h.LockedBy(m.prev) < 0
-	case aLockCurr:
-		return h.LockedBy(m.curr) < 0
-	case aDone, aPoisoned:
-		return false
-	default:
-		return true
-	}
-}
-
-func (m *lazyMachine) unlockBoth(h *Heap) {
-	h.Unlock(m.curr, m.op)
-	h.Unlock(m.prev, m.op)
-}
-
-func (m *lazyMachine) step(h *Heap) *Event {
+func (m *machine) lazyStep(h *Heap) *Event {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:

@@ -71,11 +71,18 @@ func Lift(alg Algorithm, initial []int64, ops []TraceOp) (Schedule, error) {
 	if len(ops) == 0 {
 		return Schedule{}, fmt.Errorf("schedule: Lift needs at least one op")
 	}
+	if len(ops) > maxOps {
+		return Schedule{}, fmt.Errorf("schedule: Lift handles at most %d ops, have %d", maxOps, len(ops))
+	}
 	adjusted := alg.Adjusted()
 	specs := make([]OpSpec, len(ops))
+	nodes := 2 + len(initial)
 	var cps []checkpoint
 	for i, o := range ops {
 		specs[i] = o.Spec
+		if o.Spec.Kind == OpInsert {
+			nodes++
+		}
 		if o.End <= o.Begin {
 			return Schedule{}, fmt.Errorf("schedule: op %d (%s) has End <= Begin", i, o.Spec)
 		}
@@ -93,6 +100,9 @@ func Lift(alg Algorithm, initial []int64, ops []TraceOp) (Schedule, error) {
 			cps = append(cps, checkpoint{o.WritesAfter, cpWritesAfter, i})
 		}
 	}
+	if nodes > maxNodes {
+		return Schedule{}, fmt.Errorf("schedule: Lift handles at most %d list nodes, the trace needs %d", maxNodes, nodes)
+	}
 	sort.Slice(cps, func(i, j int) bool {
 		if cps[i].pos != cps[j].pos {
 			return cps[i].pos < cps[j].pos
@@ -100,14 +110,16 @@ func Lift(alg Algorithm, initial []int64, ops []TraceOp) (Schedule, error) {
 		return cps[i].kind < cps[j].kind
 	})
 
-	l := &lifter{alg: alg, initial: initial, ops: ops, specs: specs, adjusted: adjusted, cps: cps}
-	h := NewHeap(initial)
-	ms := make([]machine, len(ops))
-	for i, spec := range specs {
-		ms[i] = newSeqMachine(i, spec, adjusted)
-	}
-	if s, ok := l.dfs(h, ms, liftState{}, nil); ok {
-		return s, nil
+	seq, c := newSystem(AlgSeq, initial, specs, adjusted)
+	sys, a := newSystem(alg, initial, specs, adjusted)
+	l := &lifter{ops: ops, cps: cps, seq: seq, sys: sys}
+	if l.dfs(c, sys.start(a), 0) {
+		return Schedule{
+			Initial:  append([]int64(nil), initial...),
+			Ops:      specs,
+			Adjusted: adjusted,
+			Events:   l.events,
+		}, nil
 	}
 	if l.exhausted {
 		return Schedule{}, fmt.Errorf("schedule: Lift search budget exhausted for %d ops", len(ops))
@@ -115,28 +127,20 @@ func Lift(alg Algorithm, initial []int64, ops []TraceOp) (Schedule, error) {
 	return Schedule{}, fmt.Errorf("schedule: no %v-accepted schedule is consistent with the trace (%d ops)", alg, len(ops))
 }
 
-// liftState is the checkpoint cursor plus the per-op phase gates it
-// implies (recomputed on the fly from the cursor).
-type liftState struct {
-	cursor int
-}
-
 type lifter struct {
-	alg       Algorithm
-	initial   []int64
 	ops       []TraceOp
-	specs     []OpSpec
-	adjusted  bool
 	cps       []checkpoint
+	seq, sys  system  // the sequential machines and alg's
+	events    []Event // the interleaving's exported events so far
 	budget    int
 	exhausted bool
 }
 
 // passed reports whether the checkpoint of the given kind for op i
 // lies strictly before the cursor.
-func (l *lifter) passed(st liftState, kind, op int) bool {
-	for c := 0; c < st.cursor; c++ {
-		if l.cps[c].kind == kind && l.cps[c].op == op {
+func (l *lifter) passed(cursor, kind, op int) bool {
+	for _, cp := range l.cps[:cursor] {
+		if cp.kind == kind && cp.op == op {
 			return true
 		}
 	}
@@ -146,7 +150,7 @@ func (l *lifter) passed(st liftState, kind, op int) bool {
 // readStep classifies the machine's next step as read-phase (traversal
 // reads, mark checks, node creation) vs write-phase (link/unlink/mark
 // writes and the return).
-func readStep(pc int) bool {
+func readStep(pc uint8) bool {
 	switch pc {
 	case sReadNext, sCheckMark, sHelpRead, sReadVal, sNewNode, sReadTNext, sCheckLanded:
 		return true
@@ -154,73 +158,80 @@ func readStep(pc int) bool {
 	return false
 }
 
-// dfs explores: either pass the next checkpoint, or step an op the
-// gates allow. order carries the interleaving so far; a complete,
-// result-faithful interleaving is rebuilt with Run and kept only if
-// the algorithm accepts it.
-func (l *lifter) dfs(h *Heap, ms []machine, st liftState, order []int) (Schedule, bool) {
+// dfs explores from the sequential configuration c, whose exported
+// events alg's configurations in set can export: either pass the next
+// checkpoint, or step an op the gates allow. It reports whether a
+// complete, result-faithful interleaving that alg accepts was found,
+// leaving its events in l.events.
+func (l *lifter) dfs(c config, set configSet, cursor int) bool {
 	l.budget++
 	if l.budget > liftBudget {
 		l.exhausted = true
-		return Schedule{}, false
+		return false
 	}
-	if st.cursor == len(l.cps) {
-		for i, m := range ms {
-			if !m.done() || m.result() != l.ops[i].Result {
-				return Schedule{}, false
+	if cursor == len(l.cps) {
+		for i, o := range l.ops {
+			if m := l.seq.machine(&c, i); !m.done() || m.result() != o.Result {
+				return false
 			}
 		}
-		s, err := Run(l.initial, l.specs, l.adjusted, order)
-		if err != nil || !Accepts(l.alg, s) {
-			return Schedule{}, false
-		}
-		return s, true
+		return l.sys.accepts(&set)
 	}
 
 	// Option 1: pass the next checkpoint, when its precondition holds.
-	next := l.cps[st.cursor]
+	next := l.cps[cursor]
+	m := l.seq.machine(&c, next.op)
 	ok := true
 	switch next.kind {
 	case cpEnd:
 		// An op's span cannot close before the op has returned.
-		ok = ms[next.op].done() && ms[next.op].result() == l.ops[next.op].Result
+		ok = m.done() && m.result() == l.ops[next.op].Result
 	case cpReadsBefore:
 		// Once closed, the op may never read again; closing early on a
 		// machine that still needs reads would dead-end, so prune now.
-		ok = ms[next.op].done() || !readStep(ms[next.op].(*seqMachine).pc)
+		ok = m.done() || !readStep(m.pc)
 	}
-	if ok {
-		if s, found := l.dfs(h, ms, liftState{cursor: st.cursor + 1}, order); found {
-			return s, true
-		}
+	if ok && l.dfs(c, set, cursor+1) {
+		return true
 	}
 
 	// Option 2: step an op the current gates allow.
-	for i, m := range ms {
-		if m.done() {
+	for i, o := range l.ops {
+		if c.regs[i].pc == aDone {
 			continue
 		}
-		if !l.passed(st, cpBegin, i) || l.passed(st, cpEnd, i) {
+		if !l.passed(cursor, cpBegin, i) || l.passed(cursor, cpEnd, i) {
 			continue // may only step inside its own span
 		}
-		sm := m.(*seqMachine)
-		if readStep(sm.pc) {
-			if l.ops[i].ReadsBefore > 0 && l.passed(st, cpReadsBefore, i) {
+		if readStep(c.regs[i].pc) {
+			if o.ReadsBefore > 0 && l.passed(cursor, cpReadsBefore, i) {
 				continue // read phase is over for this op
 			}
 		} else {
-			if l.ops[i].WritesAfter > 0 && !l.passed(st, cpWritesAfter, i) {
+			if o.WritesAfter > 0 && !l.passed(cursor, cpWritesAfter, i) {
 				continue // write phase has not opened yet
 			}
 		}
-		h2, ms2 := cloneState(h, ms)
-		ms2[i].step(h2)
-		if ms2[i].done() && ms2[i].result() != l.ops[i].Result {
+		c2 := c
+		ev := l.seq.step(&c2, i)
+		if m := l.seq.machine(&c2, i); m.done() && m.result() != o.Result {
 			continue // wrong result: this interleaving is not the trace's
 		}
-		if s, found := l.dfs(h2, ms2, st, append(order, i)); found {
-			return s, true
+		if ev == nil {
+			if l.dfs(c2, set, cursor) {
+				return true
+			}
+			continue
 		}
+		after := l.sys.advance(&set, *ev)
+		if len(after.list) == 0 {
+			continue // alg cannot export this interleaving
+		}
+		l.events = append(l.events, *ev)
+		if l.dfs(c2, after, cursor) {
+			return true
+		}
+		l.events = l.events[:len(l.events)-1]
 	}
-	return Schedule{}, false
+	return false
 }

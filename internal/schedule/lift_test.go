@@ -16,6 +16,38 @@ func figure2TraceOps() []TraceOp {
 	}
 }
 
+// figure3TraceOps is the checkpoint shape a Figure 3 replay captures:
+// remove(2) parks at its value-aware lock from the pause fire (pos 2)
+// to the release (pos 6) while insert(1) runs inside that bracket, then
+// restarts; insert(3) later fails inside insert(4)'s span. The restart
+// events keep ReadsBefore off the remove, leaving only WritesAfter.
+func figure3TraceOps() []TraceOp {
+	return []TraceOp{
+		{Spec: OpSpec{Kind: OpInsert, Arg: 1}, Result: true, Begin: 3, End: 5},
+		{Spec: OpSpec{Kind: OpRemove, Arg: 2}, Result: true, Begin: 1, End: 11, WritesAfter: 6},
+		{Spec: OpSpec{Kind: OpInsert, Arg: 3}, Result: false, Begin: 14, End: 15},
+		{Spec: OpSpec{Kind: OpInsert, Arg: 4}, Result: false, Begin: 12, End: 17},
+	}
+}
+
+// TestLiftNoFitFailsFast lifts the Figure 3 shape as a capture without
+// restart events gives it: the remove's ReadsBefore at its pause fire
+// claims it read nothing after the release, so it cannot have seen the
+// window insert(1) changed, and no VBL execution fits. Lift must say so,
+// not run out of budget.
+func TestLiftNoFitFailsFast(t *testing.T) {
+	initial := []int64{2, 3, 4}
+	if _, err := Lift(AlgVBL, initial, figure3TraceOps()); err != nil {
+		t.Fatalf("the restart-aware Figure 3 shape must lift: %v", err)
+	}
+	ops := figure3TraceOps()
+	ops[1].ReadsBefore = 2
+	_, err := Lift(AlgVBL, initial, ops)
+	if err == nil || !strings.Contains(err.Error(), "no vbl-accepted schedule") {
+		t.Fatalf("err = %v, want a no-consistent-schedule report", err)
+	}
+}
+
 // TestLiftFigure2 lifts the Figure 2 checkpoint shape: the result must
 // be a VBL-accepted schedule that Lazy rejects — the phase constraints
 // force the failed insert into the middle of the parked update, which
@@ -70,17 +102,23 @@ func TestLiftSequentialSpans(t *testing.T) {
 }
 
 func TestLiftValidation(t *testing.T) {
+	ins := func(v int64, begin uint64) TraceOp {
+		return TraceOp{Spec: OpSpec{Kind: OpInsert, Arg: v}, Result: true, Begin: begin, End: begin + 1}
+	}
 	bad := []struct {
-		name string
-		ops  []TraceOp
+		name    string
+		initial []int64
+		ops     []TraceOp
 	}{
-		{"empty", nil},
-		{"end before begin", []TraceOp{{Spec: OpSpec{Kind: OpInsert, Arg: 1}, Begin: 5, End: 5}}},
-		{"reads-before outside span", []TraceOp{{Spec: OpSpec{Kind: OpInsert, Arg: 1}, Begin: 2, End: 4, ReadsBefore: 1}}},
-		{"writes-after outside span", []TraceOp{{Spec: OpSpec{Kind: OpInsert, Arg: 1}, Begin: 2, End: 4, WritesAfter: 4}}},
+		{"empty", nil, nil},
+		{"end before begin", nil, []TraceOp{{Spec: OpSpec{Kind: OpInsert, Arg: 1}, Begin: 5, End: 5}}},
+		{"reads-before outside span", nil, []TraceOp{{Spec: OpSpec{Kind: OpInsert, Arg: 1}, Begin: 2, End: 4, ReadsBefore: 1}}},
+		{"writes-after outside span", nil, []TraceOp{{Spec: OpSpec{Kind: OpInsert, Arg: 1}, Begin: 2, End: 4, WritesAfter: 4}}},
+		{"more ops than a configuration holds", nil, []TraceOp{ins(1, 1), ins(2, 3), ins(3, 5), ins(4, 7), ins(5, 9)}},
+		{"more nodes than a heap holds", []int64{1, 2, 3, 4, 5, 6, 7}, []TraceOp{ins(8, 1), ins(9, 3)}},
 	}
 	for _, c := range bad {
-		if _, err := Lift(AlgVBL, nil, c.ops); err == nil {
+		if _, err := Lift(AlgVBL, c.initial, c.ops); err == nil {
 			t.Errorf("%s: Lift accepted invalid input", c.name)
 		}
 	}

@@ -1,9 +1,9 @@
 package schedule
 
-// Step machines for the three concurrent algorithms, used by the
-// acceptance search: given a schedule σ, "does algorithm A accept σ"
-// means "is there an execution of A's machines whose exported events are
-// exactly σ".
+// Step machines for the sequential code and the six concurrent
+// algorithms. Given a schedule σ, "does algorithm A accept σ" means "is
+// there an execution of A's machines whose exported events are exactly
+// σ".
 //
 // Machines distinguish *exported* steps (the reads/writes/creations that
 // the paper's schedule mapping keeps: those of the operation's last
@@ -12,10 +12,10 @@ package schedule
 // reads, deletion-mark metadata in the standard model, and everything
 // belonging to attempts that get restarted). Whether the current attempt
 // is the exporting one cannot be known in advance, so it is a
-// speculation point: the acceptance search forks on setFinal(true/false)
-// at each attempt start, and a machine that discovers its guess was
-// wrong — a "non-final" attempt that would have completed, or a "final"
-// attempt that fails validation — poisons itself, pruning the branch.
+// speculation point: the explorer forks on setFinal(true/false) at each
+// attempt start, and a machine that discovers its guess was wrong — a
+// "non-final" attempt that would have completed, or a "final" attempt
+// that fails validation — poisons itself, pruning the branch.
 //
 // Fidelity notes (documented deviations from the production Go code in
 // internal/core):
@@ -28,15 +28,6 @@ package schedule
 //     LL traversal). Head-restart keeps exported attempts literal.
 //   - The abstract machines skip the production code's lock-free
 //     pre-validation; the search explores all timings anyway.
-
-// attemptMachine is a machine with restartable attempts that must be
-// told which attempt exports its steps.
-type attemptMachine interface {
-	machine
-	needsFinalityChoice() bool
-	setFinal(final bool)
-	poisoned() bool
-}
 
 // Algorithm identifies an implementation for the acceptance search.
 type Algorithm uint8
@@ -80,30 +71,10 @@ func (a Algorithm) String() string {
 // adjusted sequential implementation (marks + delegated unlinking).
 func (a Algorithm) Adjusted() bool { return a == AlgHarris }
 
-// newAlgMachine builds the op-th machine of alg.
-func newAlgMachine(alg Algorithm, op int, spec OpSpec, adjusted bool) machine {
-	switch alg {
-	case AlgSeq:
-		return newSeqMachine(op, spec, adjusted)
-	case AlgVBL:
-		return &vblMachine{algBase: newAlgBase(op, spec)}
-	case AlgLazy:
-		return &lazyMachine{algBase: newAlgBase(op, spec)}
-	case AlgHarris:
-		return &harrisMachine{algBase: newAlgBase(op, spec)}
-	case AlgCoarse:
-		return newCoarseMachine(op, spec)
-	case AlgHOH:
-		return newHOHMachine(op, spec)
-	case AlgOptimistic:
-		return newOptimisticMachine(op, spec)
-	default:
-		panic("schedule: unknown algorithm")
-	}
-}
-
-// Shared program counters for the algorithm machines. Not every machine
-// uses every state.
+// Program counters of the algorithm machines, numbered apart from the
+// sequential machine's (seq.go) and the extras of the coarse,
+// hand-over-hand and optimistic machines, so that a pc means one step
+// whichever machine holds it. Not every machine uses every state.
 const (
 	aStart           = iota // attempt start (finality speculation point)
 	aReadNext               // curr <- read(prev.next)
@@ -132,49 +103,128 @@ const (
 	aRemUnlink              // unlink write
 	aContainsCheck          // lazy/harris: internal mark check of landing node
 	aReturn
-	aDone
+	aDone // every machine's final state, the sequential one's too
 	aPoisoned
 )
 
-// newAlgBase returns the initial registers of an algorithm machine.
-func newAlgBase(op int, spec OpSpec) algBase {
-	return algBase{op: op, spec: spec, pc: aStart, prev: Head, curr: None, tnext: None, created: None}
-}
-
-// algBase carries the registers shared by the three machines.
-type algBase struct {
-	op   int
-	spec OpSpec
-
-	pc          int
+// regs is the register file of one operation's machine. It is a
+// comparable value: a configuration (heap plus every op's registers)
+// is a map key.
+type regs struct {
+	tval        int64
+	pc          uint8
 	final       bool
 	finalChosen bool
-	freeRun     bool // progress exploration: no exports, no speculation
-
-	prev, curr NodeID
-	tval       int64
-	tnext      NodeID
-	created    NodeID
-	retval     bool
+	retval      bool
+	prev, curr  NodeID
+	tnext       NodeID
+	created     NodeID
+	vpred       NodeID // optimistic: the validation re-traversal's cursor
 }
 
-func (m *algBase) done() bool     { return m.pc == aDone }
-func (m *algBase) result() bool   { return m.retval }
-func (m *algBase) poisoned() bool { return m.pc == aPoisoned }
-
-func (m *algBase) needsFinalityChoice() bool {
-	// contains never restarts: it is always its own final attempt.
-	return !m.freeRun && m.pc == aStart && !m.finalChosen && m.spec.Kind != OpContains
+// machine is one operation's step machine: the constant identity of the
+// operation under an algorithm, plus its registers. Each Step performs
+// at most one shared-memory access against the heap and returns the
+// exported event, or nil for an internal step.
+type machine struct {
+	alg      Algorithm
+	op       int
+	spec     OpSpec
+	adjusted bool // the sequential model (AlgSeq only)
+	freeRun  bool // progress exploration: no exports, no speculation
+	regs
 }
 
-func (m *algBase) setFinal(final bool) {
+// newMachine builds the op-th machine of alg.
+func newMachine(alg Algorithm, op int, spec OpSpec, adjusted bool) machine {
+	m := machine{alg: alg, op: op, spec: spec, adjusted: adjusted,
+		regs: regs{pc: aStart, prev: Head, curr: None, tnext: None, created: None, vpred: None}}
+	switch alg {
+	case AlgSeq:
+		m.pc = sReadNext
+	case AlgCoarse, AlgHOH:
+		// A single attempt: every step is exported.
+		m.final, m.finalChosen = true, true
+		m.pc = cAcquireGlobal
+		if alg == AlgHOH {
+			m.pc = hLockFirst
+		}
+	case AlgVBL, AlgLazy, AlgHarris, AlgOptimistic:
+	default:
+		panic("schedule: unknown algorithm")
+	}
+	return m
+}
+
+// step advances the machine by one step.
+func (m *machine) step(h *Heap) *Event {
+	switch m.alg {
+	case AlgSeq:
+		return m.seqStep(h)
+	case AlgVBL:
+		return m.vblStep(h)
+	case AlgLazy:
+		return m.lazyStep(h)
+	case AlgHarris:
+		return m.harrisStep(h)
+	case AlgCoarse:
+		return m.coarseStep(h)
+	case AlgHOH:
+		return m.hohStep(h)
+	default:
+		return m.optimisticStep(h)
+	}
+}
+
+// enabled reports whether the machine can take a step now: it is false
+// once the operation has finished, and while the lock its next step
+// acquires is held by another operation.
+func (m *machine) enabled(h *Heap) bool {
+	switch m.pc {
+	case aDone, aPoisoned:
+		return false
+	case aInsLockPrev, aRemLockPrev, aLockPrev:
+		return h.LockedBy(m.prev) < 0
+	case aRemLockCurr, aLockCurr, hLockCurr:
+		return h.LockedBy(m.curr) < 0
+	case cAcquireGlobal, hLockFirst:
+		return h.LockedBy(Head) < 0
+	default:
+		return true
+	}
+}
+
+func (m *machine) done() bool     { return m.pc == aDone }
+func (m *machine) result() bool   { return m.retval }
+func (m *machine) poisoned() bool { return m.pc == aPoisoned }
+
+// restarts reports whether the operation can fail validation and
+// restart. Only the optimistic list's contains validates; every other
+// contains is always its own final attempt.
+func (m *machine) restarts() bool {
+	return m.spec.Kind != OpContains || m.alg == AlgOptimistic
+}
+
+func (m *machine) needsFinalityChoice() bool {
+	return !m.freeRun && m.pc == aStart && !m.finalChosen && m.restarts()
+}
+
+func (m *machine) setFinal(final bool) {
 	m.final = final
+	m.finalChosen = true
+}
+
+// setFreeRun switches the machine to the progress exploration's mode:
+// attempts behave as the real algorithm's do and nothing is exported.
+func (m *machine) setFreeRun() {
+	m.freeRun = true
+	m.final = false
 	m.finalChosen = true
 }
 
 // restart begins a new attempt (the previous one failed validation).
 // A final attempt must not fail — poison instead.
-func (m *algBase) restart() {
+func (m *machine) restart() {
 	if !m.freeRun && m.final {
 		m.pc = aPoisoned
 		return
@@ -190,8 +240,8 @@ func (m *algBase) restart() {
 
 // complete moves to the return step; a non-final attempt must not
 // complete — poison instead.
-func (m *algBase) complete(result bool) {
-	if !m.freeRun && !m.final && m.spec.Kind != OpContains {
+func (m *machine) complete(result bool) {
+	if !m.freeRun && !m.final && m.restarts() {
 		m.pc = aPoisoned
 		return
 	}
@@ -200,16 +250,16 @@ func (m *algBase) complete(result bool) {
 }
 
 // export wraps an event so that only final attempts emit it.
-func (m *algBase) export(e Event) *Event {
-	if m.freeRun || (!m.final && m.spec.Kind != OpContains) {
+func (m *machine) export(e Event) *Event {
+	if m.freeRun || (!m.final && m.restarts()) {
 		return nil
 	}
 	return &e
 }
 
 // beginTraversal is the common aStart handling.
-func (m *algBase) beginTraversal() {
-	if !m.freeRun && m.spec.Kind == OpContains {
+func (m *machine) beginTraversal() {
+	if !m.freeRun && !m.restarts() {
 		m.final = true
 		m.finalChosen = true
 	}
@@ -218,14 +268,20 @@ func (m *algBase) beginTraversal() {
 }
 
 // traversalReadNext performs curr <- read(prev.next).
-func (m *algBase) traversalReadNext(h *Heap, next int) *Event {
+func (m *machine) traversalReadNext(h *Heap, next uint8) *Event {
 	m.curr = h.Next(m.prev)
 	m.pc = next
 	return m.export(Event{Op: m.op, Kind: EvReadNext, Node: m.prev, Target: m.curr})
 }
 
+// unlockBoth releases the prev/curr window (lazy, optimistic).
+func (m *machine) unlockBoth(h *Heap) {
+	h.Unlock(m.curr, m.op)
+	h.Unlock(m.prev, m.op)
+}
+
 // emitReturn emits the response event.
-func (m *algBase) emitReturn() *Event {
+func (m *machine) emitReturn() *Event {
 	m.pc = aDone
 	return &Event{Op: m.op, Kind: EvReturn, Result: m.retval}
 }

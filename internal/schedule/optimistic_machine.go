@@ -1,6 +1,6 @@
 package schedule
 
-// optimisticMachine is the Optimistic locking list (Herlihy & Shavit
+// The optimistic machine is the Optimistic locking list (Herlihy & Shavit
 // ch. 9.6) in the acceptance framework, completing the optimistic-vs-
 // pessimistic spectrum that motivated the concurrency-optimality
 // programme: traversal is wait-free, but EVERY operation — contains
@@ -15,56 +15,22 @@ package schedule
 
 // Additional program counters.
 const (
-	oValidateStart = 2000 + iota // begin the validation re-traversal
-	oValidateStep                // one internal read of the re-traversal
-	oDecide                      // validated: branch on the op kind
+	oValidateStart = hAdvanceUnlock + 1 + iota // begin the validation re-traversal
+	oValidateStep                              // one internal read of the re-traversal
+	oDecide                                    // validated: branch on the op kind
 )
-
-type optimisticMachine struct {
-	algBase
-	vpred NodeID // the validation re-traversal's cursor
-}
 
 // AlgOptimistic identifies the optimistic list (standard model).
 const AlgOptimistic Algorithm = 200
 
-func newOptimisticMachine(op int, spec OpSpec) *optimisticMachine {
-	m := &optimisticMachine{algBase: newAlgBase(op, spec)}
-	return m
-}
-
-func (m *optimisticMachine) clone() machine {
-	c := *m
-	return &c
-}
-
-func (m *optimisticMachine) enabled(h *Heap) bool {
-	switch m.pc {
-	case aLockPrev:
-		return h.LockedBy(m.prev) < 0
-	case aLockCurr:
-		return h.LockedBy(m.curr) < 0
-	case aDone, aPoisoned:
-		return false
-	default:
-		return true
-	}
-}
-
-func (m *optimisticMachine) unlockBoth(h *Heap) {
-	h.Unlock(m.curr, m.op)
-	h.Unlock(m.prev, m.op)
-}
-
-func (m *optimisticMachine) step(h *Heap) *Event {
+// optimisticStep steps the optimistic list's operation. Its contains
+// also restarts on failed validation, so unlike the other machines'
+// it takes part in finality speculation (see machine.restarts).
+func (m *machine) optimisticStep(h *Heap) *Event {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:
-		// Contains also restarts on failed validation, so unlike the
-		// other machines it participates in finality speculation; the
-		// speculative branching is handled by needsFinalityChoice.
-		m.prev = Head
-		m.pc = aReadNext
+		m.beginTraversal()
 		return nil
 
 	case aReadNext:
@@ -72,7 +38,7 @@ func (m *optimisticMachine) step(h *Heap) *Event {
 
 	case aReadVal:
 		m.tval = h.Val(m.curr)
-		ev := m.exportAlways(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
+		ev := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
 		if m.tval < v {
 			m.prev = m.curr
 			m.pc = aReadNext
@@ -107,14 +73,14 @@ func (m *optimisticMachine) step(h *Heap) *Event {
 				m.pc = oDecide
 			} else {
 				m.unlockBoth(h)
-				m.restartOptimistic()
+				m.restart()
 			}
 			return nil
 		}
 		if h.Val(m.vpred) > h.Val(m.prev) {
 			// Walked past prev's value: prev is no longer reachable.
 			m.unlockBoth(h)
-			m.restartOptimistic()
+			m.restart()
 			return nil
 		}
 		m.vpred = h.Next(m.vpred)
@@ -124,18 +90,18 @@ func (m *optimisticMachine) step(h *Heap) *Event {
 		switch m.spec.Kind {
 		case OpContains:
 			m.unlockBoth(h)
-			m.completeOptimistic(m.tval == v)
+			m.complete(m.tval == v)
 		case OpInsert:
 			if m.tval == v {
 				m.unlockBoth(h)
-				m.completeOptimistic(false)
+				m.complete(false)
 			} else {
 				m.pc = aInsNew
 			}
 		case OpRemove:
 			if m.tval != v {
 				m.unlockBoth(h)
-				m.completeOptimistic(false)
+				m.complete(false)
 			} else {
 				m.pc = aRemReadNext
 			}
@@ -156,7 +122,7 @@ func (m *optimisticMachine) step(h *Heap) *Event {
 		}
 		m.created = h.NewNode(v, m.curr)
 		m.pc = aInsWrite
-		return m.exportAlways(Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr})
+		return m.export(Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr})
 
 	case aInsWrite:
 		h.SetNext(m.prev, m.created)
@@ -190,50 +156,4 @@ func (m *optimisticMachine) step(h *Heap) *Event {
 	default:
 		panic("schedule: optimistic machine stepped in invalid state")
 	}
-}
-
-// The optimistic list's contains can restart, so it cannot reuse the
-// algBase helpers that treat contains as always-final.
-
-func (m *optimisticMachine) needsFinalityChoice() bool {
-	return !m.freeRun && m.pc == aStart && !m.finalChosen
-}
-
-// exportAlways exports on final attempts for every op kind, including
-// contains.
-func (m *optimisticMachine) exportAlways(e Event) *Event {
-	if m.freeRun || !m.final {
-		return nil
-	}
-	return &e
-}
-
-// traversalReadNext shadows the algBase helper to use exportAlways.
-func (m *optimisticMachine) traversalReadNext(h *Heap, next int) *Event {
-	m.curr = h.Next(m.prev)
-	m.pc = next
-	return m.exportAlways(Event{Op: m.op, Kind: EvReadNext, Node: m.prev, Target: m.curr})
-}
-
-func (m *optimisticMachine) restartOptimistic() {
-	if !m.freeRun && m.final {
-		m.pc = aPoisoned
-		return
-	}
-	m.pc = aStart
-	m.finalChosen = false
-	m.prev = Head
-	m.curr = None
-	if !m.freeRun {
-		m.created = None // free runs keep their node for reuse
-	}
-}
-
-func (m *optimisticMachine) completeOptimistic(result bool) {
-	if !m.freeRun && !m.final {
-		m.pc = aPoisoned
-		return
-	}
-	m.retval = result
-	m.pc = aReturn
 }

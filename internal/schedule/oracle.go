@@ -30,6 +30,13 @@ func Correct(s Schedule) (bool, string) {
 	if !Accepts(AlgSeq, s) {
 		return false, "not an interleaving of the sequential code (σ ∉ §)"
 	}
+	return serializableAndLinearizable(s, results)
+}
+
+// serializableAndLinearizable checks conditions (2) and (3), all that
+// is left to judge of a schedule known to be in § — a leaf of the
+// explorer.
+func serializableAndLinearizable(s Schedule, results []bool) (bool, string) {
 	if op, ok := locallySerializable(s); !ok {
 		return false, fmt.Sprintf("op %d is not locally serializable (observed values not ascending)", op)
 	}

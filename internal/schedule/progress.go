@@ -23,18 +23,6 @@ import (
 // only to the lock-based algorithms, where the paper claims
 // deadlock-freedom.)
 
-// freeRunner is implemented by machines that support free-run mode.
-type freeRunner interface {
-	machine
-	setFreeRun()
-}
-
-func (m *algBase) setFreeRun() {
-	m.freeRun = true
-	m.final = false
-	m.finalChosen = true
-}
-
 // ProgressReport is the outcome of CheckProgress.
 type ProgressReport struct {
 	Algorithm Algorithm
@@ -56,74 +44,71 @@ func (r ProgressReport) OK() bool { return r.Deadlock == "" && r.Livelock == "" 
 // when checkLivelock is set — for non-terminating scheduler loops.
 func CheckProgress(alg Algorithm, initial []int64, ops []OpSpec, checkLivelock bool) ProgressReport {
 	rep := ProgressReport{Algorithm: alg}
-	h := NewHeap(initial)
-	ms := make([]machine, len(ops))
-	for i, spec := range ops {
-		m := newAlgMachine(alg, i, spec, alg.Adjusted())
-		if fr, ok := m.(freeRunner); ok {
-			fr.setFreeRun()
-		}
-		ms[i] = m
+	sys, c0 := newSystem(alg, initial, ops, alg.Adjusted())
+	for i := range sys {
+		sys[i].setFreeRun()
+		c0.regs[i] = sys[i].regs
 	}
-	visited := make(map[string]struct{})
-	onStack := make(map[string]struct{})
+	visited := make(map[config]struct{})
+	onStack := make(map[config]struct{})
 
-	var dfs func(h *Heap, ms []machine) bool // false => stop (flaw found)
-	dfs = func(h *Heap, ms []machine) bool {
-		sig := stateSignature(h, ms, 0)
-		if _, dup := visited[sig]; dup {
+	var dfs func(c config) bool // false => stop (flaw found)
+	dfs = func(c config) bool {
+		if _, dup := visited[c]; dup {
 			if checkLivelock {
-				if _, cyc := onStack[sig]; cyc {
-					rep.Livelock = describeState(ms)
+				if _, cyc := onStack[c]; cyc {
+					rep.Livelock = sys.describe(&c)
 					return false
 				}
 			}
 			return true
 		}
-		visited[sig] = struct{}{}
+		visited[c] = struct{}{}
 		if checkLivelock {
-			onStack[sig] = struct{}{}
-			defer delete(onStack, sig)
+			onStack[c] = struct{}{}
+			defer delete(onStack, c)
 		}
 		rep.States++
 
 		anyUnfinished := false
 		anyEnabled := false
-		for i, m := range ms {
+		for i := range sys {
+			m := sys.machine(&c, i)
 			if m.done() {
 				continue
 			}
 			anyUnfinished = true
-			if am, ok := m.(attemptMachine); ok && am.poisoned() {
+			if m.poisoned() {
 				panic("schedule: poisoned machine in free run")
 			}
-			if !m.enabled(h) {
+			if !m.enabled(&c.h) {
 				continue
 			}
 			anyEnabled = true
-			h2, ms2 := cloneState(h, ms)
-			ms2[i].step(h2)
-			if !dfs(h2, ms2) {
+			c2 := c
+			sys.step(&c2, i)
+			if !dfs(c2) {
 				return false
 			}
 		}
 		if anyUnfinished && !anyEnabled {
-			rep.Deadlock = describeState(ms)
+			rep.Deadlock = sys.describe(&c)
 			return false
 		}
 		return true
 	}
-	dfs(h, ms)
+	dfs(c0)
 	return rep
 }
 
-func describeState(ms []machine) string {
+// describe renders c's registers, one op at a time.
+func (sys system) describe(c *config) string {
 	var b strings.Builder
-	for i, m := range ms {
+	for i := range sys {
 		if i > 0 {
 			b.WriteString("; ")
 		}
-		fmt.Fprintf(&b, "op%d:%s", i, machineSignature(m))
+		fmt.Fprintf(&b, "op%d:%+v", i, c.regs[i])
 	}
 	return b.String()
 }

@@ -100,10 +100,8 @@ func TestProgressDetectsSeededDeadlock(t *testing.T) {
 	if !h.TryLock(Head, 99) { // a phantom operation holds head forever
 		t.Fatal("seed lock failed")
 	}
-	m := newAlgMachine(AlgHOH, 0, OpSpec{Kind: OpContains, Arg: 1}, false)
-	if fr, ok := m.(freeRunner); ok {
-		fr.setFreeRun()
-	}
+	m := newMachine(AlgHOH, 0, OpSpec{Kind: OpContains, Arg: 1}, false)
+	m.setFreeRun()
 	// The machine needs head's lock for its first step: never enabled.
 	if m.enabled(h) {
 		t.Fatal("machine enabled despite the phantom lock")

@@ -457,8 +457,8 @@ func TestSmallScopeOptimality(t *testing.T) {
 	// QuickScope keeps the suite fast; cmd/schedcheck -enumerate runs
 	// the full DefaultScope (VBL: 175136/175136 correct schedules
 	// accepted; Lazy rejects 25548; Harris rejects 29360).
-	sc := QuickScope()
-	vbl := CheckOptimality(AlgVBL, sc)
+	reps := CheckOptimality(QuickScope(), AlgVBL, AlgLazy, AlgHarris)
+	vbl, lazy, harris := reps[0], reps[1], reps[2]
 	t.Logf("%s", vbl)
 	if !vbl.Optimal() {
 		for _, ex := range vbl.RejectedExamples {
@@ -467,7 +467,6 @@ func TestSmallScopeOptimality(t *testing.T) {
 		t.Fatalf("VBL is not optimal in the small scope: %s", vbl)
 	}
 
-	lazy := CheckOptimality(AlgLazy, sc)
 	t.Logf("%s", lazy)
 	if lazy.Optimal() {
 		t.Fatal("Lazy unexpectedly accepted every correct schedule — the Figure 2 family should be rejected")
@@ -476,9 +475,6 @@ func TestSmallScopeOptimality(t *testing.T) {
 		t.Fatalf("scope mismatch between runs: vbl=%s lazy=%s", vbl, lazy)
 	}
 
-	adj := sc
-	adj.Adjusted = true
-	harris := CheckOptimality(AlgHarris, adj)
 	t.Logf("%s", harris)
 	if harris.Accepted == 0 {
 		t.Fatal("Harris accepted no correct adjusted schedules — model broken")

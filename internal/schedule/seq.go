@@ -6,76 +6,32 @@ package schedule
 // nodes). Running interleavings of these machines over a shared abstract
 // heap generates exactly the schedule space § of the paper.
 
-// machine is a resumable operation: each Step performs at most one
-// shared-memory access against the heap and returns the exported event,
-// or nil for an internal step.
-type machine interface {
-	// done reports whether the operation has returned.
-	done() bool
-	// result returns the operation's response (valid once done).
-	result() bool
-	// enabled reports whether the machine can take a step now (it is
-	// false while blocked on a lock held by another operation).
-	enabled(h *Heap) bool
-	// step advances by one step.
-	step(h *Heap) *Event
-	// clone returns an independent copy for backtracking searches.
-	clone() machine
-}
-
-// seqMachine program counters.
+// Sequential machine program counters, numbered after the algorithm machines'
+// (machines.go); a completed sequential op is in aDone too.
 const (
-	sReadNext    = iota // curr <- read(prev.next)
-	sCheckMark          // adjusted updates: internal read of curr's mark
-	sHelpRead           // helping: tnext <- read(curr.next)
-	sHelpWrite          // helping: write(prev.next, tnext)
-	sReadVal            // tval <- read(curr.val), then branch
-	sNewNode            // insert path: X <- new-node(v, curr)
-	sWriteLink          // insert path: write(prev.next, X)
-	sReadTNext          // remove path: tnext <- read(curr.next)
-	sUnlink             // standard remove: write(prev.next, tnext)
-	sMark               // adjusted remove: mark(curr)
-	sCheckLanded        // adjusted contains: internal mark read of landing node
-	sReturn             // emit response
-	sDone
+	sReadNext    = aPoisoned + 1 + iota // curr <- read(prev.next)
+	sCheckMark                          // adjusted updates: internal read of curr's mark
+	sHelpRead                           // helping: tnext <- read(curr.next)
+	sHelpWrite                          // helping: write(prev.next, tnext)
+	sReadVal                            // tval <- read(curr.val), then branch
+	sNewNode                            // insert path: X <- new-node(v, curr)
+	sWriteLink                          // insert path: write(prev.next, X)
+	sReadTNext                          // remove path: tnext <- read(curr.next)
+	sUnlink                             // standard remove: write(prev.next, tnext)
+	sMark                               // adjusted remove: mark(curr)
+	sCheckLanded                        // adjusted contains: internal mark read of landing node
+	sReturn                             // emit response
 )
-
-// seqMachine executes one LL operation (standard or adjusted) as a step
-// machine. It is the reference semantics that defines schedules.
-type seqMachine struct {
-	op       int
-	spec     OpSpec
-	adjusted bool
-
-	pc         int
-	prev, curr NodeID
-	tval       int64
-	tnext      NodeID
-	created    NodeID
-	retval     bool
-}
-
-// newSeqMachine returns a machine for op index op executing spec.
-func newSeqMachine(op int, spec OpSpec, adjusted bool) *seqMachine {
-	return &seqMachine{op: op, spec: spec, adjusted: adjusted, pc: sReadNext, prev: Head}
-}
-
-func (m *seqMachine) done() bool           { return m.pc == sDone }
-func (m *seqMachine) result() bool         { return m.retval }
-func (m *seqMachine) enabled(h *Heap) bool { return m.pc != sDone }
-
-func (m *seqMachine) clone() machine {
-	c := *m
-	return &c
-}
 
 // helps reports whether this operation participates in physical removal
 // of marked nodes: adjusted-model updates do, contains never does.
-func (m *seqMachine) helps() bool {
+func (m *machine) helps() bool {
 	return m.adjusted && m.spec.Kind != OpContains
 }
 
-func (m *seqMachine) step(h *Heap) *Event {
+// seqStep executes one step of an LL operation (standard or adjusted):
+// the reference semantics that defines schedules.
+func (m *machine) seqStep(h *Heap) *Event {
 	v := m.spec.Arg
 	switch m.pc {
 	case sReadNext:
@@ -178,8 +134,7 @@ func (m *seqMachine) step(h *Heap) *Event {
 		return nil
 
 	case sReturn:
-		m.pc = sDone
-		return &Event{Op: m.op, Kind: EvReturn, Result: m.retval}
+		return m.emitReturn()
 
 	default:
 		panic("schedule: step on completed machine")

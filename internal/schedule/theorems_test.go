@@ -1,104 +1,140 @@
 package schedule
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // Empirical counterparts of the paper's Theorems 1 and 2 (soundness:
 // the algorithms accept ONLY correct schedules) complementing the
 // optimality check of Theorem 3 in schedule_test.go.
 
-// generatePairs enumerates the schedules of every pair of ops in a tiny
-// scope, returning them split by oracle verdict.
-func generatePairs(t *testing.T, adjusted bool) (correct, incorrect []Schedule) {
+// theoremScope is the tiny scope of the soundness checks: every pair of
+// operations on 1 and 2 over the lists {}, {1} and {1,2}.
+func theoremScope() Scope {
+	return Scope{
+		Initials: [][]int64{{}, {1}, {1, 2}},
+		Args:     []int64{1, 2},
+		Kinds:    []OpKind{OpInsert, OpRemove, OpContains},
+	}
+}
+
+// checkSound fails the test if an algorithm accepts an incorrect
+// schedule of the theorem scope, or if the scope is degenerate.
+func checkSound(t *testing.T, algs ...Algorithm) {
 	t.Helper()
-	initials := [][]int64{{}, {1}, {1, 2}}
-	args := []int64{1, 2}
-	kinds := []OpKind{OpInsert, OpRemove, OpContains}
-	seen := map[string]struct{}{}
-	for _, initial := range initials {
-		for _, k0 := range kinds {
-			for _, a0 := range args {
-				for _, k1 := range kinds {
-					for _, a1 := range args {
-						ops := []OpSpec{{Kind: k0, Arg: a0}, {Kind: k1, Arg: a1}}
-						for _, s := range GenerateAll(initial, ops, adjusted, 0) {
-							if _, dup := seen[s.Key()]; dup {
-								continue
-							}
-							seen[s.Key()] = struct{}{}
-							if ok, _ := Correct(s); ok {
-								correct = append(correct, s)
-							} else {
-								incorrect = append(incorrect, s)
-							}
-						}
-					}
-				}
-			}
+	for _, r := range CheckOptimality(theoremScope(), algs...) {
+		if r.Correct == 0 || r.Correct == r.Schedules {
+			t.Fatalf("degenerate scope: %d correct of %d", r.Correct, r.Schedules)
+		}
+		for _, s := range r.UnsoundExamples {
+			t.Errorf("%s accepts an incorrect schedule:\n%s", r.Algorithm, s)
+		}
+		if r.Unsound > 0 {
+			t.Fatalf("%s accepted %d/%d incorrect schedules", r.Algorithm, r.Unsound, r.Schedules-r.Correct)
 		}
 	}
-	if len(correct) == 0 || len(incorrect) == 0 {
-		t.Fatalf("degenerate scope: %d correct, %d incorrect", len(correct), len(incorrect))
-	}
-	return correct, incorrect
 }
 
 // TestThreeOpOptimality extends the Theorem 3 evidence beyond pairs:
 // every schedule of selected THREE-operation mixes (including the
 // reincarnation shape — two updates racing a third operation on one
-// value) must, when correct, be accepted by VBL.
+// value) must, when correct, be accepted by VBL, and when incorrect,
+// rejected. The insert race with a reader has millions of schedules, so
+// it is checked on a sample of seeded random interleavings; the other
+// mixes are checked whole.
 func TestThreeOpOptimality(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("enumeration skipped in -short and -race modes")
 	}
-	mixes := [][]OpSpec{
+	mixes := []struct {
+		initial []int64
+		ops     []OpSpec
+		sample  int // random interleavings drawn; 0 walks every schedule
+	}{
 		// The reincarnation family: remove ∥ remove ∥ insert on one value.
-		{{Kind: OpRemove, Arg: 1}, {Kind: OpRemove, Arg: 1}, {Kind: OpInsert, Arg: 1}},
+		{[]int64{1}, []OpSpec{{Kind: OpRemove, Arg: 1}, {Kind: OpRemove, Arg: 1}, {Kind: OpInsert, Arg: 1}}, 0},
 		// Insert race with a reader.
-		{{Kind: OpInsert, Arg: 2}, {Kind: OpInsert, Arg: 2}, {Kind: OpContains, Arg: 2}},
+		{[]int64{1}, []OpSpec{{Kind: OpInsert, Arg: 2}, {Kind: OpInsert, Arg: 2}, {Kind: OpContains, Arg: 2}}, 3000},
 		// Mixed keys: a window shared by three updates.
-		{{Kind: OpInsert, Arg: 2}, {Kind: OpRemove, Arg: 1}, {Kind: OpInsert, Arg: 1}},
+		{[]int64{1}, []OpSpec{{Kind: OpInsert, Arg: 2}, {Kind: OpRemove, Arg: 1}, {Kind: OpInsert, Arg: 1}}, 0},
+		// The reincarnation's impostor: the removed victim's place goes
+		// to another value, which only value-aware validation tells apart.
+		{[]int64{2}, []OpSpec{{Kind: OpRemove, Arg: 2}, {Kind: OpRemove, Arg: 2}, {Kind: OpInsert, Arg: 1}}, 0},
 	}
-	// The full 3-op schedule spaces run to tens of thousands of
-	// schedules with a much deeper acceptance search each, so this test
-	// checks a deterministic sample per mix (GenerateAll's DFS order is
-	// deterministic; the limit takes its prefix).
-	const samplePerMix = 3000
-	totalCorrect, totalSchedules := 0, 0
-	for mi, ops := range mixes {
-		for _, s := range GenerateAll([]int64{1}, ops, false, samplePerMix) {
-			totalSchedules++
-			ok, _ := Correct(s)
-			if !ok {
-				continue
+	for mi, mix := range mixes {
+		schedules, correct := 0, 0
+		judge := func(s Schedule, accepted bool) bool {
+			schedules++
+			results, _ := s.Results()
+			ok, _ := serializableAndLinearizable(s, results)
+			if ok {
+				correct++
 			}
-			totalCorrect++
-			if !Accepts(AlgVBL, s) {
-				t.Fatalf("mix %d: VBL rejected a correct 3-op schedule:\n%s", mi, s)
+			if ok != accepted {
+				t.Fatalf("mix %d: VBL verdict %v on a 3-op schedule whose correctness is %v:\n%s", mi, accepted, ok, s)
+			}
+			return true
+		}
+		if mix.sample == 0 {
+			explore(mix.initial, mix.ops, false, []Algorithm{AlgVBL}, func(s Schedule, accepted []bool) bool {
+				return judge(s, accepted[0])
+			})
+		} else {
+			rng := rand.New(rand.NewSource(1))
+			seen := map[string]bool{}
+			for n := 0; n < mix.sample; n++ {
+				s := randomSchedule(rng, mix.initial, mix.ops)
+				if !seen[s.Key()] {
+					seen[s.Key()] = true
+					judge(s, Accepts(AlgVBL, s))
+				}
 			}
 		}
+		t.Logf("3-op mix %d: VBL accepted all %d correct schedules of %d", mi, correct, schedules)
+		if correct == 0 {
+			t.Fatalf("mix %d: no correct schedules generated — scope degenerate", mi)
+		}
 	}
-	t.Logf("3-op sample: VBL accepted all %d correct schedules of %d sampled", totalCorrect, totalSchedules)
-	if totalCorrect == 0 {
-		t.Fatal("no correct schedules generated — scope degenerate")
+}
+
+// randomSchedule runs the sequential machines of ops under a scheduler
+// that advances a uniformly random unfinished op at every step.
+func randomSchedule(rng *rand.Rand, initial []int64, ops []OpSpec) Schedule {
+	sys, c := newSystem(AlgSeq, initial, ops, false)
+	s := Schedule{Initial: initial, Ops: ops}
+	for !sys.allDone(&c) {
+		i := rng.Intn(len(ops))
+		if c.regs[i].pc == aDone {
+			continue
+		}
+		if ev := sys.step(&c, i); ev != nil {
+			s.Events = append(s.Events, *ev)
+		}
 	}
+	return s
 }
 
 // TestSeqAcceptsEveryGeneratedSchedule: §-membership is checked by
 // acceptance of the sequential machines, so by construction every
 // generated schedule must be accepted — a completeness check of the
-// acceptance search itself.
+// Accepts fold against the explorer's tree.
 func TestSeqAcceptsEveryGeneratedSchedule(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("enumeration skipped in -short and -race modes")
 	}
 	for _, adjusted := range []bool{false, true} {
-		correct, incorrect := generatePairs(t, adjusted)
-		for _, group := range [][]Schedule{correct, incorrect} {
-			for _, s := range group {
+		n := 0
+		theoremScope().each(func(initial []int64, ops []OpSpec) {
+			for _, s := range GenerateAll(initial, ops, adjusted, 0) {
+				n++
 				if !Accepts(AlgSeq, s) {
 					t.Fatalf("sequential machines do not re-accept a schedule they generated (adjusted=%v):\n%s", adjusted, s)
 				}
 			}
+		})
+		if n == 0 {
+			t.Fatalf("no schedules generated (adjusted=%v)", adjusted)
 		}
 	}
 }
@@ -109,19 +145,7 @@ func TestVBLAcceptsOnlyCorrectSchedules(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("enumeration skipped in -short and -race modes")
 	}
-	_, incorrect := generatePairs(t, false)
-	accepted := 0
-	for _, s := range incorrect {
-		if Accepts(AlgVBL, s) {
-			accepted++
-			if accepted <= 3 {
-				t.Errorf("VBL accepts an incorrect schedule:\n%s", s)
-			}
-		}
-	}
-	if accepted > 0 {
-		t.Fatalf("VBL accepted %d/%d incorrect schedules", accepted, len(incorrect))
-	}
+	checkSound(t, AlgVBL)
 }
 
 // TestLazyAndHarrisAcceptOnlyCorrectSchedules: the baselines are
@@ -131,16 +155,36 @@ func TestLazyAndHarrisAcceptOnlyCorrectSchedules(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("enumeration skipped in -short and -race modes")
 	}
-	_, incorrectStd := generatePairs(t, false)
-	for _, s := range incorrectStd {
-		if Accepts(AlgLazy, s) {
-			t.Fatalf("Lazy accepts an incorrect schedule:\n%s", s)
-		}
+	checkSound(t, AlgLazy, AlgHarris)
+}
+
+// TestFullScopeCounts pins the counts cmd/schedcheck -enumerate -scope
+// full prints: the full DefaultScope, every algorithm judged in one walk
+// per model, none accepting an incorrect schedule.
+func TestFullScopeCounts(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("enumeration skipped in -short and -race modes")
 	}
-	_, incorrectAdj := generatePairs(t, true)
-	for _, s := range incorrectAdj {
-		if Accepts(AlgHarris, s) {
-			t.Fatalf("Harris accepts an incorrect schedule:\n%s", s)
+	want := []struct {
+		alg                          Algorithm
+		accepted, correct, schedules int
+	}{
+		{AlgCoarse, 810, 175136, 278000},
+		{AlgHOH, 6304, 175136, 278000},
+		{AlgOptimistic, 126248, 175136, 278000},
+		{AlgLazy, 149588, 175136, 278000},
+		{AlgVBL, 175136, 175136, 278000},
+		{AlgHarris, 187260, 216620, 286860},
+	}
+	var algs []Algorithm
+	for _, w := range want {
+		algs = append(algs, w.alg)
+	}
+	for i, r := range CheckOptimality(DefaultScope(), algs...) {
+		w := want[i]
+		if r.Accepted != w.accepted || r.Correct != w.correct || r.Schedules != w.schedules || r.Unsound != 0 {
+			t.Errorf("%s: accepted %d/%d correct of %d, %d incorrect accepted; want %d/%d of %d, none",
+				r.Algorithm, r.Accepted, r.Correct, r.Schedules, r.Unsound, w.accepted, w.correct, w.schedules)
 		}
 	}
 }

@@ -1,34 +1,10 @@
 package schedule
 
-// vblMachine is the abstract VBL operation (Algorithm 2 of the paper)
+// vblStep steps the abstract VBL operation (Algorithm 2 of the paper)
 // over the schedule heap: wait-free traversal, value-aware try-lock with
 // validation under the lock, logical deletion (internal metadata in the
 // standard model) before physical unlinking.
-type vblMachine struct {
-	algBase
-}
-
-func (m *vblMachine) clone() machine {
-	c := *m
-	return &c
-}
-
-// enabled gates the lock-acquisition steps: a machine waiting on a lock
-// held by another operation cannot step.
-func (m *vblMachine) enabled(h *Heap) bool {
-	switch m.pc {
-	case aInsLockPrev, aRemLockPrev:
-		return h.LockedBy(m.prev) < 0
-	case aRemLockCurr:
-		return h.LockedBy(m.curr) < 0
-	case aDone, aPoisoned:
-		return false
-	default:
-		return true
-	}
-}
-
-func (m *vblMachine) step(h *Heap) *Event {
+func (m *machine) vblStep(h *Heap) *Event {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:

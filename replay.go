@@ -52,6 +52,7 @@ func ReplayFigure2(tr *trace.Tracer) ([]int64, error) {
 	defer probes.SetSink(nil)
 	defer fps.SetSink(nil)
 
+	retryBase := s.RetryStats()
 	pause, err := fps.PauseAt(failpoint.SiteVBLLockNextAt, 2)
 	if err != nil {
 		return nil, err
@@ -73,8 +74,7 @@ func ReplayFigure2(tr *trace.Tracer) ([]int64, error) {
 	case <-time.After(replayPauseTimeout):
 		return nil, fmt.Errorf("replay: Insert(2) did not complete after Resume")
 	}
-	ev := probes.Snapshot()
-	if n := ev[obs.EvRestartPrev] + ev[obs.EvRestartHead]; n != 0 {
+	if n := s.RetryStats().Sub(retryBase).Restarts; n != 0 {
 		return nil, fmt.Errorf("replay: VBL restarted %d times on the Figure 2 schedule; want 0", n)
 	}
 	return []int64{1}, nil
@@ -104,7 +104,7 @@ func ReplayFigure3(tr *trace.Tracer) ([]int64, error) {
 	defer fps.SetSink(nil)
 
 	// Phase 1: the window-invalidation interleaving.
-	base := probes.Snapshot()
+	retryBase := s.RetryStats()
 	pause, err := fps.PauseAt(failpoint.SiteVBLLockNextAtValue, 2)
 	if err != nil {
 		return nil, err
@@ -126,12 +126,9 @@ func ReplayFigure3(tr *trace.Tracer) ([]int64, error) {
 	case <-time.After(replayPauseTimeout):
 		return nil, fmt.Errorf("replay: Remove(2) did not complete after Resume")
 	}
-	ev := probes.Snapshot().Sub(base)
-	if got := ev[obs.EvRestartPrev]; got != 1 {
-		return nil, fmt.Errorf("replay: prev-restarts = %d, want exactly 1", got)
-	}
-	if got := ev[obs.EvRestartHead]; got != 0 {
-		return nil, fmt.Errorf("replay: head-restarts = %d, want 0", got)
+	// The retry tally counts restarts in every build, -tags obsoff too.
+	if r := s.RetryStats().Sub(retryBase); r.Restarts != 1 || r.EscalatedHead != 0 {
+		return nil, fmt.Errorf("replay: retry tally %+v, want exactly 1 restart and no head escalation", r)
 	}
 
 	// Phase 2: failed updates complete wait-free past a parked insert.
