@@ -129,8 +129,11 @@ func (sys system) add(s *configSet, c config) {
 }
 
 // smallSet is the size up to which a configSet finds duplicates by
-// scanning its list, which beats hashing for the one- and few-element
-// sets most tree nodes carry.
+// scanning its list. Over the full scope, 78 % of the closed sets hold
+// at most one configuration and 99 % at most eight; the largest holds
+// 240. On a 2-vCPU host, hashing every set made the full-scope walk
+// ~50 % slower (a map per set), and scanning every set made the tests
+// outside the two large walks ~3.7× slower (quadratic on large sets).
 const smallSet = 8
 
 // close adds every configuration reachable from s through non-exporting
@@ -247,8 +250,7 @@ func (x *explorer) walk(seq configSet, sets []configSet, returns int) {
 		}, accepted)
 		return
 	}
-	// The children, in order of first export: few enough that a scan
-	// finds an event's child faster than a map.
+	// The children, in order of first export.
 	type child struct {
 		e   Event
 		seq configSet

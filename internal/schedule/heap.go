@@ -99,12 +99,6 @@ func NewHeap(initial []int64) *Heap {
 	return h
 }
 
-// Clone returns an independent copy of the heap.
-func (h *Heap) Clone() *Heap {
-	c := *h
-	return &c
-}
-
 // node returns the state of id, panicking on dangling references —
 // schedules are closed systems, so a dangling ID is a bug in this
 // package, not an input error.

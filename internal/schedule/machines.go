@@ -130,14 +130,14 @@ type machine struct {
 	alg      Algorithm
 	op       int
 	spec     OpSpec
-	adjusted bool // the sequential model (AlgSeq only)
+	adjusted bool // the sequential model; set for AlgSeq only, so the coarse lock's seqStep runs the standard code
 	freeRun  bool // progress exploration: no exports, no speculation
 	regs
 }
 
 // newMachine builds the op-th machine of alg.
 func newMachine(alg Algorithm, op int, spec OpSpec, adjusted bool) machine {
-	m := machine{alg: alg, op: op, spec: spec, adjusted: adjusted,
+	m := machine{alg: alg, op: op, spec: spec, adjusted: adjusted && alg == AlgSeq,
 		regs: regs{pc: aStart, prev: Head, curr: None, tnext: None, created: None, vpred: None}}
 	switch alg {
 	case AlgSeq:

@@ -33,8 +33,10 @@ func TestHeapRejectsUnsortedInitial(t *testing.T) {
 }
 
 func TestHeapCloneIndependence(t *testing.T) {
+	// A heap is a value: copying it by assignment, as every search does
+	// with its configurations, must share no state with the original.
 	h := NewHeap([]int64{1})
-	c := h.Clone()
+	c := *h
 	n1 := h.Next(Head)
 	h.SetNext(Head, Tail)
 	h.SetDeleted(n1)
