@@ -74,7 +74,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	proto := protocol{duration: *duration, warmup: *warmup, runs: *runs, seed: *seed, threads: threadList, csv: *csv, quiet: *quiet}
+	proto := protocol{
+		cell:    harness.Config{Duration: *duration, Warmup: *warmup, Runs: *runs, Seed: *seed},
+		threads: threadList, csv: *csv, quiet: *quiet,
+	}
 	if *jsonOut {
 		proto.reports = new([]harness.JSONReport)
 	}
@@ -127,21 +130,14 @@ func main() {
 }
 
 type protocol struct {
-	duration time.Duration
-	warmup   time.Duration
-	runs     int
-	seed     int64
-	threads  []int
-	csv      bool
-	quiet    bool
-	// chaos, retryBudget and watchdog forward to every cell of the
-	// sweeps this protocol drives; figureChaos varies them per sweep.
-	chaos       []failpoint.Scenario
-	retryBudget int
-	watchdog    time.Duration
-	// batchSize forwards to every cell (0 = per-key mode); figureBatch
-	// varies it per sweep.
-	batchSize int
+	// cell is the template of every cell the figures run: the
+	// measurement protocol from the flags, plus what a figure varies
+	// per sweep (figureBatch the batch size; figureChaos the scenarios,
+	// retry budget and watchdog). runAndReport sets the workload.
+	cell    harness.Config
+	threads []int
+	csv     bool
+	quiet   bool
 	// reports, when non-nil, collects every cell's JSON report instead
 	// of printing tables; main flushes the array once at exit so stdout
 	// stays a single valid JSON document.
@@ -181,38 +177,37 @@ func parseCounts(what, s string) ([]int, error) {
 	return out, nil
 }
 
-func candidates(names ...string) []harness.Candidate {
+// candidates enters the named implementations in their presets, or,
+// with shards > 0, each behind that many shards over [0, keyRange),
+// labelled e.g. "vbl-s16".
+func candidates(shards int, keyRange int64, names ...string) []harness.Candidate {
 	var out []harness.Candidate
 	for _, name := range names {
 		im, err := listset.Lookup(name)
 		if err != nil {
 			panic(err)
 		}
-		o := im.Preset()
-		out = append(out, harness.Candidate{Name: im.Name, New: factory(im, o), Shards: o.Shards})
+		o, label := im.Preset(), im.Name
+		if shards > 0 {
+			o.Shards, o.Lo, o.Hi = shards, 0, keyRange
+			label = fmt.Sprintf("%s-s%d", im.Name, shards)
+		}
+		out = append(out, harness.Candidate{Name: label, New: factory(im, o)})
 	}
 	return out
 }
 
 func runAndReport(p protocol, title string, cands []harness.Candidate, wl workload.Config, reference string) {
-	sweep := harness.Sweep{
+	p.cell.Workload = wl
+	res, err := harness.RunSweep(harness.Sweep{
 		Title:      title,
+		Cell:       p.cell,
 		Candidates: cands,
 		Threads:    p.threads,
-		Workload:   wl,
-		Duration:   p.duration,
-		Warmup:     p.warmup,
-		Runs:       p.runs,
-		Seed:       p.seed,
 		// JSON reports carry the events section, so give those sweeps
 		// per-cell probes.
-		Observe:     p.reports != nil,
-		Chaos:       p.chaos,
-		RetryBudget: p.retryBudget,
-		Watchdog:    p.watchdog,
-		BatchSize:   p.batchSize,
-	}
-	res, err := harness.RunSweep(sweep)
+		Observe: p.reports != nil,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -243,7 +238,7 @@ func runAndReport(p protocol, title string, cands []harness.Candidate, wl worklo
 // keeps scaling, reaching ~1.6x at 72 threads.
 func figure1(p protocol) {
 	p.header("=== Figure 1: Lazy vs VBL, 20% updates, key range 50 (~25 nodes) ===")
-	runAndReport(p, "figure-1", candidates("vbl", "lazy"),
+	runAndReport(p, "figure-1", candidates(0, 0, "vbl", "lazy"),
 		workload.Config{UpdatePercent: 20, Range: 50}, "vbl")
 }
 
@@ -252,7 +247,7 @@ func figure1(p protocol) {
 // Harris-Michael variants.
 func figure4(p protocol) {
 	p.header("=== Figure 4: throughput grid, Intel protocol ===")
-	cands := candidates("vbl", "lazy", "harris", "harris-amr")
+	cands := candidates(0, 0, "vbl", "lazy", "harris", "harris-amr")
 	for _, update := range []int{0, 20, 100} {
 		for _, keyRange := range []int64{50, 200, 2000, 20000} {
 			title := fmt.Sprintf("figure-4 panel u=%d%% r=%d", update, keyRange)
@@ -275,7 +270,7 @@ func figureSurvey(p protocol) {
 			names = append(names, im.Name)
 		}
 	}
-	runAndReport(p, "survey", candidates(names...),
+	runAndReport(p, "survey", candidates(0, 0, names...),
 		workload.Config{UpdatePercent: 20, Range: 200}, "vbl")
 }
 
@@ -290,7 +285,7 @@ func figureSkipList(p protocol) {
 			names = append(names, "vbl")
 		}
 		title := fmt.Sprintf("skiplist r=%d", keyRange)
-		runAndReport(p, title, candidates(names...),
+		runAndReport(p, title, candidates(0, 0, names...),
 			workload.Config{UpdatePercent: 20, Range: keyRange}, "vbskip")
 	}
 }
@@ -305,12 +300,8 @@ func figureSkipList(p protocol) {
 func figureIndex(p protocol) {
 	p.header("=== Log-time at large ranges: skip indexes vs every list ===")
 	for _, keyRange := range []int64{20000, 200000} {
-		cands := candidates("vbl", "lazy", "harris", "vbskip", "vbskip-arena")
-		cands = append(cands,
-			shardedCandidate("vbl", listset.DefaultShards, keyRange),
-			shardedCandidate("vbskip", listset.DefaultShards, keyRange),
-			shardedCandidate("vbskip-arena", listset.DefaultShards, keyRange),
-		)
+		cands := append(candidates(0, 0, "vbl", "lazy", "harris", "vbskip", "vbskip-arena"),
+			candidates(listset.DefaultShards, keyRange, "vbl", "vbskip", "vbskip-arena")...)
 		title := fmt.Sprintf("index r=%d", keyRange)
 		runAndReport(p, title, cands,
 			workload.Config{UpdatePercent: 20, Range: keyRange}, "vbskip")
@@ -326,27 +317,11 @@ func figureIndex(p protocol) {
 func figureSharded(p protocol, shardCounts []int) {
 	p.header("=== Sharded VBL: order-preserving range partitioner, 20% updates, key range 16384 ===")
 	wl := workload.Config{UpdatePercent: 20, Range: 16384}
-	cands := candidates("vbl", "lazy", "harris")
+	cands := candidates(0, 0, "vbl", "lazy", "harris")
 	for _, s := range shardCounts {
-		cands = append(cands, shardedCandidate("vbl", s, wl.Range))
+		cands = append(cands, candidates(s, wl.Range, "vbl")...)
 	}
 	runAndReport(p, "sharded r=16384", cands, wl, "vbl")
-}
-
-// shardedCandidate enters the named implementation's sharded form,
-// partitioned over [0, keyRange), as e.g. "vbl-s16".
-func shardedCandidate(name string, shards int, keyRange int64) harness.Candidate {
-	im, err := listset.Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	o := im.Preset()
-	o.Shards, o.Lo, o.Hi = shards, 0, keyRange
-	return harness.Candidate{
-		Name:   fmt.Sprintf("%s-s%d", im.Name, shards),
-		New:    factory(im, o),
-		Shards: shards,
-	}
 }
 
 // factory returns a constructor for im in the modes o selects,
@@ -371,11 +346,11 @@ func factory(im listset.Impl, o listset.Options) func() harness.Set {
 // traversals; inserts and removes are where the window protocol earns.
 func figureBatch(p protocol) {
 	p.header("=== Batch amortization: one-pass multi-window batches, 100% updates ===")
-	cands := candidates("vbl", "lazy", "harris")
+	cands := candidates(0, 0, "vbl", "lazy", "harris")
 	for _, keyRange := range []int64{200, 20000} {
 		wl := workload.Config{UpdatePercent: 100, Range: keyRange}
 		for _, bs := range []int{0, 1, 8, 64, 512} {
-			p.batchSize = bs
+			p.cell.BatchSize = bs
 			title := fmt.Sprintf("batch k=%d r=%d", bs, keyRange)
 			runAndReport(p, title, cands, wl, "vbl")
 		}
@@ -394,20 +369,20 @@ func figureBatch(p protocol) {
 func figureChaos(p protocol) {
 	p.header("=== Chaos: injected restart-trigger failure, 20% updates, key range 200 ===")
 	wl := workload.Config{UpdatePercent: 20, Range: 200}
-	cands := candidates("vbl", "lazy", "harris")
-	p.retryBudget = 4
-	p.watchdog = 30 * time.Second
+	cands := candidates(0, 0, "vbl", "lazy", "harris")
+	p.cell.RetryBudget = 4
+	p.cell.Watchdog = 30 * time.Second
 	for _, prob := range []float64{0, 0.01, 0.1, 0.5} {
-		p.chaos = nil
+		p.cell.Chaos = nil
 		if prob > 0 {
 			for _, site := range []failpoint.Site{
 				failpoint.SiteVBLLockNextAt,
 				failpoint.SiteLazyValidate,
 				failpoint.SiteHarrisCAS,
 			} {
-				p.chaos = append(p.chaos, failpoint.Scenario{
+				p.cell.Chaos = append(p.cell.Chaos, failpoint.Scenario{
 					Site: site, Action: failpoint.ActFail,
-					Probability: prob, Seed: p.seed,
+					Probability: prob, Seed: p.cell.Seed,
 				})
 			}
 		}
@@ -421,7 +396,7 @@ func figureChaos(p protocol) {
 // RTTI/marker variant repairs.
 func figureRTTI(p protocol) {
 	p.header("=== RTTI ablation: Harris-Michael AMR vs marker, read-only ===")
-	cands := candidates("harris", "harris-amr")
+	cands := candidates(0, 0, "harris", "harris-amr")
 	for _, keyRange := range []int64{200, 20000} {
 		title := fmt.Sprintf("rtti ablation r=%d", keyRange)
 		runAndReport(p, title, cands,

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
+	"time"
 
+	"listset/internal/harness"
 	"listset/internal/workload"
 )
 
@@ -40,7 +44,7 @@ func TestParseThreadsRejectsGarbage(t *testing.T) {
 }
 
 func TestCandidatesResolve(t *testing.T) {
-	cands := candidates("vbl", "lazy")
+	cands := candidates(0, 0, "vbl", "lazy")
 	if len(cands) != 2 || cands[0].Name != "vbl" || cands[1].Name != "lazy" {
 		t.Fatalf("candidates = %+v", cands)
 	}
@@ -57,7 +61,7 @@ func TestCandidatesPanicOnUnknown(t *testing.T) {
 			t.Fatal("unknown candidate name did not panic")
 		}
 	}()
-	candidates("no-such-impl")
+	candidates(0, 0, "no-such-impl")
 }
 
 func TestProtocolZeroValueUsable(t *testing.T) {
@@ -68,6 +72,31 @@ func TestProtocolZeroValueUsable(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("figure workload %v invalid: %v", cfg, err)
 			}
+		}
+	}
+}
+
+// TestFigureReportsBuiltShardsAndArena runs one tiny sweep of the
+// sharded arena skip index through the figures' helpers: its JSON row
+// must say "arena": true and carry the shard count the partitioner
+// built (3 requested round up to 4).
+func TestFigureReportsBuiltShardsAndArena(t *testing.T) {
+	p := protocol{
+		cell:    harness.Config{Duration: 5 * time.Millisecond, Warmup: time.Millisecond, Runs: 1, Seed: 1},
+		threads: []int{1},
+		reports: new([]harness.JSONReport),
+	}
+	runAndReport(p, "labels", candidates(3, 2000, "vbskip-arena"), workload.Config{UpdatePercent: 20, Range: 2000}, "")
+	if len(*p.reports) != 1 {
+		t.Fatalf("%d reports, want 1", len(*p.reports))
+	}
+	js, err := json.Marshal((*p.reports)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"impl":"vbskip-arena-s3"`, `"shards":4`, `"arena":true`} {
+		if !strings.Contains(string(js), want) {
+			t.Errorf("report lacks %s: %s", want, js)
 		}
 	}
 }

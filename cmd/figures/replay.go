@@ -6,16 +6,16 @@ import (
 	"path/filepath"
 
 	"listset"
-	"listset/internal/lincheck"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
 	"listset/internal/schedule"
 )
 
 // figureReplay drives the deterministic Figure 2/3 failpoint replays
-// under the flight recorder and machine-checks the round trip: capture
-// → operation history → linearizability, and capture → checkpointed
-// spans → schedule.Lift → the paper's accepted schedule. For Figure 2
+// under the flight recorder and machine-checks the round trip through
+// listset.AuditReplay: capture → operation history → linearizability,
+// and capture → checkpointed spans → schedule.Lift → the paper's
+// accepted schedule. For Figure 2
 // it additionally certifies the separation the figure exists to show:
 // the lifted schedule is VBL-accepted and Lazy-rejected. When traceDir
 // is non-empty, each replay's capture is written there in the compact
@@ -36,33 +36,7 @@ func figureReplay(traceDir string) error {
 		{"figure3", listset.ReplayFigure3, false},
 	}
 	for _, rp := range replays {
-		tr := trace.NewTracer(2, 1<<12)
-		initial, err := rp.run(tr)
-		if err != nil {
-			return fmt.Errorf("%s: %w", rp.name, err)
-		}
-		c := tr.Snapshot()
-		if c.Drops != 0 {
-			return fmt.Errorf("%s: capture dropped %d records", rp.name, c.Drops)
-		}
-
-		h, err := c.History()
-		if err != nil {
-			return fmt.Errorf("%s: %w", rp.name, err)
-		}
-		init := make(map[int64]bool, len(initial))
-		for _, k := range initial {
-			init[k] = true
-		}
-		if v := lincheck.Check(h, init); v != nil {
-			return fmt.Errorf("%s: reconstructed history not linearizable: %v", rp.name, v)
-		}
-
-		ops, err := c.ScheduleOps()
-		if err != nil {
-			return fmt.Errorf("%s: %w", rp.name, err)
-		}
-		s, err := schedule.Lift(schedule.AlgVBL, initial, ops)
+		c, s, err := listset.AuditReplay(rp.run)
 		if err != nil {
 			return fmt.Errorf("%s: %w", rp.name, err)
 		}
@@ -74,7 +48,7 @@ func figureReplay(traceDir string) error {
 			sep = ", Lazy-rejected"
 		}
 		fmt.Printf("%s: %d records -> %d ops linearizable -> VBL-accepted schedule (%d events%s)\n",
-			rp.name, len(c.Records), len(h.Ops), len(s.Events), sep)
+			rp.name, len(c.Records), len(s.Ops), len(s.Events), sep)
 
 		if traceDir != "" {
 			if err := os.MkdirAll(traceDir, 0o755); err != nil {

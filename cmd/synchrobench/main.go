@@ -67,7 +67,6 @@
 //	-arena         arena-backed node lifetimes: slab allocation,
 //	               per-worker free lists, epoch-based recycling
 //	               (vbl, lazy and vbskip; composes with -shards)
-//	-gcpercent     set GOGC for the process (-1 disables the GC)
 //	-memprofile    write a heap profile after the measured runs
 //
 // The JSON report's "mem" section carries allocs_per_op/bytes_per_op
@@ -89,7 +88,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"sync/atomic"
@@ -108,7 +106,7 @@ import (
 type options struct {
 	implName, dist, chaosSpec, gate                                      string
 	metricsAddr, cpuprofile, mutexprof, blockprof, memprofile, traceFile string
-	threads, shards, updateRatio, runs, sampleEvery, gcpercent           int
+	threads, shards, updateRatio, runs, sampleEvery                      int
 	traceDepth, batchSize, scanPct, hotFrac, retryBudget                 int
 	keyRange, seed, scanWidth, hotLo, hotWidth                           int64
 	duration, warmup, streamEvery, watchdog                              time.Duration
@@ -137,7 +135,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.mutexprof, "mutexprofile", "", "write a mutex-contention profile to this file")
 	fs.StringVar(&o.blockprof, "blockprofile", "", "write a blocking profile to this file")
 	fs.BoolVar(&o.arena, "arena", false, "arena-backed node lifetimes: slab allocation + epoch-based recycling (vbl, lazy, vbskip)")
-	fs.IntVar(&o.gcpercent, "gcpercent", 0, "debug.SetGCPercent for the whole process; -1 disables the GC, 0 keeps the default")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (after a forced GC) to this file when the runs finish")
 	fs.StringVar(&o.traceFile, "trace", "", "record measured intervals and write the capture here (.json = Chrome trace-event format, else compact binary; implies -probes)")
 	fs.IntVar(&o.traceDepth, "trace-depth", trace.DefaultDepth, "flight-recorder ring depth per worker, in records (rounded up to a power of two)")
@@ -201,10 +198,6 @@ func main() {
 		o.probesOn = true
 	}
 
-	if o.gcpercent != 0 {
-		debug.SetGCPercent(o.gcpercent)
-	}
-
 	newSet := func() harness.Set {
 		s, _ := im.Build(opts) // validated above
 		return s
@@ -215,8 +208,6 @@ func main() {
 	cfg := harness.Config{
 		Name:               im.Name,
 		New:                newSet,
-		Shards:             opts.Shards,
-		Arena:              opts.Arena,
 		Threads:            o.threads,
 		Workload:           wl,
 		BatchSize:          o.batchSize,
@@ -327,7 +318,7 @@ func main() {
 		// greppable: impl, threads, workload, mean ops/sec.
 		fmt.Printf("%s %d %s %.0f\n", im.Name, cfg.Threads, cfg.Workload, res.Summary.Mean)
 	default:
-		printHuman(im.Name, cfg, res)
+		printHuman(res)
 	}
 }
 
@@ -379,13 +370,14 @@ func (o *options) resolve() (listset.Impl, listset.Options, workload.Config, lis
 }
 
 // printHuman renders the default human-readable report.
-func printHuman(name string, cfg harness.Config, res harness.Result) {
-	fmt.Printf("impl          %s\n", name)
+func printHuman(res harness.Result) {
+	cfg := res.Config
+	fmt.Printf("impl          %s\n", cfg.Name)
 	fmt.Printf("threads       %d\n", cfg.Threads)
-	if cfg.Shards > 0 {
-		fmt.Printf("shards        %d (range partitioned over [0, %d))\n", cfg.Shards, cfg.Workload.Range)
+	if res.Shards > 0 {
+		fmt.Printf("shards        %d (range partitioned over [0, %d))\n", res.Shards, cfg.Workload.Range)
 	}
-	if cfg.Arena {
+	if res.Arena {
 		fmt.Printf("arena         slab-backed nodes, epoch-based recycling\n")
 	}
 	fmt.Printf("workload      %s\n", cfg.Workload)

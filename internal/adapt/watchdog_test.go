@@ -20,7 +20,6 @@ func skipCell() harness.Config {
 	return harness.Config{
 		Name:     "vbskip-sharded",
 		New:      func() harness.Set { return shard.NewRange(16, 0, 20000, func() shard.Set { return skiplist.NewVB() }) },
-		Shards:   16,
 		Threads:  2,
 		Workload: workload.Config{UpdatePercent: 50, Range: 20000},
 		Duration: 50 * time.Millisecond,

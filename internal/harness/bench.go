@@ -22,6 +22,7 @@ import (
 
 	"listset/internal/batch"
 	"listset/internal/failpoint"
+	"listset/internal/mem"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
 	"listset/internal/stats"
@@ -39,7 +40,10 @@ type Set interface {
 }
 
 // Config describes one benchmark cell: an implementation, a thread
-// count, a workload, and the measurement protocol.
+// count, a workload, and the measurement protocol. It is the only
+// description of a cell: what New builds (its shard count, whether its
+// nodes live in arenas) is read off the built set into Result, never
+// restated here.
 type Config struct {
 	// Name identifies the implementation in reports.
 	Name string
@@ -47,15 +51,6 @@ type Config struct {
 	New func() Set
 	// Threads is the number of worker goroutines.
 	Threads int
-	// Shards records the shard count of the partitioned façade New
-	// constructs, so reports can distinguish sharded cells. 0 means
-	// unsharded; the harness itself only validates and reports it —
-	// the sharding happens inside New.
-	Shards int
-	// Arena records that New constructs arena-backed sets
-	// (internal/mem), so reports can distinguish arena cells. Like
-	// Shards, the harness only reports it — the arena lives inside New.
-	Arena bool
 	// Workload is the operation mix and key range.
 	Workload workload.Config
 	// BatchSize, when >= 1, switches the workers to batched mode: each
@@ -132,9 +127,6 @@ func (c Config) Validate() error {
 	if c.Threads <= 0 {
 		return fmt.Errorf("harness: Threads = %d, must be positive", c.Threads)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("harness: Shards = %d, must be non-negative", c.Shards)
-	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("harness: Duration = %v, must be positive", c.Duration)
 	}
@@ -206,6 +198,12 @@ func (c *Counts) add(o Counts) {
 // Result is the outcome of running one Config.
 type Result struct {
 	Config Config
+	// Shards is the shard count of the set Config.New built, read off
+	// it through Shards() int; 0 when the set is not partitioned.
+	Shards int
+	// Arena reports whether the built set's nodes live in arenas
+	// (internal/mem), read off it through ArenaStats.
+	Arena bool
 	// Throughputs holds ops/sec for each measured run.
 	Throughputs []float64
 	// Summary summarizes Throughputs.
@@ -312,6 +310,12 @@ func runOnce(cfg Config, r int, res *Result) (Counts, time.Duration, error) {
 	if b, ok := set.(obs.RetryBudgeted); ok {
 		rb = b
 		res.HasRetry = true
+	}
+	if sh, ok := set.(interface{ Shards() int }); ok {
+		res.Shards = sh.Shards()
+	}
+	if a, ok := set.(interface{ ArenaStats() (mem.Stats, bool) }); ok {
+		_, res.Arena = a.ArenaStats()
 	}
 	res.InitialSize = workload.Prepopulate(cfg.Workload, cfg.Seed+int64(r), set.Insert)
 	// Arm only now, after population, so the setup phase is never the

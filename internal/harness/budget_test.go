@@ -28,7 +28,6 @@ import (
 func TestRunWithAdaptOnSharded(t *testing.T) {
 	cfg := testConfig()
 	cfg.Name = "vbskip-sharded"
-	cfg.Shards = 16
 	cfg.New = func() Set {
 		return shard.NewRange(16, 0, 20000, func() shard.Set { return skiplist.NewVB() })
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"listset/internal/shard"
+	"listset/internal/skiplist"
 	"listset/internal/workload"
 )
 
@@ -166,11 +168,13 @@ func TestRunSweepShapesAndReports(t *testing.T) {
 		Title:      "test sweep",
 		Candidates: []Candidate{{Name: "map", New: newMapSet}, {Name: "map2", New: newMapSet}},
 		Threads:    []int{1, 2},
-		Workload:   workload.Config{UpdatePercent: 50, Range: 32},
-		Duration:   15 * time.Millisecond,
-		Warmup:     0,
-		Runs:       1,
-		Seed:       2,
+		Cell: Config{
+			Workload: workload.Config{UpdatePercent: 50, Range: 32},
+			Duration: 15 * time.Millisecond,
+			Warmup:   0,
+			Runs:     1,
+			Seed:     2,
+		},
 	}
 	res, err := RunSweep(s)
 	if err != nil {
@@ -224,10 +228,12 @@ func TestSweepProgressWriter(t *testing.T) {
 		Title:      "progress",
 		Candidates: []Candidate{{Name: "map", New: newMapSet}},
 		Threads:    []int{1},
-		Workload:   workload.Config{UpdatePercent: 0, Range: 16},
-		Duration:   10 * time.Millisecond,
-		Runs:       1,
-		Progress:   &progress,
+		Cell: Config{
+			Workload: workload.Config{UpdatePercent: 0, Range: 16},
+			Duration: 10 * time.Millisecond,
+			Runs:     1,
+		},
+		Progress: &progress,
 	}
 	if _, err := RunSweep(s); err != nil {
 		t.Fatal(err)
@@ -246,5 +252,49 @@ func TestCSVEscape(t *testing.T) {
 	}
 	if csvEscape(`a"b`) != `"a""b"` {
 		t.Fatal("quote not doubled")
+	}
+}
+
+// TestReportsReadShardsAndArenaOffTheSet: a cell's shard count and
+// arena flag are read off the set New builds, in Report and through a
+// sweep. Three requested shards build four (the partitioner rounds up
+// to a power of two), so a restated request would read 3.
+func TestReportsReadShardsAndArenaOffTheSet(t *testing.T) {
+	build := func(arena bool) func() Set {
+		return func() Set {
+			return shard.NewRange(3, 0, 64, func() shard.Set {
+				if arena {
+					return skiplist.NewVBArena()
+				}
+				return skiplist.NewVB()
+			})
+		}
+	}
+	cfg := testConfig()
+	cfg.Threads, cfg.Runs = 1, 1
+	for _, c := range []struct {
+		name   string
+		new    func() Set
+		shards int
+		arena  bool
+	}{
+		{"vbskip-arena-s3", build(true), 4, true},
+		{"vbskip-s3", build(false), 4, false},
+		{"map", newMapSet, 0, false},
+	} {
+		cfg.Name, cfg.New = c.name, c.new
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := RunSweep(Sweep{Title: c.name, Cell: cfg, Candidates: []Candidate{{Name: c.name, New: c.new}}, Threads: []int{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range append([]JSONReport{Report(res)}, sw.JSONReports()...) {
+			if rep.Shards != c.shards || rep.Arena != c.arena {
+				t.Errorf("%s: report says shards %d arena %v, want %d and %v", c.name, rep.Shards, rep.Arena, c.shards, c.arena)
+			}
+		}
 	}
 }

@@ -21,12 +21,14 @@ type JSONReport struct {
 	Schema  string `json:"schema"`
 	Impl    string `json:"impl"`
 	Threads int    `json:"threads"`
-	// Shards is the shard count of the partitioned façade (0 =
-	// unsharded). Added for the sharded VBL; a new field, so the
-	// schema string is unchanged.
+	// Shards is the shard count of the set the cell built (0 =
+	// unsharded), read off the set, not restated by the caller. Added
+	// for the sharded VBL; a new field, so the schema string is
+	// unchanged.
 	Shards int `json:"shards"`
-	// Arena reports whether the cell ran with arena-backed node
-	// lifetimes (internal/mem). A new field; schema string unchanged.
+	// Arena reports whether the built set's nodes lived in arenas
+	// (internal/mem), likewise read off the set. A new field; schema
+	// string unchanged.
 	Arena    bool         `json:"arena"`
 	Workload JSONWorkload `json:"workload"`
 	Protocol JSONProtocol `json:"protocol"`
@@ -149,8 +151,8 @@ func Report(res Result) JSONReport {
 		Schema:  ReportSchema,
 		Impl:    cfg.Name,
 		Threads: cfg.Threads,
-		Shards:  cfg.Shards,
-		Arena:   cfg.Arena,
+		Shards:  res.Shards,
+		Arena:   res.Arena,
 		Workload: JSONWorkload{
 			UpdatePercent: cfg.Workload.UpdatePercent,
 			Range:         cfg.Workload.Range,

@@ -161,11 +161,13 @@ func TestSweepObserve(t *testing.T) {
 		Title:      "observe",
 		Candidates: []Candidate{{Name: "vbl", New: func() Set { return core.New() }}},
 		Threads:    []int{1, 2},
-		Workload:   workload.Config{UpdatePercent: 100, Range: 32},
-		Duration:   20 * time.Millisecond,
-		Runs:       1,
-		Seed:       7,
-		Observe:    true,
+		Cell: Config{
+			Workload: workload.Config{UpdatePercent: 100, Range: 32},
+			Duration: 20 * time.Millisecond,
+			Runs:     1,
+			Seed:     7,
+		},
+		Observe: true,
 	}
 	res, err := RunSweep(s)
 	if err != nil {

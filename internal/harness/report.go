@@ -14,8 +14,9 @@ func humanThroughput(v float64) string { return stats.HumanCount(v) }
 // WriteTable renders a sweep as an aligned text table: one row per
 // thread count, one column per candidate, entries mean±rel% throughput.
 func (r SweepResult) WriteTable(w io.Writer) {
+	c := r.Sweep.Cell
 	fmt.Fprintf(w, "%s  (workload %s, %v x%d runs after %v warm-up)\n",
-		r.Sweep.Title, r.Sweep.Workload.String(), r.Sweep.Duration, r.Sweep.Runs, r.Sweep.Warmup)
+		r.Sweep.Title, c.Workload.String(), c.Duration, c.Runs, c.Warmup)
 	// Header.
 	fmt.Fprintf(w, "%8s", "threads")
 	for _, c := range r.Sweep.Candidates {
@@ -46,7 +47,7 @@ func (r SweepResult) WriteCSV(w io.Writer) {
 		for j, th := range r.Sweep.Threads {
 			for k, tput := range r.Results[i][j].Throughputs {
 				fmt.Fprintf(w, "%s,%s,%s,%d,%d,%.0f\n",
-					csvEscape(r.Sweep.Title), r.Sweep.Workload.String(), c.Name, th, k, tput)
+					csvEscape(r.Sweep.Title), r.Sweep.Cell.Workload.String(), c.Name, th, k, tput)
 			}
 		}
 	}

@@ -3,48 +3,34 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"listset/internal/failpoint"
 	"listset/internal/obs"
-	"listset/internal/workload"
 )
 
-// Candidate names one implementation entered into a sweep. Shards is
-// the shard count of the partitioned façade New constructs (0 =
-// unsharded); it flows into each cell's Config and report unchanged.
+// Candidate names one implementation entered into a sweep.
 type Candidate struct {
-	Name   string
-	New    func() Set
-	Shards int
+	Name string
+	New  func() Set
 }
 
 // Sweep describes a grid of benchmark cells: every candidate × every
-// thread count, for one workload. This is the unit from which the
-// paper's figures are assembled (each panel of Figure 4 is one Sweep).
+// thread count, each a copy of one Config template. This is the unit
+// from which the paper's figures are assembled (each panel of Figure 4
+// is one Sweep).
 type Sweep struct {
-	Title      string
+	Title string
+	// Cell is the template every cell copies: the workload and the
+	// measurement protocol. RunSweep fills in each cell's Name, New and
+	// Threads, and its Probes when Observe is set.
+	Cell       Config
 	Candidates []Candidate
 	Threads    []int
-	Workload   workload.Config
-	Duration   time.Duration
-	Warmup     time.Duration
-	Runs       int
-	Seed       int64
 	// Progress, if non-nil, receives a line per completed cell.
 	Progress io.Writer
 	// Observe gives every cell a fresh obs.Probes so per-cell event
 	// counts land in each Result.Events (cells run sequentially, so a
 	// shared counter set would conflate them).
 	Observe bool
-	// LatencySampleEvery forwards to Config.LatencySampleEvery.
-	LatencySampleEvery int
-	// Chaos, RetryBudget, Watchdog and BatchSize forward to the
-	// matching Config fields of every cell.
-	Chaos       []failpoint.Scenario
-	RetryBudget int
-	Watchdog    time.Duration
-	BatchSize   int
 }
 
 // SweepResult holds one sweep's results indexed [candidate][thread].
@@ -60,22 +46,8 @@ func RunSweep(s Sweep) (SweepResult, error) {
 	for _, cand := range s.Candidates {
 		var row []Result
 		for _, th := range s.Threads {
-			cfg := Config{
-				Name:               cand.Name,
-				New:                cand.New,
-				Shards:             cand.Shards,
-				Threads:            th,
-				Workload:           s.Workload,
-				Duration:           s.Duration,
-				Warmup:             s.Warmup,
-				Runs:               s.Runs,
-				Seed:               s.Seed,
-				LatencySampleEvery: s.LatencySampleEvery,
-				Chaos:              s.Chaos,
-				RetryBudget:        s.RetryBudget,
-				Watchdog:           s.Watchdog,
-				BatchSize:          s.BatchSize,
-			}
+			cfg := s.Cell
+			cfg.Name, cfg.New, cfg.Threads = cand.Name, cand.New, th
 			if s.Observe {
 				cfg.Probes = obs.NewProbes()
 			}

@@ -36,24 +36,24 @@ const (
 // coarseStep runs the sequential operation under one global lock (the
 // head node's lock stands in for the global mutex): the lock step, then
 // the sequential machine's steps, releasing the lock with the return.
-func (m *machine) coarseStep(h *Heap) *Event {
+func (m *machine) coarseStep(h *Heap) (Event, bool) {
 	if m.pc == cAcquireGlobal {
 		if !h.TryLock(Head, m.op) {
 			panic("schedule: coarse lock step while not enabled")
 		}
 		m.pc = sReadNext
-		return nil
+		return Event{}, false
 	}
-	ev := m.seqStep(h)
+	ev, ok := m.seqStep(h)
 	if m.done() {
 		h.Unlock(Head, m.op)
 	}
-	return ev
+	return ev, ok
 }
 
 // hohStep steps the hand-over-hand locking list: the traversal carries
 // a sliding window of two node locks down the list.
-func (m *machine) hohStep(h *Heap) *Event {
+func (m *machine) hohStep(h *Heap) (Event, bool) {
 	v := m.spec.Arg
 	switch m.pc {
 	case hLockFirst:
@@ -62,26 +62,26 @@ func (m *machine) hohStep(h *Heap) *Event {
 		}
 		m.prev = Head
 		m.pc = aReadNext
-		return nil
+		return Event{}, false
 
 	case aReadNext: // curr <- read(prev.next), prev's lock held
 		m.curr = h.Next(m.prev)
 		m.pc = hLockCurr
-		return &Event{Op: m.op, Kind: EvReadNext, Node: m.prev, Target: m.curr}
+		return Event{Op: m.op, Kind: EvReadNext, Node: m.prev, Target: m.curr}, true
 
 	case hLockCurr:
 		if !h.TryLock(m.curr, m.op) {
 			panic("schedule: hoh lock step while not enabled")
 		}
 		m.pc = aReadVal
-		return nil
+		return Event{}, false
 
 	case aReadVal:
 		m.tval = h.Val(m.curr)
 		ev := Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval}
 		if m.tval < v {
 			m.pc = hAdvanceUnlock
-			return &ev
+			return ev, true
 		}
 		switch m.spec.Kind {
 		case OpContains:
@@ -102,35 +102,35 @@ func (m *machine) hohStep(h *Heap) *Event {
 				m.pc = aRemReadNext
 			}
 		}
-		return &ev
+		return ev, true
 
 	case hAdvanceUnlock: // release prev, slide the window
 		h.Unlock(m.prev, m.op)
 		m.prev = m.curr
 		m.pc = aReadNext
-		return nil
+		return Event{}, false
 
 	case aInsNew:
 		m.created = h.NewNode(v, m.curr)
 		m.pc = aInsWrite
-		return &Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}
+		return Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}, true
 
 	case aInsWrite:
 		h.SetNext(m.prev, m.created)
 		m.retval = true
 		m.pc = aReturn
-		return &Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.created}
+		return Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.created}, true
 
 	case aRemReadNext:
 		m.tnext = h.Next(m.curr)
 		m.pc = aRemUnlink
-		return &Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}
+		return Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}, true
 
 	case aRemUnlink:
 		h.SetNext(m.prev, m.tnext)
 		m.retval = true
 		m.pc = aReturn
-		return &Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext}
+		return Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext}, true
 
 	case aReturn:
 		h.Unlock(m.curr, m.op)

@@ -52,23 +52,25 @@ func (sys system) machine(c *config, i int) machine {
 	return m
 }
 
-// step advances op i of c in place and returns the exported event.
-func (sys system) step(c *config, i int) *Event {
+// step advances op i of c in place and returns its event and whether
+// the step exported it.
+func (sys system) step(c *config, i int) (Event, bool) {
 	m := sys.machine(c, i)
-	ev := m.step(&c.h)
+	ev, exported := m.step(&c.h)
 	c.regs[i] = m.regs
-	return ev
+	return ev, exported
 }
 
-// next returns c with op i advanced by one step, if op i can step: it
-// is enabled and its finality is chosen.
-func (sys system) next(c config, i int) (config, *Event, bool) {
+// next returns c with op i advanced by one step, if op i can step (ok):
+// it is enabled and its finality is chosen. ev is the step's event when
+// exported is set.
+func (sys system) next(c config, i int) (c2 config, ev Event, exported, ok bool) {
 	m := sys.machine(&c, i)
 	if m.needsFinalityChoice() || !m.enabled(&c.h) {
-		return c, nil, false
+		return c, Event{}, false, false
 	}
-	ev := sys.step(&c, i)
-	return c, ev, true
+	ev, exported = sys.step(&c, i)
+	return c, ev, exported, true
 }
 
 // allDone reports whether every operation of c has returned.
@@ -141,7 +143,7 @@ const smallSet = 8
 func (sys system) close(s *configSet) {
 	for k := 0; k < len(s.list); k++ {
 		for i := range sys {
-			if c, ev, ok := sys.next(s.list[k], i); ok && ev == nil {
+			if c, _, exported, ok := sys.next(s.list[k], i); ok && !exported {
 				sys.add(s, c)
 			}
 		}
@@ -164,7 +166,7 @@ func (sys system) advance(s *configSet, e Event) configSet {
 		return out
 	}
 	for _, c := range s.list {
-		if c2, ev, ok := sys.next(c, e.Op); ok && ev != nil && *ev == e {
+		if c2, ev, exported, _ := sys.next(c, e.Op); exported && ev == e {
 			sys.add(&out, c2)
 		}
 	}
@@ -258,16 +260,16 @@ func (x *explorer) walk(seq configSet, sets []configSet, returns int) {
 	var kids []child
 	for _, c := range seq.list {
 		for i := range x.ops {
-			c2, ev, ok := x.seq.next(c, i)
-			if !ok || ev == nil {
+			c2, ev, exported, _ := x.seq.next(c, i)
+			if !exported {
 				continue
 			}
 			k := 0
-			for k < len(kids) && kids[k].e != *ev {
+			for k < len(kids) && kids[k].e != ev {
 				k++
 			}
 			if k == len(kids) {
-				kids = append(kids, child{e: *ev})
+				kids = append(kids, child{e: ev})
 			}
 			x.seq.add(&kids[k].seq, c2)
 		}

@@ -17,8 +17,8 @@ func Run(initial []int64, ops []OpSpec, adjusted bool, order []int) (Schedule, e
 		if c.regs[i].pc == aDone {
 			return Schedule{}, fmt.Errorf("schedule: order step %d advances completed op %d", step, i)
 		}
-		if ev := sys.step(&c, i); ev != nil {
-			s.Events = append(s.Events, *ev)
+		if ev, exported := sys.step(&c, i); exported {
+			s.Events = append(s.Events, ev)
 		}
 	}
 	for i := range ops {

@@ -12,12 +12,12 @@ package schedule
 // and successful logical deletions by removes. A remove's best-effort
 // physical unlink and any helping writes of abandoned traversals mutate
 // the heap silently.
-func (m *machine) harrisStep(h *Heap) *Event {
+func (m *machine) harrisStep(h *Heap) (Event, bool) {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:
 		m.beginTraversal()
-		return nil
+		return Event{}, false
 
 	case aReadNext:
 		// contains does not help; updates check the mark next.
@@ -33,7 +33,7 @@ func (m *machine) harrisStep(h *Heap) *Event {
 		} else {
 			m.pc = aReadVal
 		}
-		return nil
+		return Event{}, false
 
 	case aHelpRead: // succ <- read(curr.next), part of the traversal
 		m.tnext = h.Next(m.curr)
@@ -45,21 +45,21 @@ func (m *machine) harrisStep(h *Heap) *Event {
 		// expected cell carries an unmarked flag).
 		if h.Deleted(m.prev) || h.Next(m.prev) != m.curr {
 			m.restart() // failed helping CAS restarts the operation
-			return nil
+			return Event{}, false
 		}
 		h.SetNext(m.prev, m.tnext)
-		ev := m.export(Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext})
+		ev, ok := m.export(Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext})
 		m.curr = m.tnext
 		m.pc = aCheckMark
-		return ev
+		return ev, ok
 
 	case aReadVal:
 		m.tval = h.Val(m.curr)
-		ev := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
+		ev, ok := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
 		if m.tval < v {
 			m.prev = m.curr
 			m.pc = aReadNext
-			return ev
+			return ev, ok
 		}
 		switch m.spec.Kind {
 		case OpContains:
@@ -77,12 +77,12 @@ func (m *machine) harrisStep(h *Heap) *Event {
 				m.pc = aRemReadNext
 			}
 		}
-		return ev
+		return ev, ok
 
 	case aContainsCheck: // wait-free contains: check landing node's mark
 		m.retval = m.tval == v && !h.Deleted(m.curr)
 		m.pc = aReturn
-		return nil
+		return Event{}, false
 
 	// --- insert path ---
 	case aInsNew:
@@ -94,33 +94,33 @@ func (m *machine) harrisStep(h *Heap) *Event {
 				h.SetNext(m.created, m.curr)
 			}
 			m.pc = aInsCAS
-			return nil
+			return Event{}, false
 		}
 		if m.final {
 			m.created = h.NewNode(v, m.curr)
 			m.pc = aInsCAS
-			return &Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}
+			return Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}, true
 		}
 		m.created = None
 		m.pc = aInsCAS
-		return nil
+		return Event{}, false
 
 	case aInsCAS:
 		// CAS(prev.next: curr -> new), prev unmarked expected.
 		if h.Deleted(m.prev) || h.Next(m.prev) != m.curr {
 			m.restart()
-			return nil
+			return Event{}, false
 		}
 		if !m.freeRun && !m.final {
 			// The CAS would have succeeded — wrong non-final guess.
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		h.SetNext(m.prev, m.created)
 		ev := Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.created}
 		m.retval = true
 		m.pc = aReturn
-		return &ev
+		return ev, true
 
 	// --- remove path ---
 	case aRemReadNext: // succ <- read(curr.next)
@@ -132,16 +132,16 @@ func (m *machine) harrisStep(h *Heap) *Event {
 		// Logical deletion: CAS(curr.(next,mark): (succ,false) -> (succ,true)).
 		if h.Deleted(m.curr) || h.Next(m.curr) != m.tnext {
 			m.restart()
-			return nil
+			return Event{}, false
 		}
 		if !m.freeRun && !m.final {
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		h.SetDeleted(m.curr)
 		m.pc = aRemUnlinkTry
 		// Successful logical deletions are schedule events.
-		return &Event{Op: m.op, Kind: EvMark, Node: m.curr}
+		return Event{Op: m.op, Kind: EvMark, Node: m.curr}, true
 
 	case aRemUnlinkTry:
 		// Best-effort physical unlink: CAS(prev.next: curr -> succ).
@@ -152,7 +152,7 @@ func (m *machine) harrisStep(h *Heap) *Event {
 		}
 		m.retval = true
 		m.pc = aReturn
-		return nil
+		return Event{}, false
 
 	case aReturn:
 		return m.emitReturn()

@@ -6,23 +6,23 @@ package schedule
 // still adjacent), and only then look at the value. This post-locking
 // validation and the locks-taken-by-read-only-updates are exactly what
 // Figure 2 exploits.
-func (m *machine) lazyStep(h *Heap) *Event {
+func (m *machine) lazyStep(h *Heap) (Event, bool) {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:
 		m.beginTraversal()
-		return nil
+		return Event{}, false
 
 	case aReadNext:
 		return m.traversalReadNext(h, aReadVal)
 
 	case aReadVal:
 		m.tval = h.Val(m.curr)
-		ev := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
+		ev, ok := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
 		if m.tval < v {
 			m.prev = m.curr
 			m.pc = aReadNext
-			return ev
+			return ev, ok
 		}
 		if m.spec.Kind == OpContains {
 			m.pc = aContainsCheck
@@ -30,35 +30,35 @@ func (m *machine) lazyStep(h *Heap) *Event {
 			// Updates lock the window before examining it further.
 			m.pc = aLockPrev
 		}
-		return ev
+		return ev, ok
 
 	case aContainsCheck: // internal read of the landing node's mark
 		m.retval = m.tval == v && !h.Deleted(m.curr)
 		m.pc = aReturn
-		return nil
+		return Event{}, false
 
 	case aLockPrev:
 		if !h.TryLock(m.prev, m.op) {
 			panic("schedule: lazy lock step while not enabled")
 		}
 		m.pc = aLockCurr
-		return nil
+		return Event{}, false
 
 	case aLockCurr:
 		if !h.TryLock(m.curr, m.op) {
 			panic("schedule: lazy lock step while not enabled")
 		}
 		m.pc = aValidate
-		return nil
+		return Event{}, false
 
 	case aValidate: // post-locking validation
 		if h.Deleted(m.prev) || h.Deleted(m.curr) || h.Next(m.prev) != m.curr {
 			m.unlockBoth(h)
 			m.restart()
-			return nil
+			return Event{}, false
 		}
 		m.pc = aAfterValidate
-		return nil
+		return Event{}, false
 
 	case aAfterValidate: // presence decision, still under both locks
 		switch m.spec.Kind {
@@ -66,18 +66,18 @@ func (m *machine) lazyStep(h *Heap) *Event {
 			if m.tval == v {
 				m.unlockBoth(h)
 				m.complete(false)
-				return nil
+				return Event{}, false
 			}
 			m.pc = aInsNew
 		case OpRemove:
 			if m.tval != v {
 				m.unlockBoth(h)
 				m.complete(false)
-				return nil
+				return Event{}, false
 			}
 			m.pc = aRemReadNext
 		}
-		return nil
+		return Event{}, false
 
 	case aInsNew: // node created under the locks (Heller et al.)
 		if !m.freeRun && !m.final {
@@ -85,13 +85,13 @@ func (m *machine) lazyStep(h *Heap) *Event {
 			// non-final guess was wrong.
 			m.unlockBoth(h)
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		if m.freeRun && m.created != None {
 			// Reuse one node across attempts (see the VBL machine).
 			h.SetNext(m.created, m.curr)
 			m.pc = aInsWrite
-			return nil
+			return Event{}, false
 		}
 		m.created = h.NewNode(v, m.curr)
 		m.pc = aInsWrite
@@ -103,22 +103,22 @@ func (m *machine) lazyStep(h *Heap) *Event {
 		m.unlockBoth(h)
 		m.retval = true
 		m.pc = aReturn
-		return &ev
+		return ev, true
 
 	case aRemReadNext:
 		if !m.freeRun && !m.final {
 			m.unlockBoth(h)
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		m.tnext = h.Next(m.curr)
 		m.pc = aRemMark
-		return &Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}
+		return Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}, true
 
 	case aRemMark: // logical deletion — metadata, internal
 		h.SetDeleted(m.curr)
 		m.pc = aRemUnlink
-		return nil
+		return Event{}, false
 
 	case aRemUnlink:
 		h.SetNext(m.prev, m.tnext)
@@ -126,7 +126,7 @@ func (m *machine) lazyStep(h *Heap) *Event {
 		m.unlockBoth(h)
 		m.retval = true
 		m.pc = aReturn
-		return &ev
+		return ev, true
 
 	case aReturn:
 		return m.emitReturn()

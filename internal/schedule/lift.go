@@ -213,21 +213,21 @@ func (l *lifter) dfs(c config, set configSet, cursor int) bool {
 			}
 		}
 		c2 := c
-		ev := l.seq.step(&c2, i)
+		ev, exported := l.seq.step(&c2, i)
 		if m := l.seq.machine(&c2, i); m.done() && m.result() != o.Result {
 			continue // wrong result: this interleaving is not the trace's
 		}
-		if ev == nil {
+		if !exported {
 			if l.dfs(c2, set, cursor) {
 				return true
 			}
 			continue
 		}
-		after := l.sys.advance(&set, *ev)
+		after := l.sys.advance(&set, ev)
 		if len(after.list) == 0 {
 			continue // alg cannot export this interleaving
 		}
-		l.events = append(l.events, *ev)
+		l.events = append(l.events, ev)
 		if l.dfs(c2, after, cursor) {
 			return true
 		}

@@ -157,7 +157,7 @@ func newMachine(alg Algorithm, op int, spec OpSpec, adjusted bool) machine {
 }
 
 // step advances the machine by one step.
-func (m *machine) step(h *Heap) *Event {
+func (m *machine) step(h *Heap) (Event, bool) {
 	switch m.alg {
 	case AlgSeq:
 		return m.seqStep(h)
@@ -249,12 +249,13 @@ func (m *machine) complete(result bool) {
 	m.pc = aReturn
 }
 
-// export wraps an event so that only final attempts emit it.
-func (m *machine) export(e Event) *Event {
+// export returns e and whether it is exported: only final attempts
+// emit events.
+func (m *machine) export(e Event) (Event, bool) {
 	if m.freeRun || (!m.final && m.restarts()) {
-		return nil
+		return Event{}, false
 	}
-	return &e
+	return e, true
 }
 
 // beginTraversal is the common aStart handling.
@@ -268,7 +269,7 @@ func (m *machine) beginTraversal() {
 }
 
 // traversalReadNext performs curr <- read(prev.next).
-func (m *machine) traversalReadNext(h *Heap, next uint8) *Event {
+func (m *machine) traversalReadNext(h *Heap, next uint8) (Event, bool) {
 	m.curr = h.Next(m.prev)
 	m.pc = next
 	return m.export(Event{Op: m.op, Kind: EvReadNext, Node: m.prev, Target: m.curr})
@@ -281,7 +282,7 @@ func (m *machine) unlockBoth(h *Heap) {
 }
 
 // emitReturn emits the response event.
-func (m *machine) emitReturn() *Event {
+func (m *machine) emitReturn() (Event, bool) {
 	m.pc = aDone
-	return &Event{Op: m.op, Kind: EvReturn, Result: m.retval}
+	return Event{Op: m.op, Kind: EvReturn, Result: m.retval}, true
 }

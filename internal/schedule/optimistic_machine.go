@@ -26,45 +26,45 @@ const AlgOptimistic Algorithm = 200
 // optimisticStep steps the optimistic list's operation. Its contains
 // also restarts on failed validation, so unlike the other machines'
 // it takes part in finality speculation (see machine.restarts).
-func (m *machine) optimisticStep(h *Heap) *Event {
+func (m *machine) optimisticStep(h *Heap) (Event, bool) {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:
 		m.beginTraversal()
-		return nil
+		return Event{}, false
 
 	case aReadNext:
 		return m.traversalReadNext(h, aReadVal)
 
 	case aReadVal:
 		m.tval = h.Val(m.curr)
-		ev := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
+		ev, ok := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
 		if m.tval < v {
 			m.prev = m.curr
 			m.pc = aReadNext
-			return ev
+			return ev, ok
 		}
 		m.pc = aLockPrev
-		return ev
+		return ev, ok
 
 	case aLockPrev:
 		if !h.TryLock(m.prev, m.op) {
 			panic("schedule: optimistic lock step while not enabled")
 		}
 		m.pc = aLockCurr
-		return nil
+		return Event{}, false
 
 	case aLockCurr:
 		if !h.TryLock(m.curr, m.op) {
 			panic("schedule: optimistic lock step while not enabled")
 		}
 		m.pc = oValidateStart
-		return nil
+		return Event{}, false
 
 	case oValidateStart:
 		m.vpred = Head
 		m.pc = oValidateStep
-		return nil
+		return Event{}, false
 
 	case oValidateStep: // one internal read of the re-traversal
 		if m.vpred == m.prev {
@@ -75,16 +75,16 @@ func (m *machine) optimisticStep(h *Heap) *Event {
 				m.unlockBoth(h)
 				m.restart()
 			}
-			return nil
+			return Event{}, false
 		}
 		if h.Val(m.vpred) > h.Val(m.prev) {
 			// Walked past prev's value: prev is no longer reachable.
 			m.unlockBoth(h)
 			m.restart()
-			return nil
+			return Event{}, false
 		}
 		m.vpred = h.Next(m.vpred)
-		return nil
+		return Event{}, false
 
 	case oDecide:
 		switch m.spec.Kind {
@@ -106,19 +106,19 @@ func (m *machine) optimisticStep(h *Heap) *Event {
 				m.pc = aRemReadNext
 			}
 		}
-		return nil
+		return Event{}, false
 
 	case aInsNew:
 		if !m.freeRun && !m.final {
 			m.unlockBoth(h)
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		if m.freeRun && m.created != None {
 			// Reuse one node across attempts (see the VBL machine).
 			h.SetNext(m.created, m.curr)
 			m.pc = aInsWrite
-			return nil
+			return Event{}, false
 		}
 		m.created = h.NewNode(v, m.curr)
 		m.pc = aInsWrite
@@ -130,17 +130,17 @@ func (m *machine) optimisticStep(h *Heap) *Event {
 		m.unlockBoth(h)
 		m.retval = true
 		m.pc = aReturn
-		return &ev
+		return ev, true
 
 	case aRemReadNext:
 		if !m.freeRun && !m.final {
 			m.unlockBoth(h)
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		m.tnext = h.Next(m.curr)
 		m.pc = aRemUnlink
-		return &Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}
+		return Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}, true
 
 	case aRemUnlink:
 		h.SetNext(m.prev, m.tnext)
@@ -148,7 +148,7 @@ func (m *machine) optimisticStep(h *Heap) *Event {
 		m.unlockBoth(h)
 		m.retval = true
 		m.pc = aReturn
-		return &ev
+		return ev, true
 
 	case aReturn:
 		return m.emitReturn()

@@ -31,7 +31,7 @@ func (m *machine) helps() bool {
 
 // seqStep executes one step of an LL operation (standard or adjusted):
 // the reference semantics that defines schedules.
-func (m *machine) seqStep(h *Heap) *Event {
+func (m *machine) seqStep(h *Heap) (Event, bool) {
 	v := m.spec.Arg
 	switch m.pc {
 	case sReadNext:
@@ -41,7 +41,7 @@ func (m *machine) seqStep(h *Heap) *Event {
 		} else {
 			m.pc = sReadVal
 		}
-		return &Event{Op: m.op, Kind: EvReadNext, Node: m.prev, Target: m.curr}
+		return Event{Op: m.op, Kind: EvReadNext, Node: m.prev, Target: m.curr}, true
 
 	case sCheckMark: // internal
 		if h.Deleted(m.curr) {
@@ -49,27 +49,27 @@ func (m *machine) seqStep(h *Heap) *Event {
 		} else {
 			m.pc = sReadVal
 		}
-		return nil
+		return Event{}, false
 
 	case sHelpRead:
 		m.tnext = h.Next(m.curr)
 		m.pc = sHelpWrite
-		return &Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}
+		return Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}, true
 
 	case sHelpWrite:
 		h.SetNext(m.prev, m.tnext)
-		ev := &Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext}
+		ev := Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext}
 		m.curr = m.tnext
 		m.pc = sCheckMark
-		return ev
+		return ev, true
 
 	case sReadVal:
 		m.tval = h.Val(m.curr)
-		ev := &Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval}
+		ev := Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval}
 		if m.tval < v {
 			m.prev = m.curr
 			m.pc = sReadNext
-			return ev
+			return ev, true
 		}
 		switch m.spec.Kind {
 		case OpInsert:
@@ -94,18 +94,18 @@ func (m *machine) seqStep(h *Heap) *Event {
 				m.pc = sReturn
 			}
 		}
-		return ev
+		return ev, true
 
 	case sNewNode:
 		m.created = h.NewNode(v, m.curr)
 		m.pc = sWriteLink
-		return &Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}
+		return Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}, true
 
 	case sWriteLink:
 		h.SetNext(m.prev, m.created)
 		m.retval = true
 		m.pc = sReturn
-		return &Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.created}
+		return Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.created}, true
 
 	case sReadTNext:
 		m.tnext = h.Next(m.curr)
@@ -114,24 +114,24 @@ func (m *machine) seqStep(h *Heap) *Event {
 		} else {
 			m.pc = sUnlink
 		}
-		return &Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}
+		return Event{Op: m.op, Kind: EvReadNext, Node: m.curr, Target: m.tnext}, true
 
 	case sUnlink:
 		h.SetNext(m.prev, m.tnext)
 		m.retval = true
 		m.pc = sReturn
-		return &Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext}
+		return Event{Op: m.op, Kind: EvWriteNext, Node: m.prev, Target: m.tnext}, true
 
 	case sMark:
 		h.SetDeleted(m.curr)
 		m.retval = true
 		m.pc = sReturn
-		return &Event{Op: m.op, Kind: EvMark, Node: m.curr}
+		return Event{Op: m.op, Kind: EvMark, Node: m.curr}, true
 
 	case sCheckLanded: // internal
 		m.retval = m.tval == m.spec.Arg && !h.Deleted(m.curr)
 		m.pc = sReturn
-		return nil
+		return Event{}, false
 
 	case sReturn:
 		return m.emitReturn()

@@ -108,8 +108,8 @@ func randomSchedule(rng *rand.Rand, initial []int64, ops []OpSpec) Schedule {
 		if c.regs[i].pc == aDone {
 			continue
 		}
-		if ev := sys.step(&c, i); ev != nil {
-			s.Events = append(s.Events, *ev)
+		if ev, exported := sys.step(&c, i); exported {
+			s.Events = append(s.Events, ev)
 		}
 	}
 	return s

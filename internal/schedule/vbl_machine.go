@@ -4,23 +4,23 @@ package schedule
 // over the schedule heap: wait-free traversal, value-aware try-lock with
 // validation under the lock, logical deletion (internal metadata in the
 // standard model) before physical unlinking.
-func (m *machine) vblStep(h *Heap) *Event {
+func (m *machine) vblStep(h *Heap) (Event, bool) {
 	v := m.spec.Arg
 	switch m.pc {
 	case aStart:
 		m.beginTraversal()
-		return nil
+		return Event{}, false
 
 	case aReadNext:
 		return m.traversalReadNext(h, aReadVal)
 
 	case aReadVal:
 		m.tval = h.Val(m.curr)
-		ev := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
+		ev, ok := m.export(Event{Op: m.op, Kind: EvReadVal, Node: m.curr, Val: m.tval})
 		if m.tval < v {
 			m.prev = m.curr
 			m.pc = aReadNext
-			return ev
+			return ev, ok
 		}
 		switch m.spec.Kind {
 		case OpContains:
@@ -40,7 +40,7 @@ func (m *machine) vblStep(h *Heap) *Event {
 				m.pc = aRemReadNext
 			}
 		}
-		return ev
+		return ev, ok
 
 	// --- insert path (Algorithm 2, lines 26-32) ---
 	case aInsNew:
@@ -55,41 +55,41 @@ func (m *machine) vblStep(h *Heap) *Event {
 				h.SetNext(m.created, m.curr)
 			}
 			m.pc = aInsLockPrev
-			return nil
+			return Event{}, false
 		}
 		if m.final {
 			m.created = h.NewNode(v, m.curr)
 			m.pc = aInsLockPrev
-			return &Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}
+			return Event{Op: m.op, Kind: EvNewNode, Node: m.created, Val: v, Target: m.curr}, true
 		}
 		// Non-final attempts do not allocate an exported node: theirs
 		// would never be linked.
 		m.created = None
 		m.pc = aInsLockPrev
-		return nil
+		return Event{}, false
 
 	case aInsLockPrev: // lockNextAt: take the CAS lock...
 		if !h.TryLock(m.prev, m.op) {
 			panic("schedule: vbl lock step while not enabled")
 		}
 		m.pc = aInsValidate
-		return nil
+		return Event{}, false
 
 	case aInsValidate: // ...then validate under it.
 		if h.Deleted(m.prev) || h.Next(m.prev) != m.curr {
 			h.Unlock(m.prev, m.op)
 			m.restart()
-			return nil
+			return Event{}, false
 		}
 		if !m.freeRun && !m.final {
 			// Validation succeeded: this attempt completes, so the
 			// non-final guess was wrong.
 			h.Unlock(m.prev, m.op)
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		m.pc = aInsWrite
-		return nil
+		return Event{}, false
 
 	case aInsWrite:
 		h.SetNext(m.prev, m.created)
@@ -97,7 +97,7 @@ func (m *machine) vblStep(h *Heap) *Event {
 		h.Unlock(m.prev, m.op)
 		m.retval = true
 		m.pc = aReturn
-		return &ev
+		return ev, true
 
 	// --- remove path (Algorithm 2, lines 38-48) ---
 	case aRemReadNext: // line 38: next <- curr.next
@@ -110,49 +110,49 @@ func (m *machine) vblStep(h *Heap) *Event {
 			panic("schedule: vbl lock step while not enabled")
 		}
 		m.pc = aRemValidatePrev
-		return nil
+		return Event{}, false
 
 	case aRemValidatePrev: // ...validate BY VALUE under it (line 39).
 		if h.Deleted(m.prev) || h.Val(h.Next(m.prev)) != v {
 			h.Unlock(m.prev, m.op)
 			m.restart()
-			return nil
+			return Event{}, false
 		}
 		m.pc = aRemReread
-		return nil
+		return Event{}, false
 
 	case aRemReread: // line 40: curr <- prev.next (fresh read under lock)
 		m.curr = h.Next(m.prev)
 		m.pc = aRemLockCurr
-		return nil
+		return Event{}, false
 
 	case aRemLockCurr:
 		if !h.TryLock(m.curr, m.op) {
 			panic("schedule: vbl lock step while not enabled")
 		}
 		m.pc = aRemValidateCurr
-		return nil
+		return Event{}, false
 
 	case aRemValidateCurr: // line 41: curr.next must still be tnext.
 		if h.Deleted(m.curr) || h.Next(m.curr) != m.tnext {
 			h.Unlock(m.curr, m.op)
 			h.Unlock(m.prev, m.op)
 			m.restart()
-			return nil
+			return Event{}, false
 		}
 		if !m.freeRun && !m.final {
 			h.Unlock(m.curr, m.op)
 			h.Unlock(m.prev, m.op)
 			m.pc = aPoisoned
-			return nil
+			return Event{}, false
 		}
 		m.pc = aRemMark
-		return nil
+		return Event{}, false
 
 	case aRemMark: // line 44 — metadata, internal in the standard model
 		h.SetDeleted(m.curr)
 		m.pc = aRemUnlink
-		return nil
+		return Event{}, false
 
 	case aRemUnlink: // line 45
 		h.SetNext(m.prev, m.tnext)
@@ -161,7 +161,7 @@ func (m *machine) vblStep(h *Heap) *Event {
 		h.Unlock(m.prev, m.op)
 		m.retval = true
 		m.pc = aReturn
-		return &ev
+		return ev, true
 
 	case aReturn:
 		return m.emitReturn()

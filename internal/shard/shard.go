@@ -40,6 +40,7 @@ import (
 
 	"listset/internal/batch"
 	"listset/internal/failpoint"
+	"listset/internal/mem"
 	"listset/internal/obs"
 )
 
@@ -290,6 +291,32 @@ func (s *Sharded) RetryStats() obs.RetryStats {
 		}
 	}
 	return sum
+}
+
+// ArenaStats sums the arena tallies of the shards that have an arena
+// (Epoch is the most advanced shard's) and reports whether any does.
+// A cold read: it walks every shard's workers.
+func (s *Sharded) ArenaStats() (mem.Stats, bool) {
+	var sum mem.Stats
+	var any bool
+	for i := range s.slots {
+		a, ok := s.slots[i].set.(interface{ ArenaStats() (mem.Stats, bool) })
+		if !ok {
+			continue
+		}
+		st, on := a.ArenaStats()
+		if !on {
+			continue
+		}
+		any = true
+		sum.Epoch = max(sum.Epoch, st.Epoch)
+		sum.Workers += st.Workers
+		sum.Allocs += st.Allocs
+		sum.Slabs += st.Slabs
+		sum.Retired += st.Retired
+		sum.Recycled += st.Recycled
+	}
+	return sum, any
 }
 
 var (

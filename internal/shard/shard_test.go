@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"listset/internal/mem"
 	"listset/internal/obs"
 )
 
@@ -277,5 +278,34 @@ func TestNewRangePanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// arenaSet is a sliceSet that reports fixed arena tallies.
+type arenaSet struct {
+	sliceSet
+	st mem.Stats
+	on bool
+}
+
+func (s *arenaSet) ArenaStats() (mem.Stats, bool) { return s.st, s.on }
+
+// TestArenaStatsSumsShards: the façade sums the tallies of the shards
+// that have an arena, keeps the most advanced epoch, and reports no
+// arena when no shard has one.
+func TestArenaStatsSumsShards(t *testing.T) {
+	n := 0
+	s := NewRange(3, 0, 64, func() Set {
+		n++
+		st := mem.Stats{Epoch: uint64(n), Workers: 1, Allocs: 10, Slabs: 1, Retired: 4, Recycled: 2}
+		return &arenaSet{st: st, on: n != 2}
+	})
+	got, ok := s.ArenaStats()
+	want := mem.Stats{Epoch: 4, Workers: 3, Allocs: 30, Slabs: 3, Retired: 12, Recycled: 6}
+	if !ok || got != want {
+		t.Fatalf("ArenaStats over 4 shards, one without an arena = %+v, %v; want %+v, true", got, ok, want)
+	}
+	if _, ok := New(4, newSliceSet).ArenaStats(); ok {
+		t.Fatal("ArenaStats reports an arena over shards without one")
 	}
 }

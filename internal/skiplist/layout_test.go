@@ -123,29 +123,54 @@ func liveHeap() uint64 {
 // keeps at most 40 bytes of live heap per key in both GC and arena
 // mode. Geometric(1/2) heights over the four tower sizes (24, 48, 80,
 // 176 B, each an allocator size class) average ~38.4 B; a fixed
-// maxLevel link array would cost 208.
+// maxLevel link array would cost 208. Each mode measures in a child
+// process of the test binary: in the parent, the live-heap delta also
+// caught garbage other tests' goroutines made meanwhile (46.35 B/key
+// while other test jobs shared the host, 38.35-38.44 alone).
 func TestVBMemoryPerKey(t *testing.T) {
-	const n = 1 << 16
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(i) * 7
-	}
 	for name, mk := range map[string]func() *VB{"gc": NewVB, "arena": NewVBArena} {
 		t.Run(name, func(t *testing.T) {
-			before := liveHeap()
-			s := mk()
-			if got := s.Load(keys); got != n {
-				t.Fatalf("Load = %d, want %d", got, n)
-			}
-			after := liveHeap()
-			perKey := (float64(after) - float64(before)) / n
-			runtime.KeepAlive(s)
-			t.Logf("%s: %.2f B/key", name, perKey)
-			if perKey > 40 {
-				t.Fatalf("%s: %.2f B/key of live heap, want <= 40", name, perKey)
-			}
+			inFreshProcess(t, "^TestVBMemoryPerKey$/^"+name+"$", "B/key", func(t *testing.T) {
+				const n = 1 << 16
+				keys := make([]int64, n)
+				for i := range keys {
+					keys[i] = int64(i) * 7
+				}
+				before := liveHeap()
+				s := mk()
+				if got := s.Load(keys); got != n {
+					t.Fatalf("Load = %d, want %d", got, n)
+				}
+				after := liveHeap()
+				perKey := (float64(after) - float64(before)) / n
+				// keys is live in both readings, so only the list counts.
+				runtime.KeepAlive(keys)
+				runtime.KeepAlive(s)
+				t.Logf("%s: %.2f B/key", name, perKey)
+				if perKey > 40 {
+					t.Fatalf("%s: %.2f B/key of live heap, want <= 40", name, perKey)
+				}
+			})
 		})
 	}
+}
+
+// inFreshProcess runs measure in a child process of the test binary, so
+// that its heap holds no other test's garbage, allocator holes or
+// goroutines. run is the -test.run pattern that selects the calling
+// (sub)test alone; the child recognizes itself by it and measures. The
+// child's output must contain want.
+func inFreshProcess(t *testing.T, run, want string, measure func(*testing.T)) {
+	t.Helper()
+	if flag.Lookup("test.run").Value.String() == run {
+		measure(t)
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run="+run, "-test.v").CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte(want)) {
+		t.Fatalf("child process failed (%v):\n%s", err, out)
+	}
+	t.Logf("child process:\n%s", out)
 }
 
 // TestVBContainsLinesTouched is ROADMAP item 6's per-layer
@@ -168,20 +193,11 @@ func TestVBMemoryPerKey(t *testing.T) {
 // back to back in Load's key order, the order one goroutine's Load
 // allocates in — which the allocator cannot move: 32.62 on every run.
 // The count at the towers' real addresses is logged next to it. The
-// replay runs in a child process of the test binary, recognized by its
-// -test.run pattern, so that logged count is a fresh heap's.
+// replay runs in a child process of the test binary (inFreshProcess),
+// so that logged count is a fresh heap's.
 func TestVBContainsLinesTouched(t *testing.T) {
-	const freshHeapRun = "^TestVBContainsLinesTouched$/^fresh_heap$"
 	t.Run("fresh heap", func(t *testing.T) {
-		if flag.Lookup("test.run").Value.String() == freshHeapRun {
-			replayContainsLines(t)
-			return
-		}
-		out, err := exec.Command(os.Args[0], "-test.run="+freshHeapRun, "-test.v").CombinedOutput()
-		if err != nil || !bytes.Contains(out, []byte("per Contains")) {
-			t.Fatalf("fresh-heap replay failed (%v):\n%s", err, out)
-		}
-		t.Logf("child process:\n%s", out)
+		inFreshProcess(t, "^TestVBContainsLinesTouched$/^fresh_heap$", "per Contains", replayContainsLines)
 	})
 }
 

@@ -6,8 +6,10 @@ import (
 
 	"listset/internal/core"
 	"listset/internal/failpoint"
+	"listset/internal/lincheck"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
+	"listset/internal/schedule"
 )
 
 // Deterministic figure replays with the flight recorder attached: the
@@ -18,6 +20,46 @@ import (
 // the paper's accepted schedule, machine-checked end to end; that
 // round trip is what scripts/trace_smoke.sh and the round-trip tests
 // exercise.
+
+// AuditReplay runs replay under a fresh flight recorder and checks the
+// audit chain end to end: the capture dropped no record, its operation
+// history is linearizable from the initial contents the replay
+// returns, and its checkpointed spans lift (schedule.Lift) to a
+// schedule VBL accepts. It returns the capture and the lifted schedule.
+func AuditReplay(replay func(*trace.Tracer) ([]int64, error)) (*trace.Capture, schedule.Schedule, error) {
+	var s schedule.Schedule
+	tr := trace.NewTracer(2, 1<<12)
+	initial, err := replay(tr)
+	if err != nil {
+		return nil, s, err
+	}
+	c := tr.Snapshot()
+	if c.Drops != 0 {
+		return c, s, fmt.Errorf("capture dropped %d records", c.Drops)
+	}
+	h, err := c.History()
+	if err != nil {
+		return c, s, err
+	}
+	init := make(map[int64]bool, len(initial))
+	for _, k := range initial {
+		init[k] = true
+	}
+	if v := lincheck.Check(h, init); v != nil {
+		return c, s, fmt.Errorf("reconstructed history not linearizable: %v", v)
+	}
+	ops, err := c.ScheduleOps()
+	if err != nil {
+		return c, s, err
+	}
+	if s, err = schedule.Lift(schedule.AlgVBL, initial, ops); err != nil {
+		return c, s, err
+	}
+	if !schedule.Accepts(schedule.AlgVBL, s) {
+		return c, s, fmt.Errorf("lifted schedule not VBL-accepted: %v", s)
+	}
+	return c, s, nil
+}
 
 // replayPauseTimeout bounds every wait on a parked goroutine.
 const replayPauseTimeout = 5 * time.Second

@@ -4,54 +4,24 @@ import (
 	"testing"
 
 	"listset/internal/failpoint"
-	"listset/internal/lincheck"
 	"listset/internal/obs"
 	"listset/internal/obs/trace"
 	"listset/internal/schedule"
 )
 
-// roundTrip captures a replay and lifts it both ways: the operation
-// history through the linearizability checker, the checkpointed spans
-// through schedule.Lift under the given algorithm.
-func roundTrip(t *testing.T, replay func(*trace.Tracer) ([]int64, error)) ([]int64, *trace.Capture, schedule.Schedule) {
+// roundTrip audits a replay through AuditReplay: no dropped records,
+// a linearizable history, and spans that lift to a VBL-accepted
+// schedule.
+func roundTrip(t *testing.T, replay func(*trace.Tracer) ([]int64, error)) (*trace.Capture, schedule.Schedule) {
 	t.Helper()
 	if !failpoint.Compiled {
 		t.Skip("built with -tags nofailpoint: the replays pin their schedules with failpoint pauses")
 	}
-	tr := trace.NewTracer(2, 1<<10)
-	initial, err := replay(tr)
+	c, s, err := AuditReplay(replay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := tr.Snapshot()
-	if c.Drops != 0 {
-		t.Fatalf("replay capture dropped %d records; ring too small", c.Drops)
-	}
-
-	h, err := c.History()
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := make(map[int64]bool, len(initial))
-	for _, k := range initial {
-		init[k] = true
-	}
-	if v := lincheck.Check(h, init); v != nil {
-		t.Fatalf("reconstructed history not linearizable: %v", v)
-	}
-
-	ops, err := c.ScheduleOps()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := schedule.Lift(schedule.AlgVBL, initial, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !schedule.Accepts(schedule.AlgVBL, s) {
-		t.Fatalf("lifted schedule not VBL-accepted: %v", s)
-	}
-	return initial, c, s
+	return c, s
 }
 
 // TestFigure2TraceRoundTrip replays Figure 2 under the flight recorder
@@ -60,7 +30,7 @@ func roundTrip(t *testing.T, replay func(*trace.Tracer) ([]int64, error)) ([]int
 // schedule that Lazy REJECTS — the separation the figure exists to
 // show, recovered from a real execution's trace.
 func TestFigure2TraceRoundTrip(t *testing.T) {
-	_, c, s := roundTrip(t, ReplayFigure2)
+	c, s := roundTrip(t, ReplayFigure2)
 
 	// The parked insert must carry both phase constraints: its reads
 	// closed at the failpoint fire, its writes opened at the release.
@@ -95,7 +65,7 @@ func TestFigure3TraceRoundTrip(t *testing.T) {
 	if !obs.Compiled {
 		t.Skip("built with -tags obsoff: the restarted remove's spans need the restart events the probes emit")
 	}
-	_, c, _ := roundTrip(t, ReplayFigure3)
+	c, _ := roundTrip(t, ReplayFigure3)
 
 	ops, err := c.ScheduleOps()
 	if err != nil {
